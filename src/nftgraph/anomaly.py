@@ -61,23 +61,15 @@ def simultaneous_bidirectional(g: TemporalGraph, threshold_seconds: int = 86400,
                                *, include_null: bool = False):
     """Unordered pairs with opposing edges whose minimal cross-direction
     interval is within the threshold.  Sorted by address pair."""
-    directions: set[tuple[int, int]] = set()
-    for k in range(g.num_edges):
-        u, v = g.e_src[k], g.e_dst[k]
-        if u == v:
-            continue
-        if not include_null and (u == g.null_id or v == g.null_id):
-            continue
-        directions.add((u, v))
+    directions = {(u, v) for u, v, _ts in g.edges(
+        include_null=include_null, include_self_loops=False)}
     bidir = {(u, v) for (u, v) in directions if u < v and (v, u) in directions}
     if not bidir:
         return []
     ts_by_dir: dict[tuple[int, int], list[int]] = {}
-    for k in range(g.num_edges):
-        u, v = g.e_src[k], g.e_dst[k]
-        key = (min(u, v), max(u, v))
-        if key in bidir:
-            ts_by_dir.setdefault((u, v), []).append(g.e_ts[k])
+    for u, v, ts in g.edges():
+        if (min(u, v), max(u, v)) in bidir:
+            ts_by_dir.setdefault((u, v), []).append(ts)
     out = []
     for u, v in bidir:
         gap = _min_cross_gap(ts_by_dir[(u, v)], ts_by_dir[(v, u)])
@@ -100,8 +92,7 @@ def suspicious_pairs(g: TemporalGraph, candidates, min_tx: int = 5,
     for (a, b), _gap in candidates:
         ia, ib = g.addr_id(a), g.addr_id(b)
         wanted.add((min(ia, ib), max(ia, ib)))
-    for k in range(g.num_edges):
-        u, v = g.e_src[k], g.e_dst[k]
+    for u, v, _ts in g.edges():
         key = (min(u, v), max(u, v))
         if key in wanted:
             pair_counts[key] += 1

@@ -87,16 +87,12 @@ def _emit_json(payload: dict, path: str | None) -> None:
             fh.write(text)
 
 
-def _fmt(x) -> object:
-    return float(f"{x:.9g}") if isinstance(x, float) else x
-
-
 def _write_csv(path: str, header: list[str], rows) -> None:
     with open(path, "w", newline="") as fh:
         w = csv.writer(fh)
         w.writerow(header)
         for row in rows:
-            w.writerow([_fmt(x) for x in row])
+            w.writerow(_round_floats(row))
 
 
 def _load_graph(path: str) -> TemporalGraph:
@@ -258,16 +254,6 @@ def cmd_anomaly(args) -> int:
     return EXIT_OK
 
 
-def _csm_edges(g: TemporalGraph, include_null: bool):
-    edges = []
-    for k in range(g.num_edges):
-        u, v = g.e_src[k], g.e_dst[k]
-        if not include_null and (u == g.null_id or v == g.null_id):
-            continue
-        edges.append((u, v, g.e_ts[k]))
-    return edges
-
-
 def _drop_top_hubs(edges, k: int):
     degree: dict[int, set[tuple[int, int]]] = {}
     for u, v, _ts in edges:
@@ -280,7 +266,7 @@ def _drop_top_hubs(edges, k: int):
 
 def cmd_csm(args) -> int:
     g = _load_graph(args.input)
-    edges = _csm_edges(g, args.include_null)
+    edges = list(g.edges(include_null=args.include_null))
     dropped_hubs: list[int] = []
     if args.drop_top_hubs:
         edges, dropped_hubs = _drop_top_hubs(edges, args.drop_top_hubs)
@@ -308,7 +294,7 @@ def cmd_csm(args) -> int:
         w = csv.writer(sys.stdout)
         w.writerow(header)
         for row in rows:
-            w.writerow([_fmt(x) for x in row])
+            w.writerow(_round_floats(row))
     else:
         _write_csv(args.output, header, rows)
     meta = _make_report(args, [args.input], {
@@ -334,6 +320,11 @@ def cmd_export_ml(args) -> int:
     g = _load_graph(args.input)
     series = mlbench.build_snapshots(g, args.granularity,
                                      exclude_null=not args.include_null)
+    for idx in args.negatives_snapshot or []:
+        if not 0 <= idx < len(series):
+            print(f"nftgraph: --negatives-snapshot {idx} is outside "
+                  f"[0, {len(series)})", file=sys.stderr)
+            return EXIT_USAGE
     plan = mlbench.export_features(
         g, series, args.out_dir, task=args.task, split_mode=args.split_mode,
         seed=args.seed, earlystop_fraction=args.earlystop_fraction)

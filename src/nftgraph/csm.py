@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import random
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 from .errors import QueryError, TimeLimitExceeded
@@ -295,8 +295,6 @@ class MatchContext:
         self.labels: dict[int, object] = {}
         self.pair_ts: dict[tuple[int, int], int] = {}
         self.autos = query_automorphisms(q)
-        # candidate index: label -> vertices carrying it
-        self.by_label: dict[object, set[int]] = {}
         self.match_count = 0
         self.dedup_canon: set[tuple[int, ...]] = set()
         self.elapsed_ms = 0.0
@@ -306,12 +304,6 @@ class MatchContext:
 
     def set_label(self, u: int, label) -> None:
         self.labels[u] = label
-        self.by_label.setdefault(label, set()).add(u)
-
-    def candidate_vertices(self, qlabel) -> set[int]:
-        if qlabel is WILDCARD:
-            return set(self.labels)
-        return self.by_label.get(qlabel, set())
 
     def add_initial_edge(self, u: int, v: int, ts: int) -> None:
         self._add_pair(u, v, ts)

@@ -302,9 +302,3 @@ def write_raw_csv(path: str, rows) -> None:
             w.writerow([r["block_number"], r["block_timestamp"],
                         r["transaction_hash"], r["log_index"], r["address"],
                         "|".join(r["topics"]), r["data"]])
-
-
-def write_raw_jsonl(path: str, rows) -> None:
-    with open(path, "w") as fh:
-        for e in rows:
-            fh.write(json.dumps(raw_row(e)) + "\n")

@@ -13,10 +13,12 @@ import hashlib
 import json
 from bisect import bisect_right
 from dataclasses import dataclass
+from itertools import islice
 from typing import Iterable, Iterator
 
 from .errors import NegativeAge, UnknownNode, UnsortedInput
 from .ingest import NULL_ADDRESS, TransferEvent, read_transfers
+from .periods import Period, iter_periods
 
 
 @dataclass(frozen=True)
@@ -26,15 +28,6 @@ class NodeRecord:
     last_seen: int
     tx_count: int
     entered_via_mint: bool
-
-
-@dataclass(frozen=True)
-class Edge:
-    src: int
-    dst: int
-    timestamp: int
-    contract: int
-    token_id: int
 
 
 class TemporalGraph:
@@ -155,14 +148,25 @@ class TemporalGraph:
     def edge_count_until(self, t: int) -> int:
         return bisect_right(self.e_ts, t)
 
-    def iter_edges(self, until: int | None = None) -> Iterator[Edge]:
-        end = self.num_edges if until is None else self.edge_count_until(until)
-        for k in range(end):
-            yield Edge(self.e_src[k], self.e_dst[k], self.e_ts[k],
-                       self.e_contract[k], self.e_token[k])
+    def edges(self, until: int | None = None, *, include_null: bool = True,
+              include_self_loops: bool = True) -> Iterator[tuple[int, int, int]]:
+        """(src, dst, ts) of the edges with timestamp <= until, in time order.
 
-    def snapshot(self, t: int) -> "SnapshotView":
-        return SnapshotView(self, t)
+        The one place where Null-incident edges and self-loops are dropped.
+        """
+        end = self.num_edges if until is None else self.edge_count_until(until)
+        edges = islice(zip(self.e_src, self.e_dst, self.e_ts), end)
+        null = None if include_null else self.null_id
+        if null is None and include_self_loops:
+            return edges
+        return ((u, v, ts) for u, v, ts in edges
+                if u != null and v != null and (include_self_loops or u != v))
+
+    def periods(self, granularity: str) -> list[Period]:
+        """Calendar periods from the first to the last edge; [] if none."""
+        if not self.e_ts:
+            return []
+        return list(iter_periods(granularity, self.e_ts[0], self.e_ts[-1]))
 
     def token_owner_at(self, contract: str, token_id: int, t: int | None = None):
         """Current owner address of a token at cutoff t, or None if unseen."""
@@ -194,30 +198,6 @@ class TemporalGraph:
             json.dumps(self.summary(), sort_keys=True).encode()).hexdigest()
 
 
-class SnapshotView:
-    """All nodes and edges of the graph with timestamp <= cutoff."""
-
-    def __init__(self, graph: TemporalGraph, cutoff: int):
-        self.graph = graph
-        self.cutoff = cutoff
-        self._edge_end = graph.edge_count_until(cutoff)
-
-    @property
-    def num_edges(self) -> int:
-        return self._edge_end
-
-    @property
-    def num_nodes(self) -> int:
-        return sum(1 for f in self.graph.n_first if f <= self.cutoff) \
-            if self._edge_end < self.graph.num_edges else self.graph.num_nodes
-
-    def node_ids(self) -> set[int]:
-        return {i for i, f in enumerate(self.graph.n_first) if f <= self.cutoff}
-
-    def iter_edges(self) -> Iterator[Edge]:
-        return self.graph.iter_edges(until=self.cutoff)
-
-
 class SimpleDigraph:
     """Deduplicated directed view: distinct ordered address pairs.
 
@@ -226,10 +206,7 @@ class SimpleDigraph:
     that.
     """
 
-    def __init__(self, nodes: Iterable[int], pairs: Iterable[tuple[int, int]],
-                 *, include_null: bool = True, include_self_loops: bool = True):
-        self.include_null = include_null
-        self.include_self_loops = include_self_loops
+    def __init__(self, nodes: Iterable[int], pairs: Iterable[tuple[int, int]]):
         self.nodes: set[int] = set(nodes)
         self.pairs: set[tuple[int, int]] = set()
         self.out: dict[int, set[int]] = {}
@@ -284,24 +261,16 @@ def simple_view(g: TemporalGraph, cutoff: int | None = None, *,
     first seen by the cutoff (minus Null when excluded), even if all of a
     node's pairs were filtered out.
     """
-    end = g.num_edges if cutoff is None else g.edge_count_until(cutoff)
-    null_id = g.null_id
-    pairs = set()
-    for k in range(end):
-        u, v = g.e_src[k], g.e_dst[k]
-        if not include_null and (u == null_id or v == null_id):
-            continue
-        if not include_self_loops and u == v:
-            continue
-        pairs.add((u, v))
+    pairs = {(u, v) for u, v, _ts in g.edges(
+        cutoff, include_null=include_null,
+        include_self_loops=include_self_loops)}
     if cutoff is None:
         nodes = set(range(g.num_nodes))
     else:
         nodes = {i for i, f in enumerate(g.n_first) if f <= cutoff}
-    if not include_null and null_id is not None:
-        nodes.discard(null_id)
-    return SimpleDigraph(nodes, pairs, include_null=include_null,
-                         include_self_loops=include_self_loops)
+    if not include_null and g.null_id is not None:
+        nodes.discard(g.null_id)
+    return SimpleDigraph(nodes, pairs)
 
 
 def peel_degree_one(view: SimpleDigraph) -> SimpleDigraph:
@@ -314,5 +283,4 @@ def peel_degree_one(view: SimpleDigraph) -> SimpleDigraph:
     pairs = [(u, v) for (u, v) in view.pairs
              if u not in doomed and v not in doomed]
     nodes = {u for p in pairs for u in p}
-    return SimpleDigraph(nodes, pairs, include_null=view.include_null,
-                         include_self_loops=view.include_self_loops)
+    return SimpleDigraph(nodes, pairs)

@@ -12,12 +12,11 @@ interchange file of the whole package: a CSV sorted by
 from __future__ import annotations
 
 import csv
-import io
 import json
 import os
 import re
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 from typing import Iterable, Iterator, Sequence
 
@@ -221,28 +220,6 @@ def decode_transfer(raw: RawLog) -> TransferEvent | Skip:
     )
 
 
-def classify_contracts(
-    outcomes: Iterable[tuple[str, TransferEvent | Skip]],
-) -> list[ContractClass]:
-    """Classify every contract that emitted at least one Transfer-topic log.
-
-    A single 3-topic Transfer log disqualifies the whole contract.
-    Non-Transfer logs carry no information here and are ignored.
-    """
-    counts: dict[str, int] = {}
-    violated: set[str] = set()
-    for contract, outcome in outcomes:
-        if isinstance(outcome, TransferEvent):
-            counts[contract] = counts.get(contract, 0) + 1
-        elif outcome.reason is SkipReason.ARITY:
-            counts[contract] = counts.get(contract, 0) + 1
-            violated.add(contract)
-    return [
-        ContractClass(contract=c, erc721=c not in violated, log_count=n)
-        for c, n in sorted(counts.items())
-    ]
-
-
 def _iter_raw_lines(path: str) -> Iterator[str]:
     with open(path, "r", encoding="utf-8") as fh:
         for line in fh:
@@ -361,13 +338,3 @@ def read_transfers(source) -> Iterator[TransferEvent]:
     finally:
         if close:
             fh.close()
-
-
-def transfers_to_csv_string(events: Iterable[TransferEvent]) -> str:
-    buf = io.StringIO()
-    w = csv.writer(buf)
-    w.writerow(NORMALIZED_HEADER)
-    for e in events:
-        w.writerow([e.timestamp, e.block_number, e.tx_hash, e.log_index,
-                    e.contract, e.from_addr, e.to_addr, str(e.token_id)])
-    return buf.getvalue()

@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 
 from .errors import Degenerate, EmptyView, NoPairs, TooSmall
 from .graph import SimpleDigraph, TemporalGraph, simple_view
-from .periods import Period, iter_periods, period_index
+from .periods import period_index
 
 DAY = 86400
 
@@ -228,12 +228,6 @@ class PeriodSeries:
         return [label for label, _ in self.buckets]
 
 
-def _graph_periods(g: TemporalGraph, granularity: str) -> list[Period]:
-    if g.num_edges == 0:
-        return []
-    return list(iter_periods(granularity, g.e_ts[0], g.e_ts[-1]))
-
-
 def _node_visible(g: TemporalGraph, i: int, include_null: bool) -> bool:
     return include_null or i != g.null_id
 
@@ -247,7 +241,7 @@ def growth_series(g: TemporalGraph, granularity: str, *,
     A pair is bidirectional-new in the period where its reverse direction
     completes.
     """
-    periods = _graph_periods(g, granularity)
+    periods = g.periods(granularity)
     records = [GrowthRecord() for _ in periods]
     node_period = {}
     for i in range(g.num_nodes):
@@ -264,16 +258,14 @@ def growth_series(g: TemporalGraph, granularity: str, *,
 
     seen_pairs: set[tuple[int, int]] = set()
     shares = [[0, 0, 0] for _ in periods]  # new-old, new-new, old-old
-    for k in range(g.num_edges):
-        u, v = g.e_src[k], g.e_dst[k]
-        if not include_null and (u == g.null_id or v == g.null_id):
-            continue
-        if not include_self_loops and u == v:
-            continue
+    p = 0
+    for u, v, ts in g.edges(include_null=include_null,
+                            include_self_loops=include_self_loops):
         if (u, v) in seen_pairs:
             continue
         seen_pairs.add((u, v))
-        p = period_index(periods, g.e_ts[k])
+        while ts >= periods[p].end_ts:
+            p += 1
         rec = records[p]
         rec.new_edges += 1
         if u == v:
@@ -306,13 +298,9 @@ def mutual_edge_intervals(g: TemporalGraph, *, include_null: bool = False,
     buckets of `bucket_seconds` (days by default).
     """
     first_ts: dict[tuple[int, int], int] = {}
-    for k in range(g.num_edges):
-        u, v = g.e_src[k], g.e_dst[k]
-        if u == v:
-            continue
-        if not include_null and (u == g.null_id or v == g.null_id):
-            continue
-        first_ts.setdefault((u, v), g.e_ts[k])
+    for u, v, ts in g.edges(include_null=include_null,
+                            include_self_loops=False):
+        first_ts.setdefault((u, v), ts)
     hist: Counter = Counter()
     for (u, v), t in first_ts.items():
         if u < v and (v, u) in first_ts:
@@ -373,7 +361,7 @@ def hub_correlation(g: TemporalGraph, granularity: str, period: int | str, *,
                     include_null: bool = False) -> float:
     """Pearson correlation between degree at the end of a period and the
     number of distinct new-node connections gained in the next period."""
-    periods = _graph_periods(g, granularity)
+    periods = g.periods(granularity)
     if isinstance(period, str):
         labels = [p.label for p in periods]
         if period not in labels:
@@ -388,14 +376,8 @@ def hub_correlation(g: TemporalGraph, granularity: str, period: int | str, *,
     nxt = periods[p + 1]
 
     gains: dict[int, set[int]] = {}
-    for k in range(g.num_edges):
-        ts = g.e_ts[k]
+    for u, v, ts in g.edges(nxt.end_ts - 1, include_null=include_null):
         if ts < nxt.start_ts:
-            continue
-        if ts >= nxt.end_ts:
-            break
-        u, v = g.e_src[k], g.e_dst[k]
-        if not include_null and (u == g.null_id or v == g.null_id):
             continue
         if u in view.nodes and nxt.contains(g.n_first[v]):
             gains.setdefault(u, set()).add(v)
@@ -422,21 +404,20 @@ def tea_tet(g: TemporalGraph, granularity: str, split_time: int, *,
     period.  TET classes each distinct pair as train_only / test_only /
     both relative to split_time (train: ts <= split_time).
     """
-    periods = _graph_periods(g, granularity)
+    periods = g.periods(granularity)
     first_period: dict[tuple[int, int], int] = {}
     in_period: list[set[tuple[int, int]]] = [set() for _ in periods]
     has_train: set[tuple[int, int]] = set()
     has_test: set[tuple[int, int]] = set()
-    for k in range(g.num_edges):
-        u, v = g.e_src[k], g.e_dst[k]
-        if not include_null and (u == g.null_id or v == g.null_id):
-            continue
+    p = 0
+    for u, v, ts in g.edges(include_null=include_null):
+        while ts >= periods[p].end_ts:
+            p += 1
         pair = (u, v)
-        p = period_index(periods, g.e_ts[k])
         in_period[p].add(pair)
         if pair not in first_period:
             first_period[pair] = p
-        (has_train if g.e_ts[k] <= split_time else has_test).add(pair)
+        (has_train if ts <= split_time else has_test).add(pair)
 
     tea = PeriodSeries(granularity)
     for p, period in enumerate(periods):

@@ -17,7 +17,6 @@ from dataclasses import dataclass, field
 
 from .errors import BadRecord, InsufficientNodes
 from .graph import TemporalGraph
-from .periods import Period, iter_periods
 
 DAY = 86400
 
@@ -77,18 +76,13 @@ def build_snapshots(g: TemporalGraph, granularity: str, *,
     transaction is removed before bucketing.
     """
     series = SnapshotSeries(granularity=granularity, exclude_null=exclude_null)
-    if g.num_edges == 0:
-        return series
-    periods = list(iter_periods(granularity, g.e_ts[0], g.e_ts[-1]))
+    periods = g.periods(granularity)
     snaps = [Snapshot(index=i, label=p.label, start_ts=p.start_ts,
                       end_ts=p.end_ts, pair_stats={}, new_nodes=[])
              for i, p in enumerate(periods)]
     seen_nodes: set[int] = set()
     pi = 0
-    for k in range(g.num_edges):
-        u, v, ts = g.e_src[k], g.e_dst[k], g.e_ts[k]
-        if exclude_null and (u == g.null_id or v == g.null_id):
-            continue
+    for u, v, ts in g.edges(include_null=not exclude_null):
         while ts >= periods[pi].end_ts:
             pi += 1
         snap = snaps[pi]
@@ -178,10 +172,10 @@ def trader_labels(g: TemporalGraph, *, include_null: bool = False) -> list[Trade
     86,400 s is still a daily trader.
     """
     times: dict[int, list[int]] = {}
-    for k in range(g.num_edges):
-        times.setdefault(g.e_src[k], []).append(g.e_ts[k])
-        if g.e_dst[k] != g.e_src[k]:
-            times.setdefault(g.e_dst[k], []).append(g.e_ts[k])
+    for u, v, ts in g.edges():
+        times.setdefault(u, []).append(ts)
+        if v != u:
+            times.setdefault(v, []).append(ts)
     labels = []
     for node in range(g.num_nodes):
         if not include_null and node == g.null_id:

@@ -182,3 +182,17 @@ def test_export_ml_and_eval_cli(data_dir, tmp_path, capsys):
     metrics = json.loads((tmp_path / "eval.json").read_text())["metrics"]
     assert metrics["auc"] == 0.98
     assert abs(metrics["mrr"] - 1 / 3) < 1e-9
+
+
+@pytest.mark.parametrize("index", ["-1", "-2", "2", "5"])
+def test_export_ml_rejects_out_of_range_negatives_snapshot(
+        data_dir, tmp_path, capsys, index):
+    out = tmp_path / "ml"
+    rc = main(["export-ml", "--input", str(data_dir / "planted.csv"),
+               "--out-dir", str(out), "--granularity", "year",
+               "--negatives-snapshot", "0", "--negatives-snapshot", index])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and "--negatives-snapshot" in err
+    assert "[0, 2)" in err
+    assert not out.exists()

@@ -1,4 +1,5 @@
 import random
+from dataclasses import replace
 
 import pytest
 
@@ -52,9 +53,30 @@ def test_token_owner_replay():
 
 def test_snapshot_view_prefix():
     g = graph_of([(100, 0, 1), (200, 1, 2), (300, 3, 4)])
-    view = g.snapshot(200)
-    assert view.num_edges == 2
-    assert view.num_nodes == 3
+    assert g.edge_count_until(200) == 2
+    assert simple_view(g, 200).num_nodes == 3
+
+
+@pytest.mark.parametrize("seed", range(5))
+def test_edges_filter_matches_brute_force(seed):
+    rng = random.Random(seed)
+    events = [replace(ev, to_addr=ev.from_addr) if rng.random() < 0.1 else ev
+              for ev in random_events(rng, with_null=True)]
+    g = TemporalGraph.build(events)
+    raw = list(zip(g.e_src, g.e_dst, g.e_ts))
+    assert g.null_id is not None and any(u == v for u, v, _ in raw)
+    cutoffs = [None, g.e_ts[len(raw) // 2], g.e_ts[0] - 1]
+    for until in cutoffs:
+        for include_null in (True, False):
+            for include_self_loops in (True, False):
+                want = [(u, v, ts) for u, v, ts in raw
+                        if (until is None or ts <= until)
+                        and (include_null or g.null_id not in (u, v))
+                        and (include_self_loops or u != v)]
+                got = list(g.edges(until, include_null=include_null,
+                                   include_self_loops=include_self_loops))
+                assert got == want
+    assert list(g.edges(g.e_ts[0] - 1)) == []
 
 
 def test_simple_view_dedups_pairs():
