@@ -87,12 +87,19 @@ def _emit_json(payload: dict, path: str | None) -> None:
             fh.write(text)
 
 
-def _write_csv(path: str, header: list[str], rows) -> None:
-    with open(path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(header)
-        for row in rows:
-            w.writerow(_round_floats(row))
+def _write_csv(path: str | None, header: list[str], rows) -> None:
+    if path is None or path == "-":
+        _write_rows(sys.stdout, header, rows)
+    else:
+        with open(path, "w", newline="") as fh:
+            _write_rows(fh, header, rows)
+
+
+def _write_rows(fh, header: list[str], rows) -> None:
+    w = csv.writer(fh)
+    w.writerow(header)
+    for row in rows:
+        w.writerow(_round_floats(row))
 
 
 def _load_graph(path: str) -> TemporalGraph:
@@ -265,6 +272,10 @@ def _drop_top_hubs(edges, k: int):
 
 
 def cmd_csm(args) -> int:
+    if args.label_pool is not None and args.label_pool < 1:
+        print(f"nftgraph: --label-pool must be at least 1, got "
+              f"{args.label_pool}", file=sys.stderr)
+        return EXIT_USAGE
     g = _load_graph(args.input)
     edges = list(g.edges(include_null=args.include_null))
     dropped_hubs: list[int] = []
@@ -289,14 +300,9 @@ def cmd_csm(args) -> int:
 
     rows = [(r.name, r.matches, r.matches_dedup, r.elapsed_ms,
              int(r.timed_out)) for r in results]
-    header = ["query", "matches", "matches_dedup", "elapsed_ms", "timed_out"]
-    if args.output in (None, "-"):
-        w = csv.writer(sys.stdout)
-        w.writerow(header)
-        for row in rows:
-            w.writerow(_round_floats(row))
-    else:
-        _write_csv(args.output, header, rows)
+    _write_csv(args.output,
+               ["query", "matches", "matches_dedup", "elapsed_ms", "timed_out"],
+               rows)
     meta = _make_report(args, [args.input], {
         "initial_edges": len(initial),
         "stream_edges": len(stream),
@@ -488,7 +494,7 @@ def main(argv=None) -> int:
     except TimeLimitExceeded as e:
         print(f"nftgraph: time limit exceeded: {e}", file=sys.stderr)
         return EXIT_TIMEOUT
-    except (DataError, FileNotFoundError) as e:
+    except (DataError, OSError) as e:
         print(f"nftgraph: {e}", file=sys.stderr)
         return EXIT_DATA
 

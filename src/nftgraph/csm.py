@@ -10,16 +10,21 @@ are tracked alongside.
 
 from __future__ import annotations
 
+import math
 import random
 import time
 from dataclasses import dataclass
+from itertools import chain
 from typing import Iterable, Sequence
 
 from .errors import QueryError, TimeLimitExceeded
+from .graph import SimpleDigraph
 
 MAX_QUERY_VERTICES = 16
 
 WILDCARD = None
+
+_EMPTY: frozenset[int] = frozenset()
 
 
 @dataclass(frozen=True)
@@ -31,18 +36,6 @@ class QueryGraph:
     @property
     def num_vertices(self) -> int:
         return len(self.labels)
-
-    def out_adj(self) -> list[set[int]]:
-        adj = [set() for _ in self.labels]
-        for x, y in self.edges:
-            adj[x].add(y)
-        return adj
-
-    def in_adj(self) -> list[set[int]]:
-        adj = [set() for _ in self.labels]
-        for x, y in self.edges:
-            adj[y].add(x)
-        return adj
 
     def degree(self, x: int) -> int:
         return sum(1 for e in self.edges if x in e) \
@@ -71,7 +64,10 @@ def parse_query(text: str, name: str = "query") -> QueryGraph:
                 raise QueryError(f"bad vertex id {parts[1]!r}") from None
             if vid in labels:
                 raise QueryError(f"duplicate vertex {vid}")
-            labels[vid] = WILDCARD if parts[2] == "*" else int(parts[2])
+            try:
+                labels[vid] = WILDCARD if parts[2] == "*" else int(parts[2])
+            except ValueError:
+                raise QueryError(f"bad label {parts[2]!r}") from None
         elif parts[0] == "e" and len(parts) == 3:
             try:
                 x, y = int(parts[1]), int(parts[2])
@@ -141,103 +137,91 @@ class Match:
 def _matching_order(q: QueryGraph, seeds: Sequence[int]) -> list[int]:
     """Static order over remaining query vertices: degree-descending, each
     vertex adjacent to the already-ordered prefix."""
-    out_adj, in_adj = q.out_adj(), q.in_adj()
-    placed = list(seeds)
-    placed_set = set(seeds)
-    while len(placed) < q.num_vertices:
-        best = None
-        for x in range(q.num_vertices):
-            if x in placed_set:
-                continue
-            connected = bool((out_adj[x] | in_adj[x]) & placed_set)
-            key = (connected, q.degree(x), -x)
-            if best is None or key > best[0]:
-                best = (key, x)
-        placed.append(best[1])
-        placed_set.add(best[1])
-    return placed
+    order = list(seeds)
+
+    def key(x: int):
+        linked = any(x in e and (e[0] in order or e[1] in order)
+                     for e in q.edges)
+        return (linked, q.degree(x), -x)
+
+    while len(order) < q.num_vertices:
+        order.append(max((x for x in range(q.num_vertices) if x not in order),
+                         key=key))
+    return order
 
 
 def _label_ok(qlabel, dlabel) -> bool:
     return qlabel is WILDCARD or qlabel == dlabel
 
 
-class _Enumerator:
-    """Backtracking embedding enumeration shared by static and delta modes."""
-
-    def __init__(self, data_out, data_in, labels, q: QueryGraph,
-                 universe=None):
-        self.out = data_out
-        self.in_ = data_in
-        self.labels = labels
-        self.q = q
-        self.q_out = q.out_adj()
-        self.q_in = q.in_adj()
-        self.universe = universe
-
-    def _candidates(self, x: int, assign: dict[int, int]):
-        """Data candidates for query vertex x given a partial assignment."""
-        cand = None
-        for y in self.q_out[x]:
-            if y != x and y in assign:
-                s = self.in_.get(assign[y], set())
-                cand = s if cand is None else cand & s
-        for y in self.q_in[x]:
-            if y != x and y in assign:
-                s = self.out.get(assign[y], set())
-                cand = s if cand is None else cand & s
-        if cand is None:
-            if self.universe is not None:
-                cand = self.universe
-            else:
-                cand = set(self.out) | set(self.in_)
-        return cand
-
-    def _consistent(self, x: int, u: int, assign: dict[int, int]) -> bool:
-        if not _label_ok(self.q.labels[x], self.labels.get(u)):
-            return False
-        if u in assign.values():
-            return False
-        for y in self.q_out[x]:      # query edge x -> y
-            if y == x:
-                if u not in self.out.get(u, ()):
-                    return False
-            elif y in assign and assign[y] not in self.out.get(u, ()):
-                return False
-        for y in self.q_in[x]:       # query edge y -> x
-            if y != x and y in assign and u not in self.out.get(assign[y], ()):
-                return False
-        return True
-
-    def enumerate(self, order: list[int], assign: dict[int, int],
-                  results: list[tuple[int, ...]]):
-        depth = len(assign)
-        if depth == len(order):
-            results.append(tuple(assign[i] for i in range(self.q.num_vertices)))
-            return
-        x = order[depth]
-        for u in self._candidates(x, assign):
-            if self._consistent(x, u, assign):
-                assign[x] = u
-                self.enumerate(order, assign, results)
-                del assign[x]
+Step = tuple[int, object, tuple[int, ...], tuple[int, ...], bool]
 
 
-def match_static(data, q: QueryGraph, labels: dict[int, object] | None = None,
+def _compile(q: QueryGraph, seeds: Sequence[int]) -> list[Step]:
+    """Search plan for the query vertices after `seeds` in matching order.
+
+    A step `(x, label, succ, pred, self_loop)` places query vertex x;
+    `succ` / `pred` are the earlier-placed vertices x has edges to / from.
+    """
+    order = _matching_order(q, seeds)
+    edges = set(q.edges)
+    return [(x, q.labels[x],
+             tuple(y for y in order[:i] if (x, y) in edges),
+             tuple(y for y in order[:i] if (y, x) in edges),
+             (x, x) in edges)
+            for i, x in enumerate(order[len(seeds):], len(seeds))]
+
+
+# Plain recursion on purpose: a nested function calling itself is a
+# reference cycle that keeps `found` alive until the next GC pass.
+def _search(g: SimpleDigraph, labels: dict[int, object], steps: list[Step],
+            assign: list[int | None], used: set[int],
+            found: list[tuple[int, ...]], deadline: float = math.inf,
+            i: int = 0) -> None:
+    """Extend the partial embedding `assign` through `steps[i:]`, appending
+    each complete one to `found`.
+
+    A vertex's candidates are the intersection of its placed neighbours'
+    adjacency sets, which enforces every edge to earlier vertices; what is
+    left to check is the label, the self-loop and injectivity.  Raises
+    TimeLimitExceeded at the first search node past `deadline`.
+    """
+    if time.perf_counter() > deadline:
+        raise TimeLimitExceeded
+    if i == len(steps):
+        found.append(tuple(assign))
+        return
+    x, label, succ, pred, self_loop = steps[i]
+    out, in_ = g.out, g.in_
+    cands = None
+    for y in succ:
+        s = in_.get(assign[y], _EMPTY)
+        cands = s if cands is None else cands & s
+    for y in pred:
+        s = out.get(assign[y], _EMPTY)
+        cands = s if cands is None else cands & s
+    for u in g.nodes if cands is None else cands:
+        if (u in used
+                or (label is not WILDCARD and labels.get(u) != label)
+                or (self_loop and u not in out.get(u, _EMPTY))):
+            continue
+        assign[x] = u
+        used.add(u)
+        _search(g, labels, steps, assign, used, found, deadline, i + 1)
+        used.discard(u)
+
+
+def match_static(data: SimpleDigraph, q: QueryGraph,
+                 labels: dict[int, object] | None = None,
                  *, dedup_automorphisms: bool = False) -> list[Match]:
     """All injective direction- and label-preserving embeddings of q.
 
-    `data` is anything with `out` / `in_` adjacency dicts of sets (e.g.
-    SimpleDigraph).  Serves as the brute-force reference for the
-    incremental path.
+    Serves as the brute-force reference for the incremental path.
     """
-    labels = labels or {}
-    universe = set(data.nodes) if hasattr(data, "nodes") else None
-    enum = _Enumerator(data.out, data.in_, labels, q, universe=universe)
-    order = _matching_order(q, [max(range(q.num_vertices), key=q.degree)])
-    results: list[tuple[int, ...]] = []
-    enum.enumerate(order, {}, results)
-    mappings = [Match(m, None, None) for m in sorted(results)]
+    found: list[tuple[int, ...]] = []
+    _search(data, labels or {}, _compile(q, []), [None] * q.num_vertices,
+            set(), found)
+    mappings = [Match(m, None, None) for m in sorted(found)]
     if dedup_automorphisms:
         mappings = dedup_matches(q, mappings)
     return mappings
@@ -245,23 +229,13 @@ def match_static(data, q: QueryGraph, labels: dict[int, object] | None = None,
 
 def query_automorphisms(q: QueryGraph) -> list[tuple[int, ...]]:
     """All label/direction preserving self-embeddings of the query."""
-    class _Q:
-        pass
-    qd = _Q()
-    qd.out = {i: s for i, s in enumerate(q.out_adj()) if s}
-    qd.in_ = {i: s for i, s in enumerate(q.in_adj()) if s}
-    # an automorphism must also preserve labels, so use the query's own
-    # labels as the data labels
-    labels = {i: lab for i, lab in enumerate(q.labels)}
-    enum = _Enumerator(qd.out, qd.in_, labels, q,
-                       universe=set(range(q.num_vertices)))
-    order = _matching_order(q, [max(range(q.num_vertices), key=q.degree)])
-    results: list[tuple[int, ...]] = []
-    enum.enumerate(order, {}, results)
+    n = q.num_vertices
+    selfmaps = match_static(SimpleDigraph(range(n), q.edges), q,
+                            dict(enumerate(q.labels)))
     # wildcards match anything, but a true automorphism must carry each
     # label onto an identical label
-    return [m for m in results
-            if all(q.labels[v] == q.labels[m[v]] for v in range(len(m)))]
+    return [m.mapping for m in selfmaps
+            if all(q.labels[v] == q.labels[m.mapping[v]] for v in range(n))]
 
 
 def canonical_mapping(mapping: tuple[int, ...],
@@ -290,8 +264,7 @@ class MatchContext:
         self.q = q
         self.window = window
         self.time_limit_ms = time_limit_ms
-        self.out: dict[int, set[int]] = {}
-        self.in_: dict[int, set[int]] = {}
+        self.graph = SimpleDigraph((), ())
         self.labels: dict[int, object] = {}
         self.pair_ts: dict[tuple[int, int], int] = {}
         self.autos = query_automorphisms(q)
@@ -299,27 +272,17 @@ class MatchContext:
         self.dedup_canon: set[tuple[int, ...]] = set()
         self.elapsed_ms = 0.0
         self.timed_out = False
-        self._q_out = q.out_adj()
-        self._q_in = q.in_adj()
-
-    def set_label(self, u: int, label) -> None:
-        self.labels[u] = label
+        # one plan per query edge (x, y): the edges among the seeds that
+        # must already be present, and the steps placing the rest
+        self._plans = []
+        for x, y in q.edges:
+            seeds = [x] if x == y else [x, y]
+            checks = [(a, b) for a, b in q.edges if a in seeds and b in seeds]
+            self._plans.append((x, y, checks, _compile(q, seeds)))
 
     def add_initial_edge(self, u: int, v: int, ts: int) -> None:
-        self._add_pair(u, v, ts)
-
-    def _add_pair(self, u: int, v: int, ts: int) -> bool:
-        if (u, v) in self.pair_ts:
-            return False
-        self.out.setdefault(u, set()).add(v)
-        self.in_.setdefault(v, set()).add(u)
-        self.out.setdefault(v, set())
-        self.in_.setdefault(u, set())
-        for w in (u, v):
-            if w not in self.labels:
-                self.set_label(w, None)
-        self.pair_ts[(u, v)] = ts
-        return True
+        if self.graph.add_pair(u, v):
+            self.pair_ts[(u, v)] = ts
 
     def _window_ok(self, mapping: tuple[int, ...]) -> bool:
         if self.window is None:
@@ -330,52 +293,43 @@ class MatchContext:
     def insert_edge(self, u: int, v: int, ts: int) -> list[Match]:
         """Insert a pair and return the matches it completes.
 
-        Raises TimeLimitExceeded when the accumulated enumeration time
-        passes the per-query budget (counters keep their partial values).
+        The search stops at the first node past the per-query budget; that
+        insert is abandoned (it adds no matches) and `timed_out` is set.
+        Raises TimeLimitExceeded on any insert after the budget is spent
+        (counters keep their partial values).
         """
         if self.timed_out:
             raise TimeLimitExceeded(self.q.name)
-        if not self._add_pair(u, v, ts):
+        if not self.graph.add_pair(u, v):
             return []
+        self.pair_ts[(u, v)] = ts
         t0 = time.perf_counter()
+        deadline = t0 + (self.time_limit_ms - self.elapsed_ms) / 1000.0
+        q_labels, labels, out = self.q.labels, self.labels, self.graph.out
+        found: list[tuple[int, ...]] = []
         try:
-            found: list[tuple[int, ...]] = []
-            enum = _Enumerator(self.out, self.in_, self.labels, self.q)
-            for x, y in self.q.edges:
-                if not _label_ok(self.q.labels[x], self.labels.get(u)):
+            for x, y, checks, steps in self._plans:     # seed x -> u, y -> v
+                if ((x == y) != (u == v)
+                        or not _label_ok(q_labels[x], labels.get(u))
+                        or not _label_ok(q_labels[y], labels.get(v))):
                     continue
-                if not _label_ok(self.q.labels[y], self.labels.get(v)):
-                    continue
-                if x == y:
-                    if u != v:
-                        continue
-                    assign = {x: u}
-                    seeds = [x]
-                elif u == v:
-                    continue
-                else:
-                    assign = {x: u, y: v}
-                    seeds = [x, y]
-                # seed consistency against already-present query self/cross edges
-                if not all(assign.get(b) in self.out.get(assign[a], ())
-                           for a, b in self.q.edges
-                           if a in assign and b in assign):
-                    continue
-                order = _matching_order(self.q, seeds)
-                enum.enumerate(order, dict(assign), found)
-            matches = []
-            for m in sorted(set(found)):
-                if not self._window_ok(m):
-                    continue
-                matches.append(Match(m, (u, v), ts))
-            self.match_count += len(matches)
-            for m in matches:
-                self.dedup_canon.add(canonical_mapping(m.mapping, self.autos))
-            return matches
-        finally:
-            self.elapsed_ms += (time.perf_counter() - t0) * 1000.0
-            if self.elapsed_ms > self.time_limit_ms:
-                self.timed_out = True
+                assign = [None] * self.q.num_vertices
+                assign[x], assign[y] = u, v
+                if all(assign[b] in out.get(assign[a], _EMPTY)
+                       for a, b in checks):
+                    _search(self.graph, labels, steps, assign, {u, v},
+                            found, deadline)
+        except TimeLimitExceeded:
+            found = []
+        matches = [Match(m, (u, v), ts) for m in sorted(set(found))
+                   if self._window_ok(m)]
+        self.match_count += len(matches)
+        for m in matches:
+            self.dedup_canon.add(canonical_mapping(m.mapping, self.autos))
+        self.elapsed_ms += (time.perf_counter() - t0) * 1000.0
+        if self.elapsed_ms > self.time_limit_ms:
+            self.timed_out = True
+        return matches
 
     @property
     def dedup_count(self) -> int:
@@ -388,9 +342,7 @@ def init_context(initial_edges: Iterable[tuple[int, int, int]], q: QueryGraph,
                  time_limit_ms: float = 3.6e6) -> MatchContext:
     """Load the initial graph without reporting any of its matches."""
     ctx = MatchContext(q, window=window, time_limit_ms=time_limit_ms)
-    if labels:
-        for u, lab in labels.items():
-            ctx.set_label(u, lab)
+    ctx.labels.update(labels or {})
     for u, v, ts in initial_edges:
         ctx.add_initial_edge(u, v, ts)
     return ctx
@@ -432,13 +384,8 @@ def run_stream(initial: Sequence[tuple[int, int, int]],
     cfg = cfg or StreamConfig()
     labels: dict[int, object] = {}
     if cfg.label_pool is not None:
-        vertices = []
-        seen = set()
-        for u, v, _ts in list(initial) + list(stream):
-            for w in (u, v):
-                if w not in seen:
-                    seen.add(w)
-                    vertices.append(w)
+        vertices = dict.fromkeys(w for u, v, _ts in chain(initial, stream)
+                                 for w in (u, v))
         labels = assign_labels(vertices, cfg.label_pool, cfg.seed)
     results = []
     for q in queries:

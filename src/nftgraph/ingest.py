@@ -330,11 +330,17 @@ def read_transfers(source) -> Iterator[TransferEvent]:
             if not row:
                 continue
             if len(row) != len(NORMALIZED_HEADER):
-                raise MalformedRecord("bad normalized row")
-            yield TransferEvent(
-                timestamp=int(row[0]), block_number=int(row[1]),
-                tx_hash=row[2], log_index=int(row[3]), contract=row[4],
-                from_addr=row[5], to_addr=row[6], token_id=int(row[7]))
+                raise MalformedRecord(
+                    f"bad normalized row at line {reader.line_num}")
+            try:
+                ev = TransferEvent(
+                    timestamp=int(row[0]), block_number=int(row[1]),
+                    tx_hash=row[2], log_index=int(row[3]), contract=row[4],
+                    from_addr=row[5], to_addr=row[6], token_id=int(row[7]))
+            except ValueError:
+                raise MalformedRecord(
+                    f"non-numeric field at line {reader.line_num}") from None
+            yield ev
     finally:
         if close:
             fh.close()

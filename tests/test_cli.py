@@ -1,5 +1,6 @@
 import csv
 import json
+import re
 
 import pytest
 
@@ -39,14 +40,22 @@ def test_help_exits_0(capsys):
 def test_missing_input_exits_2(tmp_path, capsys):
     assert main(["build", "--input", str(tmp_path / "nope.csv"),
                  "--output", str(tmp_path / "g.lglb")]) == 2
+    assert main(["stats", "--input", str(tmp_path)]) == 2     # a directory
     capsys.readouterr()
 
 
-def test_bad_data_exits_2(tmp_path, capsys):
+def test_bad_data_exits_2(data_dir, tmp_path, capsys):
     bad = tmp_path / "bad.csv"
     bad.write_text("not,a,normalized,file\n1,2,3,4\n")
     assert main(["stats", "--input", str(bad)]) == 2
+    lines = (data_dir / "planted.csv").read_text().splitlines(keepends=True)
+    row = lines[2].split(",")
+    row[7] = "x1"                                           # token_id
+    lines[2] = ",".join(row)
+    bad.write_text("".join(lines[:3]))
     capsys.readouterr()
+    assert main(["stats", "--input", str(bad)]) == 2
+    assert "line 3" in capsys.readouterr().err
 
 
 # -- pipeline ----------------------------------------------------------
@@ -147,6 +156,34 @@ def test_csm_cli_csv(data_dir, tmp_path, capsys):
     assert rows["p2"]["matches"] == "0"
     meta = json.loads((tmp_path / "csm.csv.meta.json").read_text())
     assert meta["stream_edges"] == 3 * ledger["wash_cycles"]
+
+
+def test_csm_cli_stdout_matches_output_file(data_dir, tmp_path, capsys):
+    args = ["csm", "--input", str(data_dir / "planted.csv"),
+            "--initial-until", str(ledger_of(data_dir)["csm_initial_until"])]
+    capsys.readouterr()
+    assert main(args) == 0
+    printed = capsys.readouterr().out
+    out = tmp_path / "csm.csv"
+    assert main(args + ["--output", str(out)]) == 0
+
+    def masked(text):       # elapsed_ms is the fourth column
+        return re.sub(r"^((?:[^,]*,){3})[^,]*", r"\1-", text, flags=re.M)
+
+    assert masked(printed) == masked(out.read_bytes().decode())
+    assert printed.count("\r\n") == 6
+
+
+@pytest.mark.parametrize("pool", ["0", "-3"])
+def test_csm_rejects_label_pool_below_1(data_dir, tmp_path, capsys, pool):
+    out = tmp_path / "csm.csv"
+    rc = main(["csm", "--input", str(data_dir / "planted.csv"),
+               "--initial-until", "0", "--label-pool", pool,
+               "--output", str(out)])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and "--label-pool" in err
+    assert not out.exists()
 
 
 def test_csm_cli_custom_query_and_window(data_dir, tmp_path, capsys):

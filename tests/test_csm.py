@@ -46,6 +46,7 @@ def test_parse_single_vertex_ok():
     "v 0 *; v 1 *; e 0 5",                      # unknown endpoint
     "w 0 *",                                    # unknown statement
     "v x *",                                    # bad id
+    "v 0 abc",                                  # bad label
     "; ".join(f"v {i} *" for i in range(17)) + "; "
     + "; ".join(f"e {i} {i + 1}" for i in range(16)),   # too large
 ])
@@ -154,6 +155,17 @@ def test_time_limit_flags_and_raises():
     assert ctx.timed_out
     with pytest.raises(TimeLimitExceeded):
         ctx.insert_edge(1, 2, 2)
+
+
+def test_time_limit_bounds_a_single_insert():
+    p3 = parse_query(BUILTIN_PATTERNS["p3"], "p3")
+    complete = [(a, b, 1) for a in range(12) for b in range(12)
+                if a != b and (a, b) != (0, 1)]
+    assert len(init_context(complete, p3).insert_edge(0, 1, 2)) == 360
+    ctx = init_context(complete, p3, time_limit_ms=0.0)
+    assert ctx.insert_edge(0, 1, 2) == []
+    assert ctx.match_count == 0
+    assert ctx.timed_out
 
 
 def _random_stream(rng, max_nodes=30, max_inserts=200):
