@@ -20,6 +20,7 @@ from array import array
 
 from .errors import DataError
 from .graph import TemporalGraph
+from .output import open_output
 
 MAGIC = b"LGLB"
 VERSION = 1
@@ -80,7 +81,7 @@ def _take(fh, n: int) -> bytes:
 
 
 def save(g: TemporalGraph, path: str) -> None:
-    with open(path, "wb") as fh:
+    with open_output(path, binary=True) as fh:
         fh.write(MAGIC)
         fh.write(struct.pack("<H", VERSION))
         _write_strings(fh, g.addresses)

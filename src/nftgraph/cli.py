@@ -11,7 +11,6 @@ Exit codes: 0 success, 1 usage error, 2 data error, 3 time limit.
 from __future__ import annotations
 
 import argparse
-import csv
 import hashlib
 import json
 import os
@@ -26,6 +25,7 @@ from . import mlbench
 from .errors import DataError, TimeLimitExceeded
 from .graph import TemporalGraph, simple_view
 from .ingest import normalize_stream
+from .output import open_output, write_csv
 from .periods import GRANULARITIES
 
 EXIT_OK = 0
@@ -79,27 +79,8 @@ def _make_report(args, inputs: list[str], body: dict) -> dict:
 
 
 def _emit_json(payload: dict, path: str | None) -> None:
-    text = json.dumps(payload, indent=2, sort_keys=True) + "\n"
-    if path is None or path == "-":
-        sys.stdout.write(text)
-    else:
-        with open(path, "w") as fh:
-            fh.write(text)
-
-
-def _write_csv(path: str | None, header: list[str], rows) -> None:
-    if path is None or path == "-":
-        _write_rows(sys.stdout, header, rows)
-    else:
-        with open(path, "w", newline="") as fh:
-            _write_rows(fh, header, rows)
-
-
-def _write_rows(fh, header: list[str], rows) -> None:
-    w = csv.writer(fh)
-    w.writerow(header)
-    for row in rows:
-        w.writerow(_round_floats(row))
+    with open_output(path) as fh:
+        fh.write(json.dumps(payload, indent=2, sort_keys=True) + "\n")
 
 
 def _load_graph(path: str) -> TemporalGraph:
@@ -149,31 +130,24 @@ def cmd_stats(args) -> int:
     return EXIT_OK
 
 
+_GROWTH_CSVS = (
+    ("fig1a_nodes.csv", ("new_nodes", "new_mint_nodes", "new_nonmint_nodes")),
+    ("fig1b_edges.csv", ("new_edges", "new_bidirectional_edges",
+                         "new_self_loops")),
+    ("fig1c_edge_mix.csv", ("pct_edges_new_new", "pct_edges_new_old",
+                            "pct_edges_old_old")),
+)
+
+
 def _growth_csvs(series, out_dir: str) -> None:
-    rows = [(label, rec) for label, rec in series.buckets]
-    _write_csv(os.path.join(out_dir, "fig1a_nodes.csv"),
-               ["period", "new_nodes", "new_mint_nodes", "new_nonmint_nodes"],
-               [(l, r.new_nodes, r.new_mint_nodes, r.new_nonmint_nodes)
-                for l, r in rows])
-    _write_csv(os.path.join(out_dir, "fig1b_edges.csv"),
-               ["period", "new_edges", "new_bidirectional_edges",
-                "new_self_loops"],
-               [(l, r.new_edges, r.new_bidirectional_edges, r.new_self_loops)
-                for l, r in rows])
-    _write_csv(os.path.join(out_dir, "fig1c_edge_mix.csv"),
-               ["period", "pct_edges_new_new", "pct_edges_new_old",
-                "pct_edges_old_old"],
-               [(l, r.pct_edges_new_new, r.pct_edges_new_old,
-                 r.pct_edges_old_old) for l, r in rows])
-    tidy = []
-    for label, rec in rows:
-        for name in ("new_nodes", "new_mint_nodes", "new_nonmint_nodes",
-                     "new_edges", "new_bidirectional_edges", "new_self_loops",
-                     "pct_edges_new_new", "pct_edges_new_old",
-                     "pct_edges_old_old"):
-            tidy.append((label, name, getattr(rec, name)))
-    _write_csv(os.path.join(out_dir, "series.csv"),
-               ["period", "metric", "value"], tidy)
+    for name, fields in _GROWTH_CSVS:
+        write_csv(os.path.join(out_dir, name), ["period", *fields],
+                  _round_floats([(label, *(getattr(rec, f) for f in fields))
+                                 for label, rec in series.buckets]))
+    tidy = [(label, f, getattr(rec, f)) for label, rec in series.buckets
+            for _name, fields in _GROWTH_CSVS for f in fields]
+    write_csv(os.path.join(out_dir, "series.csv"),
+              ["period", "metric", "value"], _round_floats(tidy))
 
 
 def cmd_metrics(args) -> int:
@@ -197,19 +171,20 @@ def cmd_metrics(args) -> int:
         include_self_loops=not args.exclude_self_loops)
     _growth_csvs(growth, args.out_dir)
     hist, cumulative = metrics_mod.mutual_edge_intervals(g)
-    _write_csv(os.path.join(args.out_dir, "fig2c_mutual_days.csv"),
-               ["bucket_days", "count", "cumulative_fraction"],
-               [(b, hist[b], cumulative[b]) for b in sorted(hist)])
+    write_csv(os.path.join(args.out_dir, "fig2c_mutual_days.csv"),
+              ["bucket_days", "count", "cumulative_fraction"],
+              _round_floats([(b, hist[b], cumulative[b])
+                             for b in sorted(hist)]))
     spans, avg_tx = metrics_mod.active_periods(g)
-    _write_csv(os.path.join(args.out_dir, "fig2a_active_days.csv"),
-               ["span_days", "nodes", "avg_tx"],
-               [(s, spans[s], avg_tx[s]) for s in sorted(spans)])
+    write_csv(os.path.join(args.out_dir, "fig2a_active_days.csv"),
+              ["span_days", "nodes", "avg_tx"],
+              _round_floats([(s, spans[s], avg_tx[s]) for s in sorted(spans)]))
     if args.split_time is not None:
         tea, tet = metrics_mod.tea_tet(g, args.granularity, args.split_time)
-        _write_csv(os.path.join(args.out_dir, "tea.csv"),
-                   ["period", "new", "recurring"],
-                   [(label, d["new"], d["recurring"])
-                    for label, d in tea.buckets])
+        write_csv(os.path.join(args.out_dir, "tea.csv"),
+                  ["period", "new", "recurring"],
+                  [(label, d["new"], d["recurring"])
+                   for label, d in tea.buckets])
         counts = {"train_only": 0, "test_only": 0, "both": 0}
         for cls in tet.values():
             counts[cls] += 1
@@ -250,14 +225,9 @@ def cmd_anomaly(args) -> int:
             len(flagged) / len(candidates) if candidates else 0.0,
         "bot_reports": len(bots),
     })
-    out = sys.stdout if args.output in (None, "-") else open(args.output, "w")
-    try:
-        for line in lines:
+    with open_output(args.output) as out:
+        for line in [*lines, summary]:
             out.write(json.dumps(_round_floats(line), sort_keys=True) + "\n")
-        out.write(json.dumps(summary, sort_keys=True) + "\n")
-    finally:
-        if out is not sys.stdout:
-            out.close()
     return EXIT_OK
 
 
@@ -272,10 +242,6 @@ def _drop_top_hubs(edges, k: int):
 
 
 def cmd_csm(args) -> int:
-    if args.label_pool is not None and args.label_pool < 1:
-        print(f"nftgraph: --label-pool must be at least 1, got "
-              f"{args.label_pool}", file=sys.stderr)
-        return EXIT_USAGE
     g = _load_graph(args.input)
     edges = list(g.edges(include_null=args.include_null))
     dropped_hubs: list[int] = []
@@ -298,11 +264,10 @@ def cmd_csm(args) -> int:
                                label_pool=args.label_pool, seed=args.seed)
     results = csm_mod.run_stream(initial, stream, queries, cfg)
 
-    rows = [(r.name, r.matches, r.matches_dedup, r.elapsed_ms,
-             int(r.timed_out)) for r in results]
-    _write_csv(args.output,
-               ["query", "matches", "matches_dedup", "elapsed_ms", "timed_out"],
-               rows)
+    write_csv(args.output,
+              ["query", "matches", "matches_dedup", "elapsed_ms", "timed_out"],
+              _round_floats([(r.name, r.matches, r.matches_dedup, r.elapsed_ms,
+                              int(r.timed_out)) for r in results]))
     meta = _make_report(args, [args.input], {
         "initial_edges": len(initial),
         "stream_edges": len(stream),
@@ -337,9 +302,9 @@ def cmd_export_ml(args) -> int:
     for idx in args.negatives_snapshot or []:
         negatives = mlbench.sample_negatives(series, idx, k=args.negatives_k,
                                              seed=args.seed)
-        _write_csv(os.path.join(args.out_dir, f"negatives_{idx:04d}.csv"),
-                   ["src", "dst"] + [f"neg_{i}" for i in range(args.negatives_k)],
-                   [[u, v] + negs for (u, v), negs in sorted(negatives.items())])
+        write_csv(os.path.join(args.out_dir, f"negatives_{idx:04d}.csv"),
+                  ["src", "dst"] + [f"neg_{i}" for i in range(args.negatives_k)],
+                  [[u, v] + negs for (u, v), negs in sorted(negatives.items())])
     body = {
         "snapshots": len(series),
         "roles": plan.roles,
@@ -483,12 +448,23 @@ def build_parser() -> _Parser:
     return parser
 
 
+# smallest accepted value of each count option, checked before any work
+_MINIMUMS = {"top_holders": 0, "drop_top_hubs": 0, "diameter_sources": 1,
+             "negatives_k": 1, "label_pool": 1}
+
+
 def main(argv=None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
     except SystemExit as e:
         return e.code if isinstance(e.code, int) else EXIT_USAGE
+    for name, low in _MINIMUMS.items():
+        value = getattr(args, name, None)
+        if value is not None and value < low:
+            print(f"nftgraph: --{name.replace('_', '-')} must be at least "
+                  f"{low}, got {value}", file=sys.stderr)
+            return EXIT_USAGE
     try:
         return args.func(args)
     except TimeLimitExceeded as e:

@@ -12,13 +12,13 @@ exact recovery without re-deriving anything from the generated file.
 
 from __future__ import annotations
 
-import csv
 import json
 import random
 from dataclasses import dataclass, field
 
 from .ingest import (NULL_ADDRESS, RAW_CSV_COLUMNS, TRANSFER_TOPIC,
                      TransferEvent, write_transfers)
+from .output import open_output, write_csv
 
 TS0 = 1577836800        # 2020-01-01 UTC
 DAY = 86400
@@ -70,7 +70,7 @@ def write_fixture(profile: str, seed: int, scale: int, out_path: str,
     rows, ledger = generate(profile, seed, scale)
     write_transfers(out_path, rows)
     if ledger_path:
-        with open(ledger_path, "w") as fh:
+        with open_output(ledger_path) as fh:
             json.dump(ledger, fh, indent=2, sort_keys=True)
     if raw_path:
         write_raw_csv(raw_path, rows)
@@ -294,11 +294,7 @@ def raw_row(e: TransferEvent) -> dict:
 
 
 def write_raw_csv(path: str, rows) -> None:
-    with open(path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(RAW_CSV_COLUMNS)
-        for e in rows:
-            r = raw_row(e)
-            w.writerow([r["block_number"], r["block_timestamp"],
-                        r["transaction_hash"], r["log_index"], r["address"],
-                        "|".join(r["topics"]), r["data"]])
+    write_csv(path, RAW_CSV_COLUMNS,
+              ([r["block_number"], r["block_timestamp"], r["transaction_hash"],
+                r["log_index"], r["address"], "|".join(r["topics"]), r["data"]]
+               for r in map(raw_row, rows)))

@@ -21,6 +21,7 @@ from enum import Enum
 from typing import Iterable, Iterator, Sequence
 
 from .errors import MalformedRecord
+from .output import write_csv
 
 NULL_ADDRESS = "0x" + "00" * 20
 
@@ -242,7 +243,7 @@ def normalize_stream(
     Survivors are deduplicated on (tx_hash, log_index) keeping the first
     occurrence, restricted to conforming contracts, sorted by
     (timestamp, block_number, log_index) and written as normalized CSV.
-    On I/O failure the partial output file is removed.
+    The output is written whole or not at all (see `output.open_output`).
     """
     stats = IngestStats()
     wall = now if now is not None else int(time.time())
@@ -296,22 +297,15 @@ def normalize_stream(
         classes.append(ContractClass(contract=contract,
                                      erc721=contract not in bad_contracts,
                                      log_count=n))
-    try:
-        write_transfers(output, survivors)
-    except OSError:
-        if os.path.exists(output):
-            os.remove(output)
-        raise
+    write_transfers(output, survivors)
     return stats, classes
 
 
 def write_transfers(path: str, events: Iterable[TransferEvent]) -> None:
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(NORMALIZED_HEADER)
-        for e in events:
-            w.writerow([e.timestamp, e.block_number, e.tx_hash, e.log_index,
-                        e.contract, e.from_addr, e.to_addr, str(e.token_id)])
+    write_csv(path, NORMALIZED_HEADER,
+              ([e.timestamp, e.block_number, e.tx_hash, e.log_index,
+                e.contract, e.from_addr, e.to_addr, str(e.token_id)]
+               for e in events))
 
 
 def read_transfers(source) -> Iterator[TransferEvent]:

@@ -17,6 +17,7 @@ from dataclasses import dataclass, field
 
 from .errors import BadRecord, InsufficientNodes
 from .graph import TemporalGraph
+from .output import open_output, write_csv
 
 DAY = 86400
 
@@ -37,10 +38,6 @@ class Snapshot:
     pair_stats: dict[tuple[int, int], tuple[int, int]]
     new_nodes: list[int]             # nodes first active in this period
 
-    @property
-    def pairs(self) -> list[tuple[int, int]]:
-        return sorted(self.pair_stats)
-
 
 @dataclass
 class SnapshotSeries:
@@ -50,22 +47,6 @@ class SnapshotSeries:
 
     def __len__(self) -> int:
         return len(self.snapshots)
-
-    def nodes_until(self, index: int) -> set[int]:
-        """All nodes active in snapshots 0..index."""
-        out: set[int] = set()
-        for snap in self.snapshots[:index + 1]:
-            out.update(snap.new_nodes)
-        return out
-
-    def cumulative_degree(self, index: int) -> Counter:
-        """Total pair-degree per node over snapshots 0..index."""
-        deg: Counter = Counter()
-        for snap in self.snapshots[:index + 1]:
-            for u, v in snap.pair_stats:
-                deg[u] += 1
-                deg[v] += 1
-        return deg
 
 
 def build_snapshots(g: TemporalGraph, granularity: str, *,
@@ -132,8 +113,9 @@ def sample_negatives(series: SnapshotSeries, index: int, k: int = 100,
     positive (u, v').  Deterministic under (seed, index).
     """
     snap = series.snapshots[index]
-    eligible = sorted(series.nodes_until(index))
-    eligible_set = set(eligible)
+    eligible_set = {w for s in series.snapshots[:index + 1]
+                    for w in s.new_nodes}
+    eligible = sorted(eligible_set)
     rng = random.Random(f"{seed}:{index}")
     positives_by_src: dict[int, set[int]] = {}
     for u, v in snap.pair_stats:
@@ -208,39 +190,35 @@ def export_features(g: TemporalGraph, series: SnapshotSeries, out_dir: str, *,
     if task == "node":
         label_by_addr = {t.address: t.cls for t in trader_labels(g)}
     os.makedirs(out_dir, exist_ok=True)
-    with open(os.path.join(out_dir, "addresses.csv"), "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["address_id", "address"])
-        for i, addr in enumerate(g.addresses):
-            w.writerow([i, addr])
+    write_csv(os.path.join(out_dir, "addresses.csv"),
+              ["address_id", "address"], enumerate(g.addresses))
+    active: set[int] = set()         # nodes active up to this snapshot
+    degree: Counter = Counter()      # their pair-degree up to this snapshot
     for snap in series.snapshots:
+        active.update(snap.new_nodes)
+        for u, v in snap.pair_stats:
+            degree[u] += 1
+            degree[v] += 1
         sd = os.path.join(out_dir, f"snapshot_{snap.index:04d}")
         os.makedirs(sd, exist_ok=True)
-        rng = random.Random(f"{seed}:es:{snap.index}")
-        with open(os.path.join(sd, "edges.csv"), "w", newline="") as fh:
-            w = csv.writer(fh)
-            header = ["src", "dst", "tx_count", "last_ts"]
-            if split_mode == "live_update":
-                header.append("earlystop")
-            w.writerow(header)
-            for (u, v) in snap.pairs:
-                cnt, last = snap.pair_stats[(u, v)]
-                row = [u, v, cnt, last]
-                if split_mode == "live_update":
-                    row.append(int(rng.random() < earlystop_fraction))
-                w.writerow(row)
-        degrees = series.cumulative_degree(snap.index)
-        with open(os.path.join(sd, "nodes.csv"), "w", newline="") as fh:
-            w = csv.writer(fh)
-            if task == "node":
-                w.writerow(["address_id", "degree", "label"])
-                for node in sorted(series.nodes_until(snap.index)):
-                    w.writerow([node, degrees[node],
-                                label_by_addr.get(g.addresses[node], "")])
-            else:
-                w.writerow(["address_id", "feature"])
-                for node in sorted(series.nodes_until(snap.index)):
-                    w.writerow([node, 1])
+        header = ["src", "dst", "tx_count", "last_ts"]
+        edges = [[u, v, cnt, last] for (u, v), (cnt, last)
+                 in sorted(snap.pair_stats.items())]
+        if split_mode == "live_update":
+            header.append("earlystop")
+            rng = random.Random(f"{seed}:es:{snap.index}")
+            for row in edges:
+                row.append(int(rng.random() < earlystop_fraction))
+        write_csv(os.path.join(sd, "edges.csv"), header, edges)
+        if task == "node":
+            write_csv(os.path.join(sd, "nodes.csv"),
+                      ["address_id", "degree", "label"],
+                      ([node, degree[node],
+                        label_by_addr.get(g.addresses[node], "")]
+                       for node in sorted(active)))
+        else:
+            write_csv(os.path.join(sd, "nodes.csv"), ["address_id", "feature"],
+                      ([node, 1] for node in sorted(active)))
         manifest = {
             "granularity": series.granularity,
             "label": snap.label,
@@ -251,7 +229,7 @@ def export_features(g: TemporalGraph, series: SnapshotSeries, out_dir: str, *,
             "seed": seed,
             "exclude_null": series.exclude_null,
         }
-        with open(os.path.join(sd, "manifest.json"), "w") as fh:
+        with open_output(os.path.join(sd, "manifest.json")) as fh:
             json.dump(manifest, fh, indent=2, sort_keys=True)
     return plan
 

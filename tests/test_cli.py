@@ -186,6 +186,30 @@ def test_csm_rejects_label_pool_below_1(data_dir, tmp_path, capsys, pool):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("command,flag,value", [
+    (["stats"], "--top-holders", "-1"),
+    (["metrics", "--out-dir", "{out}"], "--diameter-sources", "0"),
+    (["metrics", "--out-dir", "{out}"], "--diameter-sources", "-1"),
+    (["export-ml", "--out-dir", "{out}", "--negatives-snapshot", "0"],
+     "--negatives-k", "0"),
+    (["export-ml", "--out-dir", "{out}", "--negatives-snapshot", "0"],
+     "--negatives-k", "-2"),
+    (["csm", "--initial-until", "0", "--output", "{out}"],
+     "--drop-top-hubs", "-1"),
+])
+def test_count_option_below_minimum_exits_1(data_dir, tmp_path, capsys,
+                                            command, flag, value):
+    out = tmp_path / "out"
+    report = tmp_path / "report.json"
+    argv = [a.format(out=out) for a in command]
+    rc = main([argv[0], "--input", str(data_dir / "planted.csv"), *argv[1:],
+               flag, value, "--report", str(report)])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and flag in err
+    assert not out.exists() and not report.exists()
+
+
 def test_csm_cli_custom_query_and_window(data_dir, tmp_path, capsys):
     ledger = ledger_of(data_dir)
     qfile = tmp_path / "tri.q"
