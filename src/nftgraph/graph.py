@@ -17,7 +17,7 @@ from itertools import islice
 from typing import Iterable, Iterator
 
 from .errors import NegativeAge, UnknownNode, UnsortedInput
-from .ingest import NULL_ADDRESS, TransferEvent, read_transfers
+from .ingest import NULL_ADDRESS, read_rows
 from .periods import Period, iter_periods
 
 
@@ -82,38 +82,44 @@ class TemporalGraph:
         Raises UnsortedInput if timestamps regress.
         """
         if isinstance(source, Iterable) and not isinstance(source, (str, bytes)):
-            events: Iterable[TransferEvent] = source
+            rows: Iterable[tuple] = (
+                (e.timestamp, e.block_number, e.tx_hash, e.log_index,
+                 e.contract, e.from_addr, e.to_addr, e.token_id)
+                for e in source)
         else:
-            events = read_transfers(source)
+            rows = read_rows(source)
         g = cls()
         prev_ts = None
-        addr_ids = g._addr_ids
-        for ev in events:
-            ts = ev.timestamp
+        addr_ids, contract_ids = g._addr_ids, g._contract_ids
+        n_first, n_last, n_txc, n_mint = g.n_first, g.n_last, g.n_txc, g.n_mint
+        for ts, _, tx_hash, _, contract, src, dst, token in rows:
             if prev_ts is not None and ts < prev_ts:
-                raise UnsortedInput(f"timestamp regressed at {ev.tx_hash}")
+                raise UnsortedInput(f"timestamp regressed at {tx_hash}")
             prev_ts = ts
-            u = addr_ids.get(ev.from_addr)
+            u = addr_ids.get(src)
             if u is None:
-                u = g._intern_addr(ev.from_addr)
-                g.n_first[u] = ts
-            v = addr_ids.get(ev.to_addr)
+                u = g._intern_addr(src)
+                n_first[u] = ts
+            v = addr_ids.get(dst)
             if v is None:
-                v = g._intern_addr(ev.to_addr)
-                g.n_first[v] = ts
-                if ev.from_addr == NULL_ADDRESS:
-                    g.n_mint[v] = True
-            g.n_last[u] = ts
-            g.n_last[v] = ts
-            g.n_txc[u] += 1
-            g.n_txc[v] += 1
+                v = g._intern_addr(dst)
+                n_first[v] = ts
+                if src == NULL_ADDRESS:
+                    n_mint[v] = True
+            n_last[u] = ts
+            n_last[v] = ts
+            n_txc[u] += 1
+            n_txc[v] += 1
             if u == v:
-                g.n_txc[u] -= 1  # a self-loop is one incident transaction
+                n_txc[u] -= 1  # a self-loop is one incident transaction
+            c = contract_ids.get(contract)
+            if c is None:
+                c = g._intern_contract(contract)
             g.e_src.append(u)
             g.e_dst.append(v)
             g.e_ts.append(ts)
-            g.e_contract.append(g._intern_contract(ev.contract))
-            g.e_token.append(ev.token_id)
+            g.e_contract.append(c)
+            g.e_token.append(token)
         return g
 
     # -- basic queries -------------------------------------------------

@@ -18,10 +18,11 @@ import re
 import time
 from dataclasses import dataclass
 from enum import Enum
+from operator import attrgetter
 from typing import Iterable, Iterator, Sequence
 
 from .errors import MalformedRecord
-from .output import write_csv
+from .output import open_output
 
 NULL_ADDRESS = "0x" + "00" * 20
 
@@ -44,6 +45,12 @@ RAW_CSV_COLUMNS = [
 ]
 
 _HEX_RE = re.compile(r"0x[0-9a-f]*\Z")
+# A CSV line already in normalized form (decimal ints, lowercase 0x hex of
+# the right widths, no empty topic) parses to exactly what the general
+# path of parse_log_line yields, so one match replaces the field checks.
+_CANONICAL_CSV = re.compile(
+    r"([0-9]+),([0-9]+),(0x[0-9a-f]{64}),([0-9]+),(0x[0-9a-f]{40}),"
+    r"(0x[0-9a-f]{64}(?:\|0x[0-9a-f]{64}){0,3}),(0x(?:[0-9a-f]{2})*)\Z")
 
 
 @dataclass(frozen=True)
@@ -157,6 +164,17 @@ def parse_log_line(line: str, *, now: int | None = None) -> RawLog:
     block fields or out-of-range timestamps.
     """
     stripped = line.strip()
+    m = _CANONICAL_CSV.match(stripped)
+    if m is not None:
+        block, ts, tx_hash, log_index, contract, topics, data = m.groups()
+        ts = int(ts)
+        upper = now if now is not None else int(time.time())
+        if ts < EARLIEST_TIMESTAMP or ts > upper:
+            raise MalformedRecord("timestamp out of range")
+        return RawLog(block_number=int(block), block_timestamp=ts,
+                      tx_hash=tx_hash, log_index=int(log_index),
+                      contract=contract, topics=tuple(topics.split("|")),
+                      data=data)
     if not stripped:
         raise MalformedRecord("empty line")
     if stripped.startswith("{"):
@@ -288,7 +306,7 @@ def normalize_stream(
             stats.skipped_non_conforming += 1
         else:
             survivors.append(ev)
-    survivors.sort(key=lambda e: (e.timestamp, e.block_number, e.log_index))
+    survivors.sort(key=attrgetter("timestamp", "block_number", "log_index"))
     stats.transfers_emitted = len(survivors)
 
     classes = []
@@ -302,14 +320,42 @@ def normalize_stream(
 
 
 def write_transfers(path: str, events: Iterable[TransferEvent]) -> None:
-    write_csv(path, NORMALIZED_HEADER,
-              ([e.timestamp, e.block_number, e.tx_hash, e.log_index,
-                e.contract, e.from_addr, e.to_addr, str(e.token_id)]
-               for e in events))
+    with open_output(path) as fh:
+        w = csv.writer(fh)
+        w.writerow(NORMALIZED_HEADER)
+        write = fh.write
+        for e in events:
+            line = (f"{e.timestamp},{e.block_number},{e.tx_hash},"
+                    f"{e.log_index},{e.contract},{e.from_addr},{e.to_addr},"
+                    f"{e.token_id}\r\n")
+            # csv.writer quotes a field only if it holds a delimiter, a
+            # quote or a line break; hex strings and ints never do, and
+            # formatting them directly is several times faster
+            if (line.count(",") == 7 and line.count("\n") == 1
+                    and line.count("\r") == 1 and '"' not in line):
+                write(line)
+            else:
+                w.writerow([e.timestamp, e.block_number, e.tx_hash,
+                            e.log_index, e.contract, e.from_addr, e.to_addr,
+                            str(e.token_id)])
 
 
 def read_transfers(source) -> Iterator[TransferEvent]:
     """Yield TransferEvents from a normalized CSV path or open text stream."""
+    for ts, block, tx_hash, log_index, contract, src, dst, token in \
+            read_rows(source):
+        yield TransferEvent(
+            block_number=block, timestamp=ts, tx_hash=tx_hash,
+            log_index=log_index, contract=contract, from_addr=src,
+            to_addr=dst, token_id=token)
+
+
+def read_rows(source) -> Iterator[tuple]:
+    """Yield normalized CSV rows as tuples in NORMALIZED_HEADER order.
+
+    The numeric fields are ints.  Checks what `read_transfers` checks, but
+    builds no TransferEvent, which is what makes graph builds cheap.
+    """
     if isinstance(source, (str, os.PathLike)):
         fh = open(source, "r", encoding="utf-8", newline="")
         close = True
@@ -326,15 +372,14 @@ def read_transfers(source) -> Iterator[TransferEvent]:
             if len(row) != len(NORMALIZED_HEADER):
                 raise MalformedRecord(
                     f"bad normalized row at line {reader.line_num}")
+            ts, block, tx_hash, log_index, contract, src, dst, token = row
             try:
-                ev = TransferEvent(
-                    timestamp=int(row[0]), block_number=int(row[1]),
-                    tx_hash=row[2], log_index=int(row[3]), contract=row[4],
-                    from_addr=row[5], to_addr=row[6], token_id=int(row[7]))
+                out = (int(ts), int(block), tx_hash, int(log_index),
+                       contract, src, dst, int(token))
             except ValueError:
                 raise MalformedRecord(
                     f"non-numeric field at line {reader.line_num}") from None
-            yield ev
+            yield out
     finally:
         if close:
             fh.close()

@@ -203,6 +203,54 @@ def test_write_read_round_trip(tmp_path):
     assert list(read_transfers(str(p))) == events
 
 
+def test_canonical_and_general_csv_parse_agree():
+    # the first line takes the one-regex path, the others the field checks
+    topics = transfer_topics("0x" + "01" * 20, "0x" + "0a" * 20, 7)
+    canon = raw_csv_line(100, 1600000000, "0x" + "1f" * 32, 3,
+                         GOOD_CONTRACT, topics, "0x00ff")
+    variants = [
+        raw_csv_line(100, 1600000000, "0X" + "1F" * 32, 3,
+                     GOOD_CONTRACT.upper(), [t.upper() for t in topics],
+                     "00FF"),
+        raw_csv_line(" 100", "1600000000 ", "1f" * 32, "+3",
+                     GOOD_CONTRACT[2:], ["", *topics, ""], " 0x00ff"),
+        '"100",1600000000,' + canon.split(",", 2)[2],
+    ]
+    expected = parse_log_line(canon, now=NOW)
+    assert expected.topics == tuple(topics) and expected.data == "0x00ff"
+    for line in variants:
+        assert parse_log_line(line, now=NOW) == expected
+    with pytest.raises(MalformedRecord, match="timestamp out of range"):
+        parse_log_line(canon, now=1600000000 - 1)
+    bad = canon.replace("|" + topics[1], "|" + topics[1][:-1])
+    with pytest.raises(MalformedRecord, match="topic length"):
+        parse_log_line(bad, now=NOW)
+
+
+def test_write_transfers_quotes_like_csv_writer(tmp_path):
+    import csv
+    import io
+    from dataclasses import replace
+
+    from nftgraph.ingest import NORMALIZED_HEADER, TransferEvent
+    plain = TransferEvent(5, 6, "0x" + "cd" * 32, 7, GOOD_CONTRACT,
+                          NULL_ADDRESS, "0x" + "02" * 20, 10 ** 70)
+    # one field needing quotes per row, so each check is exercised alone
+    events = [plain, replace(plain, contract="a,b"),
+              replace(plain, from_addr='q"q'), replace(plain, to_addr="x\ny"),
+              replace(plain, tx_hash="g\rh")]
+    p = tmp_path / "t.csv"
+    write_transfers(str(p), events)
+    want = io.StringIO(newline="")
+    w = csv.writer(want)
+    w.writerow(NORMALIZED_HEADER)
+    for e in events:
+        w.writerow([e.timestamp, e.block_number, e.tx_hash, e.log_index,
+                    e.contract, e.from_addr, e.to_addr, str(e.token_id)])
+    assert p.read_bytes().decode() == want.getvalue()
+    assert list(read_transfers(str(p))) == events
+
+
 def test_read_transfers_rejects_bad_header(tmp_path):
     p = tmp_path / "bad.csv"
     p.write_text("a,b,c\n1,2,3\n")
