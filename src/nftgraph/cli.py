@@ -15,6 +15,7 @@ import hashlib
 import json
 import os
 import sys
+from dataclasses import asdict
 
 from . import anomaly as anomaly_mod
 from . import cache as cache_mod
@@ -167,8 +168,7 @@ def cmd_metrics(args) -> int:
     body: dict = {"views": views}
     os.makedirs(args.out_dir, exist_ok=True)
     growth = metrics_mod.growth_series(
-        g, args.granularity, include_null=False,
-        include_self_loops=not args.exclude_self_loops)
+        g, args.granularity, include_self_loops=not args.exclude_self_loops)
     _growth_csvs(growth, args.out_dir)
     hist, cumulative = metrics_mod.mutual_edge_intervals(g)
     write_csv(os.path.join(args.out_dir, "fig2c_mutual_days.csv"),
@@ -202,21 +202,8 @@ def cmd_anomaly(args) -> int:
                                            ratio=args.ratio)
     bots = anomaly_mod.bot_scan(g, min_run=args.bot_min_run,
                                 max_median_interval=args.bot_max_median_interval)
-    lines = []
-    for s in flagged:
-        lines.append({"type": "suspicious_pair", "a": s.a, "b": s.b,
-                      "interval_seconds": s.interval_seconds,
-                      "rule_hits": list(s.rule_hits),
-                      "a_tx_count": s.a_tx_count, "b_tx_count": s.b_tx_count,
-                      "pair_tx_count": s.pair_tx_count,
-                      "a_ratio": s.a_ratio, "b_ratio": s.b_ratio})
-    for b in bots:
-        lines.append({"type": "bot_report", "address": b.address,
-                      "contract": b.contract, "direction": b.direction,
-                      "run_length": b.run_length,
-                      "median_interval_seconds": b.median_interval_seconds,
-                      "first_token_id": b.first_token_id,
-                      "start_ts": b.start_ts, "end_ts": b.end_ts})
+    lines = ([{"type": "suspicious_pair", **asdict(s)} for s in flagged]
+             + [{"type": "bot_report", **asdict(b)} for b in bots])
     summary = _make_report(args, [args.input], {
         "type": "summary",
         "candidate_pairs": len(candidates),
@@ -470,7 +457,7 @@ def main(argv=None) -> int:
     except TimeLimitExceeded as e:
         print(f"nftgraph: time limit exceeded: {e}", file=sys.stderr)
         return EXIT_TIMEOUT
-    except (DataError, OSError) as e:
+    except (DataError, OSError, UnicodeDecodeError) as e:
         print(f"nftgraph: {e}", file=sys.stderr)
         return EXIT_DATA
 

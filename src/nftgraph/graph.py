@@ -11,13 +11,14 @@ from __future__ import annotations
 
 import hashlib
 import json
+import os
 from bisect import bisect_right
 from dataclasses import dataclass
 from itertools import islice
 from typing import Iterable, Iterator
 
 from .errors import NegativeAge, UnknownNode, UnsortedInput
-from .ingest import NULL_ADDRESS, read_rows
+from .ingest import NULL_ADDRESS, read_transfers
 from .periods import Period, iter_periods
 
 
@@ -77,22 +78,18 @@ class TemporalGraph:
 
     @classmethod
     def build(cls, source) -> "TemporalGraph":
-        """Build from a normalized CSV path/stream or TransferEvent iterable.
+        """Build from a normalized CSV, given as a path or an open text
+        stream, or from TransferEvents (rows in NORMALIZED_HEADER order).
 
         Raises UnsortedInput if timestamps regress.
         """
-        if isinstance(source, Iterable) and not isinstance(source, (str, bytes)):
-            rows: Iterable[tuple] = (
-                (e.timestamp, e.block_number, e.tx_hash, e.log_index,
-                 e.contract, e.from_addr, e.to_addr, e.token_id)
-                for e in source)
-        else:
-            rows = read_rows(source)
+        if isinstance(source, (str, os.PathLike)) or hasattr(source, "read"):
+            source = read_transfers(source)
         g = cls()
         prev_ts = None
         addr_ids, contract_ids = g._addr_ids, g._contract_ids
         n_first, n_last, n_txc, n_mint = g.n_first, g.n_last, g.n_txc, g.n_mint
-        for ts, _, tx_hash, _, contract, src, dst, token in rows:
+        for ts, _, tx_hash, _, contract, src, dst, token in source:
             if prev_ts is not None and ts < prev_ts:
                 raise UnsortedInput(f"timestamp regressed at {tx_hash}")
             prev_ts = ts
@@ -244,12 +241,8 @@ class SimpleDigraph:
     def in_neighbors(self, u: int) -> set[int]:
         return self.in_.get(u, set())
 
-    def degree(self, u: int, mode: str = "total") -> int:
-        """Pair-count degree: out, in, or their sum (the default)."""
-        if mode == "out":
-            return len(self.out.get(u, ()))
-        if mode == "in":
-            return len(self.in_.get(u, ()))
+    def degree(self, u: int) -> int:
+        """Pair-count degree: out-pairs plus in-pairs."""
         return len(self.out.get(u, ())) + len(self.in_.get(u, ()))
 
     def undirected_neighbors(self, u: int) -> set[int]:

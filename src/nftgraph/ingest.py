@@ -19,7 +19,7 @@ import time
 from dataclasses import dataclass
 from enum import Enum
 from operator import attrgetter
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Iterator, NamedTuple, Sequence
 
 from .errors import MalformedRecord
 from .output import open_output
@@ -53,8 +53,7 @@ _CANONICAL_CSV = re.compile(
     r"(0x[0-9a-f]{64}(?:\|0x[0-9a-f]{64}){0,3}),(0x(?:[0-9a-f]{2})*)\Z")
 
 
-@dataclass(frozen=True)
-class RawLog:
+class RawLog(NamedTuple):
     block_number: int
     block_timestamp: int
     tx_hash: str
@@ -64,10 +63,12 @@ class RawLog:
     data: str
 
 
-@dataclass(frozen=True)
-class TransferEvent:
-    block_number: int
+class TransferEvent(NamedTuple):
+    """One ERC-721 transfer, which is also one normalized CSV row: the
+    fields are in NORMALIZED_HEADER order."""
+
     timestamp: int
+    block_number: int
     tx_hash: str
     log_index: int
     contract: str
@@ -148,6 +149,10 @@ def _norm_data(value) -> str:
 
 
 def _norm_int(value, what: str) -> int:
+    # int() would turn JSON true into 1 and truncate 10.9 to 10
+    if isinstance(value, bool) or (
+            isinstance(value, float) and not value.is_integer()):
+        raise MalformedRecord(f"{what} not an integer")
     try:
         n = int(value)
     except (TypeError, ValueError):
@@ -180,7 +185,7 @@ def parse_log_line(line: str, *, now: int | None = None) -> RawLog:
     if stripped.startswith("{"):
         try:
             obj = json.loads(stripped)
-        except json.JSONDecodeError:
+        except (json.JSONDecodeError, RecursionError):
             raise MalformedRecord("bad json") from None
         missing = [k for k in RAW_CSV_COLUMNS if k not in obj]
         if missing:
@@ -228,8 +233,8 @@ def decode_transfer(raw: RawLog) -> TransferEvent | Skip:
     if from_addr == NULL_ADDRESS and to_addr == NULL_ADDRESS:
         raise MalformedRecord("null-to-null transfer")
     return TransferEvent(
-        block_number=raw.block_number,
         timestamp=raw.block_timestamp,
+        block_number=raw.block_number,
         tx_hash=raw.tx_hash,
         log_index=raw.log_index,
         contract=raw.contract,
@@ -325,9 +330,7 @@ def write_transfers(path: str, events: Iterable[TransferEvent]) -> None:
         w.writerow(NORMALIZED_HEADER)
         write = fh.write
         for e in events:
-            line = (f"{e.timestamp},{e.block_number},{e.tx_hash},"
-                    f"{e.log_index},{e.contract},{e.from_addr},{e.to_addr},"
-                    f"{e.token_id}\r\n")
+            line = "%s,%s,%s,%s,%s,%s,%s,%s\r\n" % e
             # csv.writer quotes a field only if it holds a delimiter, a
             # quote or a line break; hex strings and ints never do, and
             # formatting them directly is several times faster
@@ -335,26 +338,15 @@ def write_transfers(path: str, events: Iterable[TransferEvent]) -> None:
                     and line.count("\r") == 1 and '"' not in line):
                 write(line)
             else:
-                w.writerow([e.timestamp, e.block_number, e.tx_hash,
-                            e.log_index, e.contract, e.from_addr, e.to_addr,
-                            str(e.token_id)])
+                w.writerow(e)
 
 
 def read_transfers(source) -> Iterator[TransferEvent]:
-    """Yield TransferEvents from a normalized CSV path or open text stream."""
-    for ts, block, tx_hash, log_index, contract, src, dst, token in \
-            read_rows(source):
-        yield TransferEvent(
-            block_number=block, timestamp=ts, tx_hash=tx_hash,
-            log_index=log_index, contract=contract, from_addr=src,
-            to_addr=dst, token_id=token)
+    """Yield TransferEvents from a normalized CSV path or open text stream.
 
-
-def read_rows(source) -> Iterator[tuple]:
-    """Yield normalized CSV rows as tuples in NORMALIZED_HEADER order.
-
-    The numeric fields are ints.  Checks what `read_transfers` checks, but
-    builds no TransferEvent, which is what makes graph builds cheap.
+    The one normalized-CSV reader.  A bad header, a row with the wrong
+    column count or a non-numeric field is a MalformedRecord naming the
+    line.
     """
     if isinstance(source, (str, os.PathLike)):
         fh = open(source, "r", encoding="utf-8", newline="")
@@ -374,12 +366,13 @@ def read_rows(source) -> Iterator[tuple]:
                     f"bad normalized row at line {reader.line_num}")
             ts, block, tx_hash, log_index, contract, src, dst, token = row
             try:
-                out = (int(ts), int(block), tx_hash, int(log_index),
-                       contract, src, dst, int(token))
+                event = TransferEvent(int(ts), int(block), tx_hash,
+                                      int(log_index), contract, src, dst,
+                                      int(token))
             except ValueError:
                 raise MalformedRecord(
                     f"non-numeric field at line {reader.line_num}") from None
-            yield out
+            yield event
     finally:
         if close:
             fh.close()

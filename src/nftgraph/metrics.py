@@ -26,12 +26,12 @@ DAY = 86400
 # view-level metrics
 # ---------------------------------------------------------------------
 
-def _endpoint_degrees(view: SimpleDigraph, mode: str):
+def _endpoint_degrees(view: SimpleDigraph):
     for u, v in view.pairs:
-        yield view.degree(u, mode), view.degree(v, mode)
+        yield view.degree(u), view.degree(v)
 
 
-def assortativity(view: SimpleDigraph, mode: str = "total") -> float | None:
+def assortativity(view: SimpleDigraph) -> float | None:
     """Degree correlation across edge endpoints; None when 0/0.
 
     Computed in exact integer arithmetic so that regular graphs come out
@@ -41,7 +41,7 @@ def assortativity(view: SimpleDigraph, mode: str = "total") -> float | None:
     if m == 0:
         raise EmptyView("assortativity needs at least one pair")
     s_kk = s_sum = s_sq = 0
-    for ki, kj in _endpoint_degrees(view, mode):
+    for ki, kj in _endpoint_degrees(view):
         s_kk += ki * kj
         s_sum += ki + kj
         s_sq += ki * ki + kj * kj
@@ -85,10 +85,10 @@ def avg_clustering(view: SimpleDigraph) -> float:
     return sum(local_clustering(view, u) for u in view.nodes) / view.num_nodes
 
 
-def degree_histogram(view: SimpleDigraph, mode: str = "total") -> dict[int, int]:
+def degree_histogram(view: SimpleDigraph) -> dict[int, int]:
     hist: Counter = Counter()
     for u in view.nodes:
-        hist[view.degree(u, mode)] += 1
+        hist[view.degree(u)] += 1
     return dict(hist)
 
 
@@ -122,14 +122,13 @@ def _bfs_distance_counts(adj, src, counts: list[int]):
 
 
 def effective_diameter(view: SimpleDigraph, *, exact_threshold: int = 10000,
-                       sample_sources: int = 1000, seed: int = 0,
-                       percentile: float = 0.9) -> float:
+                       sample_sources: int = 1000, seed: int = 0) -> float:
     """Interpolated 90th-percentile shortest-path length, undirected.
 
     Exact all-sources BFS up to `exact_threshold` nodes, otherwise BFS from
     `sample_sources` seeded-random sources.  The fraction g(d) of reachable
-    ordered pairs within distance d is linearly interpolated at the target
-    percentile (g(0) = 0, so a complete graph yields 0.9).
+    ordered pairs within distance d is linearly interpolated at 0.9
+    (g(0) = 0, so a complete graph yields 0.9).
     """
     adj = _undirected_adj(view)
     sources = sorted(adj)
@@ -149,8 +148,8 @@ def effective_diameter(view: SimpleDigraph, *, exact_threshold: int = 10000,
     for d in range(1, len(counts)):
         cum += counts[d]
         g = cum / total
-        if g >= percentile:
-            return (d - 1) + (percentile - g_prev) / (g - g_prev)
+        if g >= 0.9:
+            return (d - 1) + (0.9 - g_prev) / (g - g_prev)
         g_prev = g
     return float(len(counts) - 1)
 
@@ -228,14 +227,11 @@ class PeriodSeries:
         return [label for label, _ in self.buckets]
 
 
-def _node_visible(g: TemporalGraph, i: int, include_null: bool) -> bool:
-    return include_null or i != g.null_id
-
-
 def growth_series(g: TemporalGraph, granularity: str, *,
-                  include_null: bool = False,
                   include_self_loops: bool = True) -> PeriodSeries:
     """Per-period node/edge growth; "new" means first seen in the period.
+
+    The Null address and its edges are left out.
 
     Edges are counted as distinct ordered pairs at their first occurrence.
     A pair is bidirectional-new in the period where its reverse direction
@@ -245,7 +241,7 @@ def growth_series(g: TemporalGraph, granularity: str, *,
     records = [GrowthRecord() for _ in periods]
     node_period = {}
     for i in range(g.num_nodes):
-        if not _node_visible(g, i, include_null):
+        if i == g.null_id:
             continue
         p = period_index(periods, g.n_first[i])
         node_period[i] = p
@@ -259,7 +255,7 @@ def growth_series(g: TemporalGraph, granularity: str, *,
     seen_pairs: set[tuple[int, int]] = set()
     shares = [[0, 0, 0] for _ in periods]  # new-old, new-new, old-old
     p = 0
-    for u, v, ts in g.edges(include_null=include_null,
+    for u, v, ts in g.edges(include_null=False,
                             include_self_loops=include_self_loops):
         if (u, v) in seen_pairs:
             continue
@@ -290,12 +286,11 @@ def growth_series(g: TemporalGraph, granularity: str, *,
                         [(p.label, r) for p, r in zip(periods, records)])
 
 
-def mutual_edge_intervals(g: TemporalGraph, *, include_null: bool = False,
-                          bucket_seconds: int = DAY):
+def mutual_edge_intervals(g: TemporalGraph, *, include_null: bool = False):
     """Histogram of |t_uv - t_vu| between earliest opposing edges.
 
     Returns (histogram bucket->count, cumulative bucket->fraction) with
-    buckets of `bucket_seconds` (days by default).
+    one bucket per whole day.
     """
     first_ts: dict[tuple[int, int], int] = {}
     for u, v, ts in g.edges(include_null=include_null,
@@ -304,7 +299,7 @@ def mutual_edge_intervals(g: TemporalGraph, *, include_null: bool = False,
     hist: Counter = Counter()
     for (u, v), t in first_ts.items():
         if u < v and (v, u) in first_ts:
-            hist[abs(t - first_ts[(v, u)]) // bucket_seconds] += 1
+            hist[abs(t - first_ts[(v, u)]) // DAY] += 1
     total = sum(hist.values())
     cumulative: dict[int, float] = {}
     if total:
@@ -315,17 +310,18 @@ def mutual_edge_intervals(g: TemporalGraph, *, include_null: bool = False,
     return dict(hist), cumulative
 
 
-def active_periods(g: TemporalGraph, *, include_null: bool = False):
+def active_periods(g: TemporalGraph):
     """Day-span histogram of node activity, 1-based.
 
-    Nodes with a single transaction are discarded.  A span of 1 means the
-    first and last transaction fall within the same 24h of each other.
+    Nodes with a single transaction, and the Null address, are discarded.
+    A span of 1 means the first and last transaction fall within the same
+    24h of each other.
     Also returns the mean transaction count per span.
     """
     hist: Counter = Counter()
     tx_sums: Counter = Counter()
     for i in range(g.num_nodes):
-        if g.n_txc[i] < 2 or not _node_visible(g, i, include_null):
+        if g.n_txc[i] < 2 or i == g.null_id:
             continue
         span = (g.n_last[i] - g.n_first[i]) // DAY + 1
         hist[span] += 1

@@ -56,6 +56,14 @@ def test_bad_data_exits_2(data_dir, tmp_path, capsys):
     capsys.readouterr()
     assert main(["stats", "--input", str(bad)]) == 2
     assert "line 3" in capsys.readouterr().err
+    binary = tmp_path / "binary.csv"
+    binary.write_bytes(b"\xff\xfe\x00\x81 not utf-8\n")
+    for argv in (["stats", "--input", str(binary)],
+                 ["ingest", "--input", str(binary),
+                  "--output", str(tmp_path / "norm.csv")]):
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("nftgraph: ") and err.count("\n") == 1
 
 
 # -- pipeline ----------------------------------------------------------

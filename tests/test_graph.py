@@ -1,5 +1,4 @@
 import random
-from dataclasses import replace
 
 import pytest
 
@@ -7,7 +6,7 @@ from conftest import addr, graph_of, make_events, random_events
 from nftgraph import cache
 from nftgraph.errors import NegativeAge, UnknownNode, UnsortedInput
 from nftgraph.graph import TemporalGraph, peel_degree_one, simple_view
-from nftgraph.ingest import NULL_ADDRESS
+from nftgraph.ingest import NULL_ADDRESS, write_transfers
 
 
 def test_build_interns_and_counts():
@@ -30,6 +29,16 @@ def test_unsorted_input_raises():
     events = make_events([(200, 0, 1)]) + make_events([(100, 1, 2)])
     with pytest.raises(UnsortedInput):
         TemporalGraph.build(events)
+
+
+def test_build_from_stream_equals_build_from_path(tmp_path):
+    p = tmp_path / "t.csv"
+    write_transfers(str(p), random_events(random.Random(7), with_null=True))
+    want = TemporalGraph.build(str(p))
+    assert want.num_edges > 0
+    with open(p, newline="") as fh:
+        assert vars(TemporalGraph.build(fh)) == vars(want)
+    assert vars(TemporalGraph.build(p)) == vars(want)
 
 
 def test_edge_count_until_and_node_age():
@@ -60,7 +69,7 @@ def test_snapshot_view_prefix():
 @pytest.mark.parametrize("seed", range(5))
 def test_edges_filter_matches_brute_force(seed):
     rng = random.Random(seed)
-    events = [replace(ev, to_addr=ev.from_addr) if rng.random() < 0.1 else ev
+    events = [ev._replace(to_addr=ev.from_addr) if rng.random() < 0.1 else ev
               for ev in random_events(rng, with_null=True)]
     g = TemporalGraph.build(events)
     raw = list(zip(g.e_src, g.e_dst, g.e_ts))

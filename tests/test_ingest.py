@@ -68,6 +68,10 @@ def test_parse_csv_line_matches_json():
     lambda o: o.update(address="not-hex-at-all!!"),
     lambda o: o.update(topics=[]),
     lambda o: o.update(topics=[OTHER_TOPIC] * 5),
+    lambda o: o.update(log_index=True),
+    lambda o: o.update(block_number=10.9),
+    lambda o: o.update(block_timestamp=1600000000.7),
+    lambda o: o.update(log_index=float("inf")),
 ])
 def test_parse_rejects_malformed(mutate):
     obj = {
@@ -87,6 +91,8 @@ def test_parse_rejects_empty_and_bad_csv():
         parse_log_line("1,2,3", now=NOW)
     with pytest.raises(MalformedRecord):
         parse_log_line("{not json", now=NOW)
+    with pytest.raises(MalformedRecord, match="bad json"):
+        parse_log_line('{"a":' + "[" * 100000, now=NOW)
 
 
 def _raw(topics, contract=GOOD_CONTRACT):
@@ -230,15 +236,14 @@ def test_canonical_and_general_csv_parse_agree():
 def test_write_transfers_quotes_like_csv_writer(tmp_path):
     import csv
     import io
-    from dataclasses import replace
 
     from nftgraph.ingest import NORMALIZED_HEADER, TransferEvent
     plain = TransferEvent(5, 6, "0x" + "cd" * 32, 7, GOOD_CONTRACT,
                           NULL_ADDRESS, "0x" + "02" * 20, 10 ** 70)
     # one field needing quotes per row, so each check is exercised alone
-    events = [plain, replace(plain, contract="a,b"),
-              replace(plain, from_addr='q"q'), replace(plain, to_addr="x\ny"),
-              replace(plain, tx_hash="g\rh")]
+    events = [plain, plain._replace(contract="a,b"),
+              plain._replace(from_addr='q"q'), plain._replace(to_addr="x\ny"),
+              plain._replace(tx_hash="g\rh")]
     p = tmp_path / "t.csv"
     write_transfers(str(p), events)
     want = io.StringIO(newline="")
