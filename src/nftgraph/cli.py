@@ -435,9 +435,10 @@ def build_parser() -> _Parser:
     return parser
 
 
-# smallest accepted value of each count option, checked before any work
+# smallest accepted value of each count or window option, checked before
+# any work; --earlystop-fraction must lie in [0, 1]
 _MINIMUMS = {"top_holders": 0, "drop_top_hubs": 0, "diameter_sources": 1,
-             "negatives_k": 1, "label_pool": 1}
+             "negatives_k": 1, "label_pool": 1, "window": 0}
 
 
 def main(argv=None) -> int:
@@ -452,6 +453,11 @@ def main(argv=None) -> int:
             print(f"nftgraph: --{name.replace('_', '-')} must be at least "
                   f"{low}, got {value}", file=sys.stderr)
             return EXIT_USAGE
+    fraction = getattr(args, "earlystop_fraction", None)
+    if fraction is not None and not 0 <= fraction <= 1:
+        print(f"nftgraph: --earlystop-fraction must be within [0, 1], "
+              f"got {fraction}", file=sys.stderr)
+        return EXIT_USAGE
     try:
         return args.func(args)
     except TimeLimitExceeded as e:

@@ -238,9 +238,6 @@ class SimpleDigraph:
     def out_neighbors(self, u: int) -> set[int]:
         return self.out.get(u, set())
 
-    def in_neighbors(self, u: int) -> set[int]:
-        return self.in_.get(u, set())
-
     def degree(self, u: int) -> int:
         """Pair-count degree: out-pairs plus in-pairs."""
         return len(self.out.get(u, ())) + len(self.in_.get(u, ()))

@@ -9,6 +9,7 @@ between the two is meaningful.
 
 from __future__ import annotations
 
+from collections import deque
 from fractions import Fraction
 
 
@@ -128,6 +129,27 @@ def avg_clustering(nodes, pairs):
                     if a != b and (a, b) in pairs)
         total += links / (k * (k - 1))
     return total / len(nodes)
+
+
+def bfs_distance_counts(adj, src, counts):
+    """One queue BFS from `src` over `adj` (node -> neighbour set); adds
+    the number of nodes first reached at each distance d to counts[d]."""
+    seen = {src}
+    frontier = deque([src])
+    d = 0
+    while frontier:
+        d += 1
+        nxt = deque()
+        for u in frontier:
+            for w in adj.get(u, ()):
+                if w not in seen:
+                    seen.add(w)
+                    nxt.append(w)
+        if nxt:
+            while len(counts) <= d:
+                counts.append(0)
+            counts[d] += len(nxt)
+        frontier = nxt
 
 
 def effective_diameter(nodes, pairs, percentile=0.9):

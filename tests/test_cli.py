@@ -204,6 +204,9 @@ def test_csm_rejects_label_pool_below_1(data_dir, tmp_path, capsys, pool):
      "--negatives-k", "-2"),
     (["csm", "--initial-until", "0", "--output", "{out}"],
      "--drop-top-hubs", "-1"),
+    (["csm", "--initial-until", "0", "--output", "{out}"], "--window", "-1"),
+    (["csm", "--initial-until", "0", "--output", "{out}"],
+     "--window", "-3600"),
 ])
 def test_count_option_below_minimum_exits_1(data_dir, tmp_path, capsys,
                                             command, flag, value):
@@ -216,6 +219,34 @@ def test_count_option_below_minimum_exits_1(data_dir, tmp_path, capsys,
     err = capsys.readouterr().err
     assert err.count("\n") == 1 and flag in err
     assert not out.exists() and not report.exists()
+
+
+@pytest.mark.parametrize("fraction", ["-0.1", "1.5", "2", "nan"])
+def test_export_ml_rejects_earlystop_fraction_outside_unit_interval(
+        data_dir, tmp_path, capsys, fraction):
+    out = tmp_path / "ml"
+    rc = main(["export-ml", "--input", str(data_dir / "planted.csv"),
+               "--out-dir", str(out), "--granularity", "year",
+               "--split-mode", "live_update",
+               "--earlystop-fraction", fraction])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and "--earlystop-fraction" in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("fraction,mark", [("0", "0"), ("1", "1")])
+def test_export_ml_accepts_earlystop_fraction_bounds(data_dir, tmp_path,
+                                                     capsys, fraction, mark):
+    out = tmp_path / "ml"
+    rc = main(["export-ml", "--input", str(data_dir / "planted.csv"),
+               "--out-dir", str(out), "--granularity", "year",
+               "--split-mode", "live_update",
+               "--earlystop-fraction", fraction])
+    assert rc == 0
+    with open(out / "snapshot_0000" / "edges.csv") as fh:
+        marks = {row["earlystop"] for row in csv.DictReader(fh)}
+    assert marks == {mark}
 
 
 def test_csm_cli_custom_query_and_window(data_dir, tmp_path, capsys):

@@ -2,9 +2,12 @@ import random
 from datetime import datetime, timezone
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import oracles
 from conftest import addr, graph_of, make_events, random_events
+from nftgraph import metrics
 from nftgraph.errors import Degenerate, EmptyView, NoPairs, TooSmall
 from nftgraph.graph import SimpleDigraph, TemporalGraph, simple_view
 from nftgraph.ingest import NULL_ADDRESS
@@ -154,6 +157,72 @@ def test_sampled_diameter_close_to_exact():
     sampled = effective_diameter(v, exact_threshold=1, sample_sources=15,
                                  seed=4)
     assert abs(sampled - exact) < 1.5
+
+
+def _kernel_call(monkeypatch, view, **kw):
+    """Run effective_diameter; return the (adj, sources, counts) of its one
+    distance-count kernel call."""
+    calls = []
+    kernel = metrics._distance_counts
+
+    def spy(adj, sources):
+        counts = kernel(adj, sources)
+        calls.append((adj, list(sources), counts))
+        return counts
+
+    monkeypatch.setattr(metrics, "_distance_counts", spy)
+    effective_diameter(view, **kw)
+    (call,) = calls
+    return call
+
+
+def _per_source_counts(adj, sources):
+    counts = [0]
+    for s in sources:
+        oracles.bfs_distance_counts(adj, s, counts)
+    return counts
+
+
+def test_exact_kernel_counts_match_per_source_bfs_across_chunks(monkeypatch):
+    rng = random.Random(17)
+    n = 1300
+    pairs = [(rng.randrange(n), rng.randrange(n)) for _ in range(2000)]
+    view = SimpleDigraph(range(n + 10), pairs)       # 10 isolated nodes
+    adj, sources, counts = _kernel_call(monkeypatch, view)
+    assert len(sources) > 1024                       # two source chunks
+    assert sources == sorted(adj)
+    assert counts == _per_source_counts(adj, sources)
+
+
+@pytest.mark.parametrize("seed", [0, 4, 9])
+def test_sampled_kernel_counts_match_per_source_bfs(monkeypatch, seed):
+    rng = random.Random(2)
+    pairs = [(rng.randrange(60), rng.randrange(60)) for _ in range(90)]
+    view = SimpleDigraph(range(60), pairs)
+    adj, sources, counts = _kernel_call(monkeypatch, view, exact_threshold=1,
+                                        sample_sources=15, seed=seed)
+    assert len(adj) > 15
+    assert sources == random.Random(seed).sample(sorted(adj), 15)
+    assert counts == _per_source_counts(adj, sources)
+
+
+@st.composite
+def small_views(draw):
+    n = draw(st.integers(1, 12))
+    node = st.integers(0, n - 1)
+    pairs = draw(st.lists(st.tuples(node, node), max_size=30))
+    return SimpleDigraph(range(n), pairs)    # isolated nodes, self-loops
+
+
+@settings(deadline=None)
+@given(small_views())
+def test_effective_diameter_matches_floyd_warshall(view):
+    want = oracles.effective_diameter(view.nodes, view.pairs)
+    if want is None:
+        with pytest.raises(NoPairs):
+            effective_diameter(view)
+    else:
+        assert effective_diameter(view) == pytest.approx(want, abs=1e-9)
 
 
 # -- stream measurements ----------------------------------------------
