@@ -435,10 +435,13 @@ def build_parser() -> _Parser:
     return parser
 
 
-# smallest accepted value of each count or window option, checked before
-# any work; --earlystop-fraction must lie in [0, 1]
+# smallest accepted value of each count, window, time or ratio option,
+# checked before any work (NaN fails the check); a bot run needs one gap
+# for its median interval; --earlystop-fraction must lie in [0, 1]
 _MINIMUMS = {"top_holders": 0, "drop_top_hubs": 0, "diameter_sources": 1,
-             "negatives_k": 1, "label_pool": 1, "window": 0}
+             "negatives_k": 1, "label_pool": 1, "window": 0,
+             "time_limit_ms": 0, "threshold_seconds": 0, "ratio": 0,
+             "bot_max_median_interval": 0, "bot_min_run": 2}
 
 
 def main(argv=None) -> int:
@@ -449,7 +452,7 @@ def main(argv=None) -> int:
         return e.code if isinstance(e.code, int) else EXIT_USAGE
     for name, low in _MINIMUMS.items():
         value = getattr(args, name, None)
-        if value is not None and value < low:
+        if value is not None and not value >= low:
             print(f"nftgraph: --{name.replace('_', '-')} must be at least "
                   f"{low}, got {value}", file=sys.stderr)
             return EXIT_USAGE

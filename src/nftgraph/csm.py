@@ -6,6 +6,14 @@ Matches are reported incrementally: only embeddings that use a streamed
 edge are ever emitted, never those fully contained in the initial graph.
 Counts are distinct mappings by default; automorphism-deduplicated counts
 are tracked alongside.
+
+Symmetry breaking (Grochow and Kellis, RECOMB 2007): an insert searches
+from one representative per orbit of query edges under the query's
+automorphism group, so an insert finds a match class once per
+automorphism fixing the seeding query edge (usually once) rather than
+|Aut(q)| times.  Each found mapping is then expanded to its orbit,
+all the mappings of its class, whose least element is the class's
+canonical form.
 """
 
 from __future__ import annotations
@@ -15,7 +23,8 @@ import random
 import time
 from dataclasses import dataclass
 from itertools import chain
-from typing import Iterable, Sequence
+from operator import itemgetter
+from typing import Callable, Iterable, Sequence
 
 from .errors import QueryError, TimeLimitExceeded
 from .graph import SimpleDigraph
@@ -227,29 +236,39 @@ def match_static(data: SimpleDigraph, q: QueryGraph,
     return mappings
 
 
-def query_automorphisms(q: QueryGraph) -> list[tuple[int, ...]]:
-    """All label/direction preserving self-embeddings of the query."""
+def query_automorphisms(q: QueryGraph,
+                        deadline: float = math.inf) -> list[tuple[int, ...]]:
+    """All label/direction preserving self-embeddings of the query.
+
+    Raises TimeLimitExceeded at the first search node past `deadline`.
+    """
     n = q.num_vertices
-    selfmaps = match_static(SimpleDigraph(range(n), q.edges), q,
-                            dict(enumerate(q.labels)))
+    found: list[tuple[int, ...]] = []
+    _search(SimpleDigraph(range(n), q.edges), dict(enumerate(q.labels)),
+            _compile(q, []), [None] * n, set(), found, deadline)
     # wildcards match anything, but a true automorphism must carry each
     # label onto an identical label
-    return [m.mapping for m in selfmaps
-            if all(q.labels[v] == q.labels[m.mapping[v]] for v in range(n))]
+    return sorted(m for m in found
+                  if all(q.labels[v] == q.labels[m[v]] for v in range(n)))
 
 
-def canonical_mapping(mapping: tuple[int, ...],
-                      autos: list[tuple[int, ...]]) -> tuple[int, ...]:
-    return min(tuple(mapping[autos_i[v]] for v in range(len(mapping)))
-               for autos_i in autos)
+def _composers(autos: list[tuple[int, ...]]) -> list[Callable]:
+    """One function per automorphism a, taking a mapping m to m∘a.
+
+    The identity is `tuple`, which returns a tuple unchanged; it is also
+    the only automorphism of a one-vertex query, for which `itemgetter`
+    would return a bare item.
+    """
+    return [tuple if a == tuple(range(len(a))) else itemgetter(*a)
+            for a in autos]
 
 
 def dedup_matches(q: QueryGraph, matches: Iterable[Match]) -> list[Match]:
-    autos = query_automorphisms(q)
+    composers = _composers(query_automorphisms(q))
     seen = set()
     out = []
     for m in matches:
-        canon = canonical_mapping(m.mapping, autos)
+        canon = min(c(m.mapping) for c in composers)
         if canon not in seen:
             seen.add(canon)
             out.append(m)
@@ -257,28 +276,45 @@ def dedup_matches(q: QueryGraph, matches: Iterable[Match]) -> list[Match]:
 
 
 class MatchContext:
-    """Incremental matching state for one query over an insertion stream."""
+    """Incremental matching state for one query over an insertion stream.
+
+    `elapsed_ms` counts the query's automorphism enumeration here and the
+    match enumeration of every insert, all against `time_limit_ms`.  If
+    the automorphisms are not all found within the budget, the context
+    gets no search plans: its first insert finds nothing and sets
+    `timed_out`, like an insert cut mid-search.
+    """
 
     def __init__(self, q: QueryGraph, *, window: int | None = None,
                  time_limit_ms: float = 3.6e6):
+        t0 = time.perf_counter()
         self.q = q
         self.window = window
         self.time_limit_ms = time_limit_ms
         self.graph = SimpleDigraph((), ())
         self.labels: dict[int, object] = {}
         self.pair_ts: dict[tuple[int, int], int] = {}
-        self.autos = query_automorphisms(q)
         self.match_count = 0
         self.dedup_canon: set[tuple[int, ...]] = set()
-        self.elapsed_ms = 0.0
         self.timed_out = False
-        # one plan per query edge (x, y): the edges among the seeds that
-        # must already be present, and the steps placing the rest
+        try:
+            self.autos = query_automorphisms(q, t0 + time_limit_ms / 1000.0)
+        except TimeLimitExceeded:
+            self.autos = []
+        self._composers = _composers(self.autos)
+        # one plan per orbit of query edges, seeded at the orbit's least
+        # edge (x, y): the edges among the seeds that must already be
+        # present, and the steps placing the rest.  A match using the new
+        # pair as another edge of the orbit is an automorphic image of one
+        # using it as (x, y), and distinct orbits give disjoint classes.
         self._plans = []
         for x, y in q.edges:
-            seeds = [x] if x == y else [x, y]
-            checks = [(a, b) for a, b in q.edges if a in seeds and b in seeds]
-            self._plans.append((x, y, checks, _compile(q, seeds)))
+            if self.autos and (x, y) == min((a[x], a[y]) for a in self.autos):
+                seeds = [x] if x == y else [x, y]
+                checks = [(a, b) for a, b in q.edges
+                          if a in seeds and b in seeds]
+                self._plans.append((x, y, checks, _compile(q, seeds)))
+        self.elapsed_ms = (time.perf_counter() - t0) * 1000.0
 
     def add_initial_edge(self, u: int, v: int, ts: int) -> None:
         if self.graph.add_pair(u, v):
@@ -289,6 +325,25 @@ class MatchContext:
             return True
         ts = [self.pair_ts[(mapping[x], mapping[y])] for x, y in self.q.edges]
         return max(ts) - min(ts) <= self.window
+
+    def _classes(self, found: list[tuple[int, ...]], deadline: float
+                 ) -> dict[tuple[int, ...], list[tuple[int, ...]]]:
+        """Canonical form -> orbit of each class in `found`, the orbit
+        empty when the class fails the window.
+
+        Every mapping of a class uses the same data pairs, so the window
+        is checked once per class.  Raises TimeLimitExceeded at the first
+        mapping past `deadline`.
+        """
+        classes: dict[tuple[int, ...], list[tuple[int, ...]]] = {}
+        for m in found:
+            if time.perf_counter() > deadline:
+                raise TimeLimitExceeded
+            orbit = [c(m) for c in self._composers]
+            canon = min(orbit)
+            if canon not in classes:
+                classes[canon] = orbit if self._window_ok(m) else []
+        return classes
 
     def insert_edge(self, u: int, v: int, ts: int) -> list[Match]:
         """Insert a pair and return the matches it completes.
@@ -319,13 +374,16 @@ class MatchContext:
                        for a, b in checks):
                     _search(self.graph, labels, steps, assign, {u, v},
                             found, deadline)
+            classes = self._classes(found, deadline) if found else {}
         except TimeLimitExceeded:
-            found = []
-        matches = [Match(m, (u, v), ts) for m in sorted(set(found))
-                   if self._window_ok(m)]
-        self.match_count += len(matches)
-        for m in matches:
-            self.dedup_canon.add(canonical_mapping(m.mapping, self.autos))
+            classes = {}
+        matches = []
+        if classes:                     # most inserts complete no match
+            matches = [Match(m, (u, v), ts)
+                       for m in sorted(chain.from_iterable(classes.values()))]
+            self.match_count += len(matches)
+            self.dedup_canon.update(c for c, orbit in classes.items()
+                                    if orbit)
         self.elapsed_ms += (time.perf_counter() - t0) * 1000.0
         if self.elapsed_ms > self.time_limit_ms:
             self.timed_out = True
@@ -377,9 +435,9 @@ def run_stream(initial: Sequence[tuple[int, int, int]],
                cfg: StreamConfig | None = None) -> list[QueryResult]:
     """Replay the insertion stream against every query independently.
 
-    Elapsed time covers match enumeration only; graph-update bookkeeping is
-    excluded.  A query hitting its time limit is flagged and the remaining
-    queries still run.
+    Elapsed time covers each query's automorphism enumeration and match
+    enumeration; graph-update bookkeeping is excluded.  A query hitting
+    its time limit is flagged and the remaining queries still run.
     """
     cfg = cfg or StreamConfig()
     labels: dict[int, object] = {}

@@ -207,14 +207,25 @@ def test_csm_rejects_label_pool_below_1(data_dir, tmp_path, capsys, pool):
     (["csm", "--initial-until", "0", "--output", "{out}"], "--window", "-1"),
     (["csm", "--initial-until", "0", "--output", "{out}"],
      "--window", "-3600"),
+    (["csm", "--initial-until", "0", "--output", "{out}"],
+     "--time-limit-ms", "nan"),
+    (["csm", "--initial-until", "0", "--output", "{out}"],
+     "--time-limit-ms", "-1"),
+    (["anomaly", "--output", "{out}"], "--ratio", "nan"),
+    (["anomaly", "--output", "{out}"], "--ratio", "-0.5"),
+    (["anomaly", "--output", "{out}"], "--bot-max-median-interval", "nan"),
+    (["anomaly", "--output", "{out}"], "--threshold-seconds", "-1"),
+    (["anomaly", "--output", "{out}"], "--bot-min-run", "1"),
 ])
 def test_count_option_below_minimum_exits_1(data_dir, tmp_path, capsys,
                                             command, flag, value):
     out = tmp_path / "out"
     report = tmp_path / "report.json"
     argv = [a.format(out=out) for a in command]
+    # anomaly writes its report to --output and has no --report
+    report_args = [] if argv[0] == "anomaly" else ["--report", str(report)]
     rc = main([argv[0], "--input", str(data_dir / "planted.csv"), *argv[1:],
-               flag, value, "--report", str(report)])
+               flag, value, *report_args])
     assert rc == 1
     err = capsys.readouterr().err
     assert err.count("\n") == 1 and flag in err

@@ -4,8 +4,8 @@ import pytest
 
 import oracles
 from nftgraph.csm import (BUILTIN_PATTERNS, MatchContext, StreamConfig,
-                          builtin_patterns, init_context, match_static,
-                          parse_query, run_stream)
+                          assign_labels, builtin_patterns, init_context,
+                          match_static, parse_query, run_stream)
 from nftgraph.errors import QueryError, TimeLimitExceeded
 from nftgraph.graph import SimpleDigraph
 
@@ -157,6 +157,19 @@ def test_time_limit_flags_and_raises():
         ctx.insert_edge(1, 2, 2)
 
 
+def test_time_limit_bounds_automorphism_enumeration():
+    # a 9-leaf out-star has 9! automorphisms, far more than 50 ms finds
+    star = parse_query("; ".join(f"v {i} *" for i in range(10)) + "; "
+                       + "; ".join(f"e 0 {i}" for i in range(1, 10)))
+    ctx = MatchContext(star, time_limit_ms=50.0)
+    assert ctx.autos == [] and ctx._plans == []
+    assert ctx.elapsed_ms > 50.0 and not ctx.timed_out
+    assert ctx.insert_edge(0, 1, 1) == []
+    assert ctx.timed_out
+    with pytest.raises(TimeLimitExceeded):
+        ctx.insert_edge(0, 2, 2)
+
+
 def test_time_limit_bounds_a_single_insert():
     p3 = parse_query(BUILTIN_PATTERNS["p3"], "p3")
     complete = [(a, b, 1) for a in range(12) for b in range(12)
@@ -265,3 +278,108 @@ def test_relabeling_data_vertices_preserves_counts():
     b = run_stream(initial2, stream2, builtin_patterns())
     assert [(r.matches, r.matches_dedup) for r in a] == \
         [(r.matches, r.matches_dedup) for r in b]
+
+
+# -- symmetry breaking -------------------------------------------------
+
+def test_one_plan_per_query_edge_orbit():
+    # |Aut| is 3/2/4/1/2, so p1-p3 have one edge orbit each, p4's four
+    # edges are four orbits and p5 has {0->1}, {1->2, 1->3}, {2->0, 3->0}
+    assert [len(MatchContext(q)._plans) for q in builtin_patterns()] == \
+        [1, 1, 1, 4, 3]
+
+
+# queries whose edge stabilisers are nontrivial, so that one plan finds
+# a class more than once per insert
+SYMMETRIC_QUERIES = [
+    "v 0 *; v 1 *; v 2 *; v 3 *; e 0 1; e 0 2; e 0 3",        # out-star
+    "v 0 *; v 1 *; v 2 *; e 0 1; e 1 0; e 1 2; e 2 1; e 2 0; e 0 2",
+    "v 0 *; v 1 *; v 2 *; e 0 1; e 0 2; e 0 0",                # looped hub
+    "v 0 1; v 1 *; v 2 *; v 3 *; e 0 1; e 0 2; e 0 3; e 1 1; e 2 2",
+    "v 0 *; v 1 *; v 2 *; v 3 *; e 0 1; e 0 2; e 1 3; e 2 3",  # diamond
+    "v 0 *; v 1 0; v 2 0; v 3 1; e 0 1; e 0 2; e 0 3",         # labeled star
+    "v 0 *; v 1 *; e 0 1; e 1 0; e 0 0; e 1 1",
+]
+
+
+def _random_query(rng):
+    """A connected query on at most 5 vertices with wildcard and fixed
+    labels and self-loops.  Half of them are closed under a random vertex
+    permutation, which is then an automorphism."""
+    while True:
+        n = rng.randint(1, 5)
+        pairs = set()
+        for _ in range(rng.randint(1, n + 1)):
+            x = rng.randrange(n)
+            pairs.add((x, x) if rng.random() < 0.15
+                      else (x, rng.choice([y for y in range(n) if y != x]
+                                          or [x])))
+        labels = [rng.choice(["*", "*", "0", "1"]) for _ in range(n)]
+        if rng.random() < 0.5:
+            perm = list(range(n))
+            rng.shuffle(perm)
+            for _ in range(n):
+                pairs |= {(perm[x], perm[y]) for x, y in pairs}
+            for x in range(n):          # labels constant on perm's cycles
+                y = perm[x]
+                while y != x:
+                    labels[y], y = labels[x], perm[y]
+        text = "; ".join([*(f"v {i} {lab}" for i, lab in enumerate(labels)),
+                          *(f"e {x} {y}" for x, y in sorted(pairs))])
+        try:
+            return parse_query(text, "random")
+        except QueryError:              # disconnected
+            continue
+
+
+def _check_against_oracle(initial, stream, q, labels, window):
+    """insert_edge's outputs, match_count and dedup_count equal the
+    brute-force embeddings that use a stream pair, each reported at the
+    insert that completes it, filtered by the window over each pair's
+    first-insert timestamp."""
+    first: dict[tuple[int, int], tuple[int, int]] = {}   # pair -> (i, ts)
+    for i, (u, v, t) in enumerate(initial + stream):
+        first.setdefault((u, v), (i, t))
+    nodes = {x for pair in first for x in pair}
+    want: dict[int, list[tuple[int, ...]]] = {}
+    for m in oracles.enumerate_embeddings(nodes, set(first), q.num_vertices,
+                                          q.edges, labels, q.labels):
+        used = [first[(m[x], m[y])] for x, y in q.edges]
+        ts = [t for _i, t in used]
+        done = max(i for i, _t in used)
+        if done >= len(initial) and (
+                window is None or max(ts) - min(ts) <= window):
+            want.setdefault(done, []).append(m)
+    ctx = init_context(initial, q, labels, window=window)
+    for i, (u, v, t) in enumerate(stream, len(initial)):
+        got = ctx.insert_edge(u, v, t)
+        assert [m.mapping for m in got] == sorted(want.get(i, []))
+        assert all(m.trigger == (u, v) and m.timestamp == t for m in got)
+    every = sorted(m for ms in want.values() for m in ms)
+    dedup = len(oracles.dedup_by_automorphism(q.num_vertices, q.edges, every,
+                                              q.labels))
+    assert (ctx.match_count, ctx.dedup_count) == (len(every), dedup)
+    return len(every), dedup
+
+
+def test_symmetry_breaking_matches_oracle():
+    rng = random.Random(97)
+    queries = [parse_query(t) for t in SYMMETRIC_QUERIES]
+    queries += [_random_query(rng) for _ in range(40)]
+    for k, q in enumerate(queries):
+        for window, pool in ((None, None), (30, None), (None, 2), (30, 2)):
+            n = rng.randint(3, 7)
+            total = rng.randint(10, 60)
+            cut = rng.randint(0, total)
+            edges = [(rng.randrange(n), rng.randrange(n), 10 * t)
+                     for t in range(total)]
+            labels = {}
+            if pool is not None:
+                labels = assign_labels(dict.fromkeys(
+                    w for u, v, _t in edges for w in (u, v)), pool, k)
+            counts = _check_against_oracle(edges[:cut], edges[cut:], q,
+                                           labels, window)
+            (r,) = run_stream(edges[:cut], edges[cut:], [q],
+                              StreamConfig(window=window, label_pool=pool,
+                                           seed=k))
+            assert (r.matches, r.matches_dedup) == counts
