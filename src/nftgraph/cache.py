@@ -4,7 +4,8 @@ Rebuilding a TemporalGraph from CSV is the slow part of every CLI run, so
 a built graph can be dumped to a compact binary file and loaded back much
 faster.  The format is a private convenience, not an interchange format:
 files are regeneratable from the normalized CSV at any time and carry a
-version number so stale caches are rejected rather than misread.
+version number so stale caches are rejected rather than misread.  Loading
+also checks column lengths, id ranges and edge time order.
 
 Layout (all integers little-endian):
     magic   4 bytes  b"LGLB"
@@ -67,9 +68,14 @@ def _read_ints(fh):
         if count == 0:
             _take(fh, nbytes)
             return []
-        return [int(s) for s in _take(fh, nbytes).decode().split("\n")]
+        try:
+            return [int(s) for s in _take(fh, nbytes).decode().split("\n")]
+        except ValueError:
+            raise CacheFormatError("non-integer in a decimal column") from None
+    if typecode not in (b"b", b"q"):
+        raise CacheFormatError(f"unknown column type {typecode!r}")
     a = array(typecode.decode())
-    a.fromfile(fh, count)
+    a.frombytes(_take(fh, count * a.itemsize))
     return a
 
 
@@ -124,6 +130,15 @@ def load(path: str) -> TemporalGraph:
         trailing = fh.read(1)
     if trailing:
         raise CacheFormatError("trailing bytes after cache payload")
-    if len(g.addresses) != len(g.n_first) or len(g.e_src) != len(g.e_ts):
+    n, m = len(g.addresses), len(g.e_src)
+    if (any(len(c) != n for c in (g.n_first, g.n_last, g.n_txc, g.n_mint))
+            or any(len(c) != m
+                   for c in (g.e_dst, g.e_ts, g.e_contract, g.e_token))):
         raise CacheFormatError("inconsistent section lengths")
+    for name, ids, bound in (("e_src", g.e_src, n), ("e_dst", g.e_dst, n),
+                             ("e_contract", g.e_contract, len(g.contracts))):
+        if ids and not (min(ids) >= 0 and max(ids) < bound):
+            raise CacheFormatError(f"{name} holds an id outside [0, {bound})")
+    if g.e_ts != sorted(g.e_ts):
+        raise CacheFormatError("e_ts is not in time order")
     return g

@@ -144,8 +144,8 @@ def _growth_csvs(series, out_dir: str) -> None:
     for name, fields in _GROWTH_CSVS:
         write_csv(os.path.join(out_dir, name), ["period", *fields],
                   _round_floats([(label, *(getattr(rec, f) for f in fields))
-                                 for label, rec in series.buckets]))
-    tidy = [(label, f, getattr(rec, f)) for label, rec in series.buckets
+                                 for label, rec in series]))
+    tidy = [(label, f, getattr(rec, f)) for label, rec in series
             for _name, fields in _GROWTH_CSVS for f in fields]
     write_csv(os.path.join(out_dir, "series.csv"),
               ["period", "metric", "value"], _round_floats(tidy))
@@ -158,10 +158,9 @@ def cmd_metrics(args) -> int:
     for name, include_null in (("exclude_null", False), ("include_null", True)):
         view = simple_view(g, cutoff, include_null=include_null,
                            include_self_loops=not args.exclude_self_loops)
-        rep = metrics_mod.metrics_report(
+        views[name] = metrics_mod.metrics_report(
             view, diameter_exact_threshold=args.diameter_exact_threshold,
             diameter_sources=args.diameter_sources, seed=args.seed)
-        views[name] = rep.as_dict()
         views[name]["nodes"] = view.num_nodes
         views[name]["pairs"] = view.num_edges
 
@@ -184,7 +183,7 @@ def cmd_metrics(args) -> int:
         write_csv(os.path.join(args.out_dir, "tea.csv"),
                   ["period", "new", "recurring"],
                   [(label, d["new"], d["recurring"])
-                   for label, d in tea.buckets])
+                   for label, d in tea])
         counts = {"train_only": 0, "test_only": 0, "both": 0}
         for cls in tet.values():
             counts[cls] += 1
@@ -436,10 +435,12 @@ def build_parser() -> _Parser:
 
 
 # smallest accepted value of each count, window, time or ratio option,
-# checked before any work (NaN fails the check); a bot run needs one gap
-# for its median interval; --earlystop-fraction must lie in [0, 1]
+# checked before any work (NaN fails the check); a score row needs one
+# negative, a bot run one gap for its median interval;
+# --earlystop-fraction must lie in [0, 1]
 _MINIMUMS = {"top_holders": 0, "drop_top_hubs": 0, "diameter_sources": 1,
-             "negatives_k": 1, "label_pool": 1, "window": 0,
+             "negatives_k": 1, "k": 1, "label_pool": 1, "window": 0,
+             "min_tx": 0, "scale": 0,
              "time_limit_ms": 0, "threshold_seconds": 0, "ratio": 0,
              "bot_max_median_interval": 0, "bot_min_run": 2}
 

@@ -27,18 +27,6 @@ class NegativeAge(DataError):
     pass
 
 
-class EmptyView(DataError):
-    pass
-
-
-class TooSmall(DataError):
-    pass
-
-
-class NoPairs(DataError):
-    pass
-
-
 class Degenerate(DataError):
     pass
 

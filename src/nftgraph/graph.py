@@ -235,15 +235,14 @@ class SimpleDigraph:
     def num_edges(self) -> int:
         return len(self.pairs)
 
-    def out_neighbors(self, u: int) -> set[int]:
-        return self.out.get(u, set())
-
     def degree(self, u: int) -> int:
         """Pair-count degree: out-pairs plus in-pairs."""
         return len(self.out.get(u, ())) + len(self.in_.get(u, ()))
 
     def undirected_neighbors(self, u: int) -> set[int]:
-        nbrs = self.out.get(u, set()) | self.in_.get(u, set())
+        """A new set of u's out- and in-neighbours, u itself left out."""
+        nbrs = set(self.out.get(u, ()))
+        nbrs.update(self.in_.get(u, ()))
         nbrs.discard(u)
         return nbrs
 

@@ -1,11 +1,13 @@
 """Structural and dynamic measurements over temporal-graph views.
 
 View-level metrics (assortativity, density, reciprocity, clustering,
-effective diameter, degree histogram) take a SimpleDigraph.  Stream-level
-measurements (growth, mutual-edge intervals, active periods, holder
-statistics, hub correlation, TEA/TET) take the TemporalGraph plus a
-calendar granularity.  Everything here is a pure function of immutable
-inputs.
+effective diameter, degree histogram) take a SimpleDigraph and return the
+value the report records, also on a degenerate view: None where the
+metric is undefined, 0.0 where it is empty.  Stream-level measurements
+(growth, mutual-edge intervals, active periods, holder statistics, hub
+correlation, TEA/TET) take the TemporalGraph plus a calendar granularity;
+per-period series are lists of (label, row).  Everything here is a pure
+function of immutable inputs.
 """
 
 from __future__ import annotations
@@ -13,9 +15,9 @@ from __future__ import annotations
 import random
 import statistics
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
-from .errors import Degenerate, EmptyView, NoPairs, TooSmall
+from .errors import Degenerate
 from .graph import SimpleDigraph, TemporalGraph, simple_view
 from .periods import period_index
 
@@ -26,22 +28,19 @@ DAY = 86400
 # view-level metrics
 # ---------------------------------------------------------------------
 
-def _endpoint_degrees(view: SimpleDigraph):
-    for u, v in view.pairs:
-        yield view.degree(u), view.degree(v)
-
-
 def assortativity(view: SimpleDigraph) -> float | None:
     """Degree correlation across edge endpoints; None when 0/0.
 
     Computed in exact integer arithmetic so that regular graphs come out
-    as genuinely undefined instead of float noise.
+    as genuinely undefined instead of float noise.  None without pairs.
     """
     m = view.num_edges
     if m == 0:
-        raise EmptyView("assortativity needs at least one pair")
+        return None
+    degree = view.degree
     s_kk = s_sum = s_sq = 0
-    for ki, kj in _endpoint_degrees(view):
+    for u, v in view.pairs:
+        ki, kj = degree(u), degree(v)
         s_kk += ki * kj
         s_sum += ki + kj
         s_sq += ki * ki + kj * kj
@@ -53,15 +52,17 @@ def assortativity(view: SimpleDigraph) -> float | None:
 
 
 def density(view: SimpleDigraph) -> float:
+    """Pairs over ordered node pairs; 0.0 below two nodes."""
     n = view.num_nodes
     if n < 2:
-        raise TooSmall("density needs at least two nodes")
+        return 0.0
     return view.num_edges / (n * (n - 1))
 
 
 def reciprocity(view: SimpleDigraph) -> float:
+    """Share of pairs whose reverse is a pair too; 0.0 without pairs."""
     if view.num_edges == 0:
-        raise EmptyView("reciprocity needs at least one pair")
+        return 0.0
     mutual = sum(1 for (u, v) in view.pairs if (v, u) in view.pairs)
     return mutual / view.num_edges
 
@@ -73,8 +74,9 @@ def local_clustering(view: SimpleDigraph, node: int) -> float:
         return 0.0
     links = 0
     for j in nbrs:
-        links += len(view.out_neighbors(j) & nbrs)
-        if j in view.out_neighbors(j):
+        succ = view.out.get(j, ())
+        links += len(nbrs.intersection(succ))
+        if j in succ:
             links -= 1  # self-loops are not neighbor-to-neighbor links
     return links / (k * (k - 1))
 
@@ -90,16 +92,6 @@ def degree_histogram(view: SimpleDigraph) -> dict[int, int]:
     for u in view.nodes:
         hist[view.degree(u)] += 1
     return dict(hist)
-
-
-def _undirected_adj(view: SimpleDigraph) -> dict[int, set[int]]:
-    adj: dict[int, set[int]] = {}
-    for u, v in view.pairs:
-        if u == v:
-            continue
-        adj.setdefault(u, set()).add(v)
-        adj.setdefault(v, set()).add(u)
-    return adj
 
 
 # Sources per bit-parallel BFS pass; bounds each per-vertex mask to 1024 bits.
@@ -144,7 +136,8 @@ def _distance_counts(adj: dict[int, set[int]], sources: list[int]) -> list[int]:
 
 
 def effective_diameter(view: SimpleDigraph, *, exact_threshold: int = 10000,
-                       sample_sources: int = 1000, seed: int = 0) -> float:
+                       sample_sources: int = 1000,
+                       seed: int = 0) -> float | None:
     """Interpolated 90th-percentile shortest-path length, undirected.
 
     Exact all-sources BFS up to `exact_threshold` nodes, otherwise BFS from
@@ -152,18 +145,21 @@ def effective_diameter(view: SimpleDigraph, *, exact_threshold: int = 10000,
     over chunks of up to 1024 sources, each source one bit of a per-vertex
     int.  The fraction g(d) of reachable ordered pairs within distance d is
     linearly interpolated at 0.9 (g(0) = 0, so a complete graph yields 0.9).
+    None when no node reaches another.
     """
-    adj = _undirected_adj(view)
+    adj = {}
+    for u in view.nodes:
+        nbrs = view.undirected_neighbors(u)
+        if nbrs:
+            adj[u] = nbrs
     sources = sorted(adj)
     if not sources:
-        raise NoPairs("no node reaches another")
+        return None
     if len(view.nodes) > exact_threshold and len(sources) > sample_sources:
         rng = random.Random(seed)
         sources = rng.sample(sources, sample_sources)
     counts = _distance_counts(adj, sources)
     total = sum(counts)
-    if total == 0:
-        raise NoPairs("no node reaches another")
     cum = 0
     g_prev = 0.0
     for d in range(1, len(counts)):
@@ -175,51 +171,21 @@ def effective_diameter(view: SimpleDigraph, *, exact_threshold: int = 10000,
     return float(len(counts) - 1)
 
 
-@dataclass
-class MetricsReport:
-    assortativity: float | None
-    density: float
-    reciprocity: float
-    avg_clustering: float
-    effective_diameter: float | None
-    degree_histogram: dict[int, int]
-
-    def as_dict(self) -> dict:
-        return {
-            "assortativity": self.assortativity,
-            "density": self.density,
-            "reciprocity": self.reciprocity,
-            "avg_clustering": self.avg_clustering,
-            "effective_diameter": self.effective_diameter,
-            "degree_histogram": {str(k): v for k, v in
-                                 sorted(self.degree_histogram.items())},
-        }
-
-
 def metrics_report(view: SimpleDigraph, *, diameter_exact_threshold: int = 10000,
-                   diameter_sources: int = 1000, seed: int = 0) -> MetricsReport:
-    """Evaluate every view-level metric, mapping degenerate cases to None."""
-    try:
-        alpha = assortativity(view)
-    except EmptyView:
-        alpha = None
-    try:
-        dens = density(view)
-    except TooSmall:
-        dens = 0.0
-    try:
-        rec = reciprocity(view)
-    except EmptyView:
-        rec = 0.0
-    try:
-        diam = effective_diameter(view, exact_threshold=diameter_exact_threshold,
-                                  sample_sources=diameter_sources, seed=seed)
-    except NoPairs:
-        diam = None
-    return MetricsReport(
-        assortativity=alpha, density=dens, reciprocity=rec,
-        avg_clustering=avg_clustering(view), effective_diameter=diam,
-        degree_histogram=degree_histogram(view))
+                   diameter_sources: int = 1000, seed: int = 0) -> dict:
+    """Every view-level metric by report key; histogram keys are sorted
+    decimal strings."""
+    return {
+        "assortativity": assortativity(view),
+        "density": density(view),
+        "reciprocity": reciprocity(view),
+        "avg_clustering": avg_clustering(view),
+        "effective_diameter": effective_diameter(
+            view, exact_threshold=diameter_exact_threshold,
+            sample_sources=diameter_sources, seed=seed),
+        "degree_histogram": {str(k): v for k, v in
+                             sorted(degree_histogram(view).items())},
+    }
 
 
 # ---------------------------------------------------------------------
@@ -239,18 +205,10 @@ class GrowthRecord:
     pct_edges_old_old: float = 0.0
 
 
-@dataclass
-class PeriodSeries:
-    granularity: str
-    buckets: list[tuple[str, object]] = field(default_factory=list)
-
-    def labels(self) -> list[str]:
-        return [label for label, _ in self.buckets]
-
-
 def growth_series(g: TemporalGraph, granularity: str, *,
-                  include_self_loops: bool = True) -> PeriodSeries:
-    """Per-period node/edge growth; "new" means first seen in the period.
+                  include_self_loops: bool = True
+                  ) -> list[tuple[str, GrowthRecord]]:
+    """Per-period (label, GrowthRecord); "new" means first seen in the period.
 
     The Null address and its edges are left out.
 
@@ -303,8 +261,7 @@ def growth_series(g: TemporalGraph, granularity: str, *,
             rec.pct_edges_new_old = 100.0 * no / rec.new_edges
             rec.pct_edges_new_new = 100.0 * nn / rec.new_edges
             rec.pct_edges_old_old = 100.0 * oo / rec.new_edges
-    return PeriodSeries(granularity,
-                        [(p.label, r) for p, r in zip(periods, records)])
+    return [(p.label, r) for p, r in zip(periods, records)]
 
 
 def mutual_edge_intervals(g: TemporalGraph, *, include_null: bool = False):
@@ -415,7 +372,8 @@ def hub_correlation(g: TemporalGraph, granularity: str, period: int | str, *,
 
 def tea_tet(g: TemporalGraph, granularity: str, split_time: int, *,
             include_null: bool = False):
-    """TEA per-period new/recurring pair counts and per-pair TET classes.
+    """TEA per-period (label, {"new", "recurring"} pair counts) and
+    per-pair TET classes.
 
     A pair is recurring in a period when it was observed in any earlier
     period.  TET classes each distinct pair as train_only / test_only /
@@ -436,11 +394,11 @@ def tea_tet(g: TemporalGraph, granularity: str, split_time: int, *,
             first_period[pair] = p
         (has_train if ts <= split_time else has_test).add(pair)
 
-    tea = PeriodSeries(granularity)
+    tea = []
     for p, period in enumerate(periods):
         new = sum(1 for pair in in_period[p] if first_period[pair] == p)
         rec = len(in_period[p]) - new
-        tea.buckets.append((period.label, {"new": new, "recurring": rec}))
+        tea.append((period.label, {"new": new, "recurring": rec}))
 
     tet: dict[tuple[int, int], str] = {}
     for pair in first_period:

@@ -13,12 +13,9 @@ import sys
 import time
 from pathlib import Path
 
-import pytest
-
 import oracles
 from conftest import make_events, random_events
 from nftgraph.csm import builtin_patterns, init_context
-from nftgraph.errors import NoPairs
 from nftgraph.graph import SimpleDigraph, TemporalGraph, simple_view
 from nftgraph.ingest import normalize_stream
 from nftgraph.metrics import (assortativity, avg_clustering, density,
@@ -60,8 +57,7 @@ def test_criterion_metric_oracle_equivalence():
                        - oracles.avg_clustering(nodes, pairs)) <= 1e-9
             want_d = oracles.effective_diameter(nodes, pairs)
             if want_d is None:
-                with pytest.raises(NoPairs):
-                    effective_diameter(v)
+                assert effective_diameter(v) is None
             else:
                 assert abs(effective_diameter(v) - want_d) <= 1e-9
 
@@ -74,7 +70,7 @@ def test_criterion_metric_oracle_equivalence():
             want_tea = oracles.tea_counts(
                 triples, lambda t: periods[period_index(periods, t)].label)
             got_tea = {label: (d["new"], d["recurring"])
-                       for label, d in tea.buckets if d["new"] or d["recurring"]}
+                       for label, d in tea if d["new"] or d["recurring"]}
             assert got_tea == want_tea
             checked += 1
     except AssertionError:

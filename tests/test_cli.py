@@ -4,6 +4,7 @@ import re
 
 import pytest
 
+from nftgraph import cache
 from nftgraph.cli import main
 from nftgraph.fixture import write_fixture
 
@@ -90,6 +91,37 @@ def test_fixture_and_ingest_cli(tmp_path, capsys):
     assert ing["balances"] is True
     assert (tmp_path / "norm.csv").read_bytes() == \
         (tmp_path / "u2.csv").read_bytes()
+
+
+@pytest.mark.parametrize("column", ["e_dst", "e_contract", "e_src", "e_ts"])
+def test_cache_with_bad_edge_column_exits_2(data_dir, tmp_path, capsys,
+                                            column):
+    good = tmp_path / "good.lglb"
+    assert main(["build", "--input", str(data_dir / "planted.csv"),
+                 "--output", str(good), "--report", str(tmp_path / "b.json")]) == 0
+    g = cache.load(str(good))
+    assert len(g.contracts) < 99
+    if column == "e_dst":
+        g.e_dst[5] = g.num_nodes + 7
+    elif column == "e_contract":
+        g.e_contract[5] = 99
+    elif column == "e_src":
+        g.e_src[5] = -3
+    else:
+        g.e_ts[5] = g.e_ts[-1] + 1
+    bad = tmp_path / "bad.lglb"
+    cache.save(g, str(bad))
+    capsys.readouterr()
+    out = tmp_path / "out"
+    for argv in (["stats", "--report", str(out)],
+                 ["anomaly", "--output", str(out)],
+                 ["metrics", "--out-dir", str(out)],
+                 ["export-ml", "--out-dir", str(out)]):
+        assert main([argv[0], "--input", str(bad), *argv[1:]]) == 2, argv
+        err = capsys.readouterr().err
+        assert err.startswith("nftgraph: ") and err.count("\n") == 1
+        assert column in err
+        assert not out.exists()
 
 
 def test_build_then_cached_analysis(data_dir, tmp_path, capsys):
@@ -182,6 +214,21 @@ def test_csm_cli_stdout_matches_output_file(data_dir, tmp_path, capsys):
     assert printed.count("\r\n") == 6
 
 
+def test_csm_time_limit_exits_3_with_complete_outputs(data_dir, tmp_path,
+                                                       capsys):
+    out = tmp_path / "csm.csv"
+    rc = main(["csm", "--input", str(data_dir / "planted.csv"),
+               "--initial-until", str(ledger_of(data_dir)["csm_initial_until"]),
+               "--time-limit-ms", "0", "--output", str(out)])
+    assert rc == 3
+    with open(out) as fh:
+        rows = list(csv.DictReader(fh))
+    assert [r["query"] for r in rows] == ["p1", "p2", "p3", "p4", "p5"]
+    assert all(r["timed_out"] == "1" for r in rows)
+    meta = json.loads((tmp_path / "csm.csv.meta.json").read_text())
+    assert [r["timed_out"] for r in meta["results"]] == [True] * 5
+
+
 @pytest.mark.parametrize("pool", ["0", "-3"])
 def test_csm_rejects_label_pool_below_1(data_dir, tmp_path, capsys, pool):
     out = tmp_path / "csm.csv"
@@ -216,6 +263,9 @@ def test_csm_rejects_label_pool_below_1(data_dir, tmp_path, capsys, pool):
     (["anomaly", "--output", "{out}"], "--bot-max-median-interval", "nan"),
     (["anomaly", "--output", "{out}"], "--threshold-seconds", "-1"),
     (["anomaly", "--output", "{out}"], "--bot-min-run", "1"),
+    (["anomaly", "--output", "{out}"], "--min-tx", "-1"),
+    (["eval"], "--k", "0"),
+    (["eval"], "--k", "-1"),
 ])
 def test_count_option_below_minimum_exits_1(data_dir, tmp_path, capsys,
                                             command, flag, value):
@@ -229,6 +279,16 @@ def test_count_option_below_minimum_exits_1(data_dir, tmp_path, capsys,
     assert rc == 1
     err = capsys.readouterr().err
     assert err.count("\n") == 1 and flag in err
+    assert not out.exists() and not report.exists()
+
+
+def test_fixture_rejects_negative_scale(tmp_path, capsys):
+    out, report = tmp_path / "f.csv", tmp_path / "report.json"
+    rc = main(["fixture", "--profile", "uniform", "--scale", "-5",
+               "--output", str(out), "--report", str(report)])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and "--scale" in err
     assert not out.exists() and not report.exists()
 
 
@@ -293,6 +353,25 @@ def test_export_ml_and_eval_cli(data_dir, tmp_path, capsys):
     metrics = json.loads((tmp_path / "eval.json").read_text())["metrics"]
     assert metrics["auc"] == 0.98
     assert abs(metrics["mrr"] - 1 / 3) < 1e-9
+
+
+def test_eval_node_cli(tmp_path, capsys):
+    preds = tmp_path / "preds.csv"
+    preds.write_text("node_id,true,predicted\n\nn1,daily,daily\n"
+                     "n2,weekly,daily\nn3,weekly,weekly\n")
+    rc = main(["eval", "--input", str(preds), "--task", "node",
+               "--report", str(tmp_path / "eval.json")])
+    assert rc == 0
+    metrics = json.loads((tmp_path / "eval.json").read_text())["metrics"]
+    assert metrics == {"accuracy": 0.666666667, "macro_recall": 0.75,
+                       "samples": 3, "classes": 2}
+    for text in ("node_id,true,predicted\nn1,daily\n",
+                 "node_id,true,predicted\n"):
+        preds.write_text(text)
+        capsys.readouterr()
+        assert main(["eval", "--input", str(preds), "--task", "node"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("nftgraph: ") and err.count("\n") == 1
 
 
 @pytest.mark.parametrize("index", ["-1", "-2", "2", "5"])

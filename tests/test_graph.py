@@ -171,11 +171,72 @@ def test_cache_big_token_ids(tmp_path):
     assert cache.load(str(path)).e_token == [2 ** 255 + 12345]
 
 
+def test_cache_rejects_non_integer_big_token_id(tmp_path):
+    events = make_events([(1600000000, 0, 1)])
+    g = TemporalGraph.build(events)
+    g.e_token[0] = 2 ** 255 + 12345
+    path = tmp_path / "g.lglb"
+    cache.save(g, str(path))
+    blob = path.read_bytes()
+    path.write_bytes(blob[:-3] + b"x" + blob[-2:])      # a digit of e_token
+    with pytest.raises(cache.CacheFormatError, match="non-integer"):
+        cache.load(str(path))
+
+
 def test_cache_rejects_garbage(tmp_path):
     p = tmp_path / "junk.bin"
     p.write_bytes(b"NOTACACHE")
     with pytest.raises(cache.CacheFormatError):
         cache.load(str(p))
+
+
+def test_cache_of_empty_graph_loads(tmp_path):
+    path = tmp_path / "g.lglb"
+    cache.save(TemporalGraph.build([]), str(path))
+    h = cache.load(str(path))
+    assert h.num_nodes == 0 and h.num_edges == 0
+
+
+def test_cache_rejects_truncated_file(tmp_path):
+    path = tmp_path / "g.lglb"
+    cache.save(graph_of([(100, 0, 1), (200, 1, 2)]), str(path))
+    blob = path.read_bytes()
+    for cut in (3, 10, len(blob) // 2, len(blob) - 1):
+        path.write_bytes(blob[:cut])
+        with pytest.raises(cache.CacheFormatError, match="truncated"):
+            cache.load(str(path))
+
+
+def test_cache_rejects_trailing_bytes(tmp_path):
+    path = tmp_path / "g.lglb"
+    cache.save(graph_of([(100, 0, 1)]), str(path))
+    path.write_bytes(path.read_bytes() + b"\x00")
+    with pytest.raises(cache.CacheFormatError, match="trailing"):
+        cache.load(str(path))
+
+
+def test_cache_rejects_unknown_column_type(tmp_path):
+    g = graph_of([(100, 0, 1)])
+    path = tmp_path / "g.lglb"
+    cache.save(g, str(path))
+    blob = bytearray(path.read_bytes())
+    at = 6 + sum(8 + len("\n".join(t).encode())
+                 for t in (g.addresses, g.contracts))   # n_first's typecode
+    assert blob[at:at + 1] == b"q"
+    blob[at:at + 1] = b"z"
+    path.write_bytes(bytes(blob))
+    with pytest.raises(cache.CacheFormatError, match="column type"):
+        cache.load(str(path))
+
+
+@pytest.mark.parametrize("column", ["n_txc", "e_dst", "e_token"])
+def test_cache_rejects_column_of_wrong_length(tmp_path, column):
+    g = graph_of([(100, 0, 1), (200, 1, 2)])
+    getattr(g, column).pop()
+    path = tmp_path / "g.lglb"
+    cache.save(g, str(path))
+    with pytest.raises(cache.CacheFormatError, match="section lengths"):
+        cache.load(str(path))
 
 
 def test_cache_rejects_wrong_version(tmp_path):
