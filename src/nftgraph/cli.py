@@ -98,12 +98,11 @@ def _load_graph(path: str) -> TemporalGraph:
 # ---------------------------------------------------------------------
 
 def cmd_ingest(args) -> int:
-    stats, classes = normalize_stream(args.input, args.output)
+    stats, contracts = normalize_stream(args.input, args.output)
     body = {
         "stats": stats.as_dict(),
         "balances": stats.balances(),
-        "contracts": [{"contract": c.contract, "erc721": c.erc721,
-                       "log_count": c.log_count} for c in classes],
+        "contracts": contracts,
         "output": args.output,
     }
     _emit_json(_make_report(args, args.input, body), args.report)
@@ -282,7 +281,7 @@ def cmd_export_ml(args) -> int:
             print(f"nftgraph: --negatives-snapshot {idx} is outside "
                   f"[0, {len(series)})", file=sys.stderr)
             return EXIT_USAGE
-    plan = mlbench.export_features(
+    roles = mlbench.export_features(
         g, series, args.out_dir, task=args.task, split_mode=args.split_mode,
         seed=args.seed, earlystop_fraction=args.earlystop_fraction)
     for idx in args.negatives_snapshot or []:
@@ -293,7 +292,7 @@ def cmd_export_ml(args) -> int:
                   [[u, v] + negs for (u, v), negs in sorted(negatives.items())])
     body = {
         "snapshots": len(series),
-        "roles": plan.roles,
+        "roles": roles,
         "labels": [s.label for s in series.snapshots],
     }
     _emit_json(_make_report(args, [args.input], body),

@@ -31,6 +31,10 @@ from .graph import SimpleDigraph
 
 MAX_QUERY_VERTICES = 16
 
+# |Aut(q)| is k! for a k-leaf out-star, and every automorphism is kept in
+# memory; a query with more is rejected rather than enumerated
+MAX_AUTOMORPHISMS = 100_000
+
 WILDCARD = None
 
 _EMPTY: frozenset[int] = frozenset()
@@ -136,13 +140,6 @@ def builtin_patterns() -> list[QueryGraph]:
     return [parse_query(text, name) for name, text in BUILTIN_PATTERNS.items()]
 
 
-@dataclass(frozen=True)
-class Match:
-    mapping: tuple[int, ...]      # query vertex index -> data vertex
-    trigger: tuple[int, int] | None
-    timestamp: int | None
-
-
 def _matching_order(q: QueryGraph, seeds: Sequence[int]) -> list[int]:
     """Static order over remaining query vertices: degree-descending, each
     vertex adjacent to the already-ordered prefix."""
@@ -221,35 +218,53 @@ def _search(g: SimpleDigraph, labels: dict[int, object], steps: list[Step],
 
 
 def match_static(data: SimpleDigraph, q: QueryGraph,
-                 labels: dict[int, object] | None = None,
-                 *, dedup_automorphisms: bool = False) -> list[Match]:
-    """All injective direction- and label-preserving embeddings of q.
+                 labels: dict[int, object] | None = None
+                 ) -> list[tuple[int, ...]]:
+    """All injective direction- and label-preserving embeddings of q, as
+    sorted mappings (query vertex index -> data vertex).
 
     Serves as the brute-force reference for the incremental path.
     """
     found: list[tuple[int, ...]] = []
     _search(data, labels or {}, _compile(q, []), [None] * q.num_vertices,
             set(), found)
-    mappings = [Match(m, None, None) for m in sorted(found)]
-    if dedup_automorphisms:
-        mappings = dedup_matches(q, mappings)
-    return mappings
+    return sorted(found)
+
+
+class _Automorphisms(list):
+    """`_search`'s collector for `query_automorphisms`.
+
+    The search lets a wildcard vertex take any label, but a true
+    automorphism must carry each label onto an identical label, so only
+    those are kept.  Raises QueryError at the first one past
+    MAX_AUTOMORPHISMS.
+    """
+
+    def __init__(self, q: QueryGraph):
+        super().__init__()
+        self.q = q
+
+    def append(self, m: tuple[int, ...]) -> None:
+        labels = self.q.labels
+        if all(labels[v] == labels[w] for v, w in enumerate(m)):
+            if len(self) == MAX_AUTOMORPHISMS:
+                raise QueryError(f"query {self.q.name!r} has more than "
+                                 f"{MAX_AUTOMORPHISMS} automorphisms")
+            super().append(m)
 
 
 def query_automorphisms(q: QueryGraph,
                         deadline: float = math.inf) -> list[tuple[int, ...]]:
     """All label/direction preserving self-embeddings of the query.
 
-    Raises TimeLimitExceeded at the first search node past `deadline`.
+    Raises TimeLimitExceeded at the first search node past `deadline`, and
+    QueryError if there are more than MAX_AUTOMORPHISMS.
     """
     n = q.num_vertices
-    found: list[tuple[int, ...]] = []
+    found = _Automorphisms(q)
     _search(SimpleDigraph(range(n), q.edges), dict(enumerate(q.labels)),
             _compile(q, []), [None] * n, set(), found, deadline)
-    # wildcards match anything, but a true automorphism must carry each
-    # label onto an identical label
-    return sorted(m for m in found
-                  if all(q.labels[v] == q.labels[m[v]] for v in range(n)))
+    return sorted(found)
 
 
 def _composers(autos: list[tuple[int, ...]]) -> list[Callable]:
@@ -263,18 +278,6 @@ def _composers(autos: list[tuple[int, ...]]) -> list[Callable]:
             for a in autos]
 
 
-def dedup_matches(q: QueryGraph, matches: Iterable[Match]) -> list[Match]:
-    composers = _composers(query_automorphisms(q))
-    seen = set()
-    out = []
-    for m in matches:
-        canon = min(c(m.mapping) for c in composers)
-        if canon not in seen:
-            seen.add(canon)
-            out.append(m)
-    return out
-
-
 class MatchContext:
     """Incremental matching state for one query over an insertion stream.
 
@@ -282,7 +285,8 @@ class MatchContext:
     match enumeration of every insert, all against `time_limit_ms`.  If
     the automorphisms are not all found within the budget, the context
     gets no search plans: its first insert finds nothing and sets
-    `timed_out`, like an insert cut mid-search.
+    `timed_out`, like an insert cut mid-search.  A query with more than
+    MAX_AUTOMORPHISMS automorphisms raises QueryError.
     """
 
     def __init__(self, q: QueryGraph, *, window: int | None = None,
@@ -345,8 +349,9 @@ class MatchContext:
                 classes[canon] = orbit if self._window_ok(m) else []
         return classes
 
-    def insert_edge(self, u: int, v: int, ts: int) -> list[Match]:
-        """Insert a pair and return the matches it completes.
+    def insert_edge(self, u: int, v: int, ts: int) -> list[tuple[int, ...]]:
+        """Insert a pair and return the sorted mappings (query vertex index
+        -> data vertex) of the matches it completes.
 
         The search stops at the first node past the per-query budget; that
         insert is abandoned (it adds no matches) and `timed_out` is set.
@@ -377,10 +382,9 @@ class MatchContext:
             classes = self._classes(found, deadline) if found else {}
         except TimeLimitExceeded:
             classes = {}
-        matches = []
+        matches: list[tuple[int, ...]] = []
         if classes:                     # most inserts complete no match
-            matches = [Match(m, (u, v), ts)
-                       for m in sorted(chain.from_iterable(classes.values()))]
+            matches = sorted(chain.from_iterable(classes.values()))
             self.match_count += len(matches)
             self.dedup_canon.update(c for c, orbit in classes.items()
                                     if orbit)

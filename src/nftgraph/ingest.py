@@ -90,18 +90,6 @@ class SkipReason(Enum):
     ARITY = "arity"
 
 
-@dataclass(frozen=True)
-class Skip:
-    reason: SkipReason
-
-
-@dataclass(frozen=True)
-class ContractClass:
-    contract: str
-    erc721: bool
-    log_count: int
-
-
 @dataclass
 class IngestStats:
     records_read: int = 0
@@ -172,12 +160,15 @@ def parse_log_line(line: str, *, now: int | None = None) -> RawLog:
     m = _CANONICAL_CSV.match(stripped)
     if m is not None:
         block, ts, tx_hash, log_index, contract, topics, data = m.groups()
-        ts = int(ts)
+        try:
+            block, ts, log_index = int(block), int(ts), int(log_index)
+        except ValueError:      # past the interpreter's int digit limit
+            raise MalformedRecord("integer field too long") from None
         upper = now if now is not None else int(time.time())
         if ts < EARLIEST_TIMESTAMP or ts > upper:
             raise MalformedRecord("timestamp out of range")
-        return RawLog(block_number=int(block), block_timestamp=ts,
-                      tx_hash=tx_hash, log_index=int(log_index),
+        return RawLog(block_number=block, block_timestamp=ts,
+                      tx_hash=tx_hash, log_index=log_index,
                       contract=contract, topics=tuple(topics.split("|")),
                       data=data)
     if not stripped:
@@ -185,7 +176,7 @@ def parse_log_line(line: str, *, now: int | None = None) -> RawLog:
     if stripped.startswith("{"):
         try:
             obj = json.loads(stripped)
-        except (json.JSONDecodeError, RecursionError):
+        except (ValueError, RecursionError):    # JSONDecodeError included
             raise MalformedRecord("bad json") from None
         missing = [k for k in RAW_CSV_COLUMNS if k not in obj]
         if missing:
@@ -194,7 +185,10 @@ def parse_log_line(line: str, *, now: int | None = None) -> RawLog:
         if not isinstance(topics, list):
             raise MalformedRecord("topics not a list")
     else:
-        row = next(csv.reader([stripped]))
+        try:
+            row = next(csv.reader([stripped]))
+        except csv.Error:       # a field past csv.field_size_limit()
+            raise MalformedRecord("bad csv") from None
         if len(row) != len(RAW_CSV_COLUMNS):
             raise MalformedRecord("column count")
         obj = dict(zip(RAW_CSV_COLUMNS, row))
@@ -217,17 +211,17 @@ def parse_log_line(line: str, *, now: int | None = None) -> RawLog:
     )
 
 
-def decode_transfer(raw: RawLog) -> TransferEvent | Skip:
-    """Decode a RawLog into a TransferEvent, or Skip it.
+def decode_transfer(raw: RawLog) -> TransferEvent | SkipReason:
+    """Decode a RawLog into a TransferEvent, or the reason to skip it.
 
     A conforming ERC-721 Transfer carries 4 topics: the event hash plus
     indexed from/to/tokenId.  The 3-topic variant is the ERC-20 shape
     (value lives in `data`) and marks the contract as non-conforming.
     """
     if raw.topics[0] != TRANSFER_TOPIC:
-        return Skip(SkipReason.WRONG_TOPIC)
+        return SkipReason.WRONG_TOPIC
     if len(raw.topics) != 4:
-        return Skip(SkipReason.ARITY)
+        return SkipReason.ARITY
     from_addr = "0x" + raw.topics[1][-40:]
     to_addr = "0x" + raw.topics[2][-40:]
     if from_addr == NULL_ADDRESS and to_addr == NULL_ADDRESS:
@@ -260,13 +254,15 @@ def normalize_stream(
     output: str,
     *,
     now: int | None = None,
-) -> tuple[IngestStats, list[ContractClass]]:
+) -> tuple[IngestStats, list[dict]]:
     """Run the full ingest pass over raw log files.
 
     Survivors are deduplicated on (tx_hash, log_index) keeping the first
     occurrence, restricted to conforming contracts, sorted by
     (timestamp, block_number, log_index) and written as normalized CSV.
     The output is written whole or not at all (see `output.open_output`).
+    Returns the stats and one {"contract", "erc721", "log_count"} row per
+    contract seen with a Transfer log, sorted by address.
     """
     stats = IngestStats()
     wall = now if now is not None else int(time.time())
@@ -293,8 +289,8 @@ def normalize_stream(
             except MalformedRecord:
                 stats.skipped_malformed += 1
                 continue
-            if isinstance(outcome, Skip):
-                if outcome.reason is SkipReason.WRONG_TOPIC:
+            if isinstance(outcome, SkipReason):
+                if outcome is SkipReason.WRONG_TOPIC:
                     stats.skipped_wrong_topic += 1
                 else:
                     stats.skipped_non_conforming += 1
@@ -314,14 +310,12 @@ def normalize_stream(
     survivors.sort(key=attrgetter("timestamp", "block_number", "log_index"))
     stats.transfers_emitted = len(survivors)
 
-    classes = []
-    for contract in sorted(set(transfer_counts) | bad_contracts):
-        n = transfer_counts.get(contract, 0) + arity_by_contract.get(contract, 0)
-        classes.append(ContractClass(contract=contract,
-                                     erc721=contract not in bad_contracts,
-                                     log_count=n))
+    contracts = [{"contract": c, "erc721": c not in bad_contracts,
+                  "log_count": (transfer_counts.get(c, 0)
+                                + arity_by_contract.get(c, 0))}
+                 for c in sorted(set(transfer_counts) | bad_contracts)]
     write_transfers(output, survivors)
-    return stats, classes
+    return stats, contracts
 
 
 def write_transfers(path: str, events: Iterable[TransferEvent]) -> None:

@@ -353,9 +353,9 @@ def hub_correlation(g: TemporalGraph, granularity: str, period: int | str, *,
     for u, v, ts in g.edges(nxt.end_ts - 1, include_null=include_null):
         if ts < nxt.start_ts:
             continue
-        if u in view.nodes and nxt.contains(g.n_first[v]):
+        if u in view.nodes and nxt.start_ts <= g.n_first[v] < nxt.end_ts:
             gains.setdefault(u, set()).add(v)
-        if v in view.nodes and nxt.contains(g.n_first[u]):
+        if v in view.nodes and nxt.start_ts <= g.n_first[u] < nxt.end_ts:
             gains.setdefault(v, set()).add(u)
 
     xs, ys = [], []

@@ -1,4 +1,4 @@
-"""Snapshot export, split plans, negative sampling, trader labels and
+"""Snapshot export, split roles, negative sampling, trader labels and
 score-file evaluation for temporal-GNN benchmarks.
 
 Model training happens outside this package; we produce its inputs and
@@ -77,31 +77,22 @@ def build_snapshots(g: TemporalGraph, granularity: str, *,
     return series
 
 
-@dataclass
-class SplitPlan:
-    mode: str                       # fixed | live_update | node_fixed
-    roles: list[str]                # per-snapshot: train | val | test
-
-    @classmethod
-    def assign(cls, mode: str, num_snapshots: int) -> "SplitPlan":
-        t = num_snapshots
-        if t == 0:
-            return cls(mode=mode, roles=[])
-        if mode == "fixed":
-            test = math.ceil(0.2 * t)
-            roles = ["train"] * (t - test) + ["test"] * test
-        elif mode == "node_fixed":
-            train = math.floor(0.8 * t)
-            val = math.floor(0.1 * t)
-            roles = ["train"] * train + ["val"] * val + \
-                ["test"] * (t - train - val)
-        elif mode == "live_update":
-            # every snapshot is evaluated; the early-stop reservation is a
-            # per-edge mask, not a snapshot role
-            roles = ["test"] * t
-        else:
-            raise ValueError(f"unknown split mode {mode!r}")
-        return cls(mode=mode, roles=roles)
+def split_roles(mode: str, num_snapshots: int) -> list[str]:
+    """Per-snapshot role, train | val | test, under split mode fixed,
+    node_fixed or live_update."""
+    t = num_snapshots
+    if mode == "fixed":
+        test = math.ceil(0.2 * t)
+        return ["train"] * (t - test) + ["test"] * test
+    if mode == "node_fixed":
+        train = math.floor(0.8 * t)
+        val = math.floor(0.1 * t)
+        return ["train"] * train + ["val"] * val + ["test"] * (t - train - val)
+    if mode == "live_update":
+        # every snapshot is evaluated; the early-stop reservation is a
+        # per-edge mask, not a snapshot role
+        return ["test"] * t
+    raise ValueError(f"unknown split mode {mode!r}")
 
 
 def sample_negatives(series: SnapshotSeries, index: int, k: int = 100,
@@ -139,14 +130,10 @@ def sample_negatives(series: SnapshotSeries, index: int, k: int = 100,
     return out
 
 
-@dataclass(frozen=True)
-class TraderLabel:
-    address: str
-    cls: str
-
-
-def trader_labels(g: TemporalGraph, *, include_null: bool = False) -> list[TraderLabel]:
-    """Classify nodes by their maximum gap between consecutive transactions.
+def trader_labels(g: TemporalGraph, *,
+                  include_null: bool = False) -> dict[str, str]:
+    """Trader class by address, in node-id order, from each node's maximum
+    gap between consecutive transactions.
 
     <= 1 day: daily; <= 7 days: weekly; <= 30 days: monthly; <= 365 days:
     yearly; otherwise remaining.  Nodes with fewer than two transactions
@@ -158,7 +145,7 @@ def trader_labels(g: TemporalGraph, *, include_null: bool = False) -> list[Trade
         times.setdefault(u, []).append(ts)
         if v != u:
             times.setdefault(v, []).append(ts)
-    labels = []
+    labels = {}
     for node in range(g.num_nodes):
         if not include_null and node == g.null_id:
             continue
@@ -171,13 +158,13 @@ def trader_labels(g: TemporalGraph, *, include_null: bool = False) -> list[Trade
             if max_gap <= limit:
                 cls = name
                 break
-        labels.append(TraderLabel(address=g.addresses[node], cls=cls))
+        labels[g.addresses[node]] = cls
     return labels
 
 
 def export_features(g: TemporalGraph, series: SnapshotSeries, out_dir: str, *,
                     task: str = "link", split_mode: str = "fixed",
-                    seed: int = 0, earlystop_fraction: float = 0.1) -> SplitPlan:
+                    seed: int = 0, earlystop_fraction: float = 0.1) -> list[str]:
     """Write one directory per snapshot: edges.csv, nodes.csv, manifest.json.
 
     Edge features are (tx count between the pair, latest interaction
@@ -185,10 +172,8 @@ def export_features(g: TemporalGraph, series: SnapshotSeries, out_dir: str, *,
     the constant 1 for the link task.  live_update additionally marks a
     seeded random `earlystop` fraction of each snapshot's edges.
     """
-    plan = SplitPlan.assign(split_mode, len(series))
-    label_by_addr = {}
-    if task == "node":
-        label_by_addr = {t.address: t.cls for t in trader_labels(g)}
+    roles = split_roles(split_mode, len(series))
+    label_by_addr = trader_labels(g) if task == "node" else {}
     os.makedirs(out_dir, exist_ok=True)
     write_csv(os.path.join(out_dir, "addresses.csv"),
               ["address_id", "address"], enumerate(g.addresses))
@@ -224,14 +209,14 @@ def export_features(g: TemporalGraph, series: SnapshotSeries, out_dir: str, *,
             "label": snap.label,
             "start_ts": snap.start_ts,
             "end_ts": snap.end_ts,
-            "role": plan.roles[snap.index],
+            "role": roles[snap.index],
             "split_mode": split_mode,
             "seed": seed,
             "exclude_null": series.exclude_null,
         }
         with open_output(os.path.join(sd, "manifest.json")) as fh:
             json.dump(manifest, fh, indent=2, sort_keys=True)
-    return plan
+    return roles
 
 
 # ---------------------------------------------------------------------

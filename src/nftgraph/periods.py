@@ -7,7 +7,7 @@ quarter (3 months), half (6 months), year.
 from __future__ import annotations
 
 from datetime import date, datetime, timedelta, timezone
-from typing import Iterator
+from typing import Iterator, NamedTuple
 
 GRANULARITIES = ("day", "week", "month", "quarter", "half", "year")
 
@@ -64,19 +64,10 @@ def period_label(granularity: str, start: date) -> str:
     return str(start.year)
 
 
-class Period:
-    __slots__ = ("label", "start_ts", "end_ts")
-
-    def __init__(self, label: str, start_ts: int, end_ts: int):
-        self.label = label
-        self.start_ts = start_ts   # inclusive
-        self.end_ts = end_ts       # exclusive
-
-    def contains(self, ts: int) -> bool:
-        return self.start_ts <= ts < self.end_ts
-
-    def __repr__(self):
-        return f"Period({self.label})"
+class Period(NamedTuple):
+    label: str
+    start_ts: int       # inclusive
+    end_ts: int         # exclusive
 
 
 def iter_periods(granularity: str, first_ts: int, last_ts: int) -> Iterator[Period]:

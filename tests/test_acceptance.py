@@ -21,7 +21,7 @@ from nftgraph.ingest import normalize_stream
 from nftgraph.metrics import (assortativity, avg_clustering, density,
                               effective_diameter, mutual_edge_intervals,
                               reciprocity, tea_tet)
-from nftgraph.mlbench import (ScoreRecord, SplitPlan, eval_link_scores,
+from nftgraph.mlbench import (ScoreRecord, eval_link_scores, split_roles,
                               trader_labels)
 from nftgraph.periods import iter_periods, period_index
 
@@ -117,7 +117,7 @@ def test_criterion_csm_delta_correctness():
                 ctx = init_context(initial, q)
                 got = []
                 for u, v, t in stream:
-                    got.extend(m.mapping for m in ctx.insert_edge(u, v, t))
+                    got.extend(ctx.insert_edge(u, v, t))
                 full = oracles.enumerate_embeddings(
                     nodes, all_pairs, q.num_vertices, q.edges)
                 want = [m for m in full
@@ -190,7 +190,7 @@ def test_criterion_planted_fixture_recovery(planted):
         ok, details = False, details + ["wash cycle mappings"]
 
     from collections import Counter
-    classes = Counter(t.cls for t in trader_labels(g))
+    classes = Counter(trader_labels(g).values())
     if dict(classes) != ledger["trader_class_counts"]:
         ok, details = False, details + ["trader classes"]
 
@@ -220,16 +220,16 @@ def test_criterion_ml_export_protocol():
     name = "ml export protocol anchors"
     ok = True
     for t in (5, 10, 253, 1657):
-        plan = SplitPlan.assign("fixed", t)
+        roles = split_roles("fixed", t)
         want_test = math.ceil(0.2 * t)
-        ok = ok and plan.roles.count("test") == want_test
-        ok = ok and plan.roles[-want_test:] == ["test"] * want_test
+        ok = ok and roles.count("test") == want_test
+        ok = ok and roles[-want_test:] == ["test"] * want_test
 
     base = 1600000000
     g1 = TemporalGraph.build(make_events([(base, 0, 1), (base + 86400, 0, 2)]))
     g2 = TemporalGraph.build(make_events([(base, 0, 1), (base + 86401, 0, 2)]))
-    lab1 = {t.address: t.cls for t in trader_labels(g1)}
-    lab2 = {t.address: t.cls for t in trader_labels(g2)}
+    lab1 = trader_labels(g1)
+    lab2 = trader_labels(g2)
     a0 = make_events([(base, 0, 1)])[0].from_addr
     ok = ok and lab1[a0] == "daily" and lab2[a0] == "weekly"
 

@@ -336,6 +336,23 @@ def test_csm_cli_custom_query_and_window(data_dir, tmp_path, capsys):
     assert row["query"] == "tri" and row["matches"] == "0"
 
 
+def test_csm_query_over_automorphism_cap_exits_2(data_dir, tmp_path,
+                                                 capsys):
+    qfile = tmp_path / "star9.txt"               # 9! automorphisms
+    qfile.write_text("".join(f"v {i} *\n" for i in range(10))
+                     + "".join(f"e 0 {i}\n" for i in range(1, 10)))
+    out = tmp_path / "csm.csv"
+    capsys.readouterr()
+    rc = main(["csm", "--input", str(data_dir / "planted.csv"),
+               "--initial-until", str(ledger_of(data_dir)["csm_initial_until"]),
+               "--queries", str(qfile), "--output", str(out)])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err.startswith("nftgraph: ") and err.count("\n") == 1
+    assert "star9" in err
+    assert not out.exists()
+
+
 def test_export_ml_and_eval_cli(data_dir, tmp_path, capsys):
     out = tmp_path / "ml"
     rc = main(["export-ml", "--input", str(data_dir / "planted.csv"),

@@ -3,6 +3,7 @@ import random
 import pytest
 
 import oracles
+from nftgraph import csm
 from nftgraph.csm import (BUILTIN_PATTERNS, MatchContext, StreamConfig,
                           assign_labels, builtin_patterns, init_context,
                           match_static, parse_query, run_stream)
@@ -64,8 +65,9 @@ def test_builtin_patterns_valid():
 
 def test_static_cycle_counts():
     v = view_of([(0, 1), (1, 2), (2, 0)])
-    assert len(match_static(v, P1)) == 3
-    assert len(match_static(v, P1, dedup_automorphisms=True)) == 1
+    found = match_static(v, P1)
+    assert len(found) == 3
+    assert len(oracles.dedup_by_automorphism(3, P1.edges, found)) == 1
 
 
 def test_static_two_cycle_on_dag():
@@ -82,20 +84,20 @@ def test_static_single_edge_counts_pairs():
 def test_static_trivial_pattern_matches_every_vertex():
     q = parse_query("v 0 *")
     v = view_of([(0, 1)], extra_nodes=[5])
-    assert {m.mapping[0] for m in match_static(v, q)} == {0, 1, 5}
+    assert {m[0] for m in match_static(v, q)} == {0, 1, 5}
 
 
 def test_static_respects_labels():
     q = parse_query("v 0 7; v 1 *; e 0 1")
     v = view_of([(0, 1), (1, 0)])
     found = match_static(v, q, labels={0: 7, 1: 3})
-    assert [m.mapping for m in found] == [(0, 1)]
+    assert found == [(0, 1)]
 
 
 def test_static_self_loop_query():
     q = parse_query("v 0 *; e 0 0")
     v = view_of([(0, 0), (0, 1)])
-    assert [m.mapping for m in match_static(v, q)] == [(0,)]
+    assert match_static(v, q) == [(0,)]
 
 
 def test_static_matches_oracle_on_random_graphs():
@@ -105,7 +107,7 @@ def test_static_matches_oracle_on_random_graphs():
         pairs = {(rng.randrange(n), rng.randrange(n)) for _ in range(30)}
         v = view_of(pairs, extra_nodes=range(n))
         for q in builtin_patterns():
-            got = sorted(m.mapping for m in match_static(v, q))
+            got = match_static(v, q)
             want = sorted(oracles.enumerate_embeddings(
                 v.nodes, v.pairs, q.num_vertices, q.edges))
             assert got == want
@@ -125,9 +127,8 @@ def test_insert_completing_cycle():
     assert ctx.match_count == 3
     assert ctx.dedup_count == 1
     for m in matches:
-        assert m.trigger == (2, 0) and m.timestamp == 30
         # the trigger edge is part of the embedding
-        edges = {(m.mapping[x], m.mapping[y]) for x, y in P1.edges}
+        edges = {(m[x], m[y]) for x, y in P1.edges}
         assert (2, 0) in edges
 
 
@@ -179,6 +180,31 @@ def test_time_limit_bounds_a_single_insert():
     assert ctx.insert_edge(0, 1, 2) == []
     assert ctx.match_count == 0
     assert ctx.timed_out
+    # a context that has its plans, with the budget running out in the
+    # search: the insert is abandoned
+    ctx = init_context(complete, p3)
+    ctx.time_limit_ms = ctx.elapsed_ms
+    assert ctx._plans and ctx.insert_edge(0, 1, 2) == []
+    assert ctx.match_count == 0
+    assert ctx.timed_out
+
+
+def out_star(leaves):
+    return parse_query("; ".join(f"v {i} *" for i in range(leaves + 1))
+                       + "; " + "; ".join(f"e 0 {i}"
+                                          for i in range(1, leaves + 1)),
+                       f"star{leaves}")
+
+
+def test_automorphism_count_is_capped(monkeypatch):
+    assert len(MatchContext(out_star(8)).autos) == 40320     # 8!
+    with pytest.raises(QueryError, match="star9"):
+        MatchContext(out_star(9))                            # 9! = 362880
+    monkeypatch.setattr(csm, "MAX_AUTOMORPHISMS", 24)
+    assert len(MatchContext(out_star(4)).autos) == 24        # 4!
+    monkeypatch.setattr(csm, "MAX_AUTOMORPHISMS", 23)
+    with pytest.raises(QueryError, match="more than 23 automorphisms"):
+        MatchContext(out_star(4))
 
 
 def _random_stream(rng, max_nodes=30, max_inserts=200):
@@ -218,7 +244,7 @@ def test_delta_correctness_random_streams():
                 got = ctx.insert_edge(u, v, t)
                 assert ctx.match_count >= prev_count   # monotone
                 prev_count = ctx.match_count
-                seen.extend(m.mapping for m in got)
+                seen.extend(got)
             want = _expected_deltas(initial, stream, q)
             assert sorted(seen) == sorted(want)
             assert len(seen) == len(set(seen))         # no duplicate deltas
@@ -245,7 +271,7 @@ def test_labels_restrict_matches():
     labels = {0: 2, 1: 5, 2: 5}
     ctx = init_context(initial, q, labels)
     got = ctx.insert_edge(*stream[0])
-    assert [m.mapping for m in got] == [(0, 1, 2)]
+    assert got == [(0, 1, 2)]
 
 
 def test_run_stream_isolated_queries():
@@ -353,8 +379,7 @@ def _check_against_oracle(initial, stream, q, labels, window):
     ctx = init_context(initial, q, labels, window=window)
     for i, (u, v, t) in enumerate(stream, len(initial)):
         got = ctx.insert_edge(u, v, t)
-        assert [m.mapping for m in got] == sorted(want.get(i, []))
-        assert all(m.trigger == (u, v) and m.timestamp == t for m in got)
+        assert got == sorted(want.get(i, []))
     every = sorted(m for ms in want.values() for m in ms)
     dedup = len(oracles.dedup_by_automorphism(q.num_vertices, q.edges, every,
                                               q.labels))

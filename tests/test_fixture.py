@@ -55,5 +55,5 @@ def test_raw_round_trip_through_ingest(tmp_path):
     stats, classes = normalize_stream([str(raw)], str(norm))
     assert stats.transfers_emitted == len(rows)
     assert stats.skipped_malformed == 0
-    assert all(c.erc721 for c in classes)
+    assert all(c["erc721"] for c in classes)
     assert list(read_transfers(str(norm))) == list(rows)

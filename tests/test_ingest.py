@@ -2,9 +2,13 @@ import json
 
 import pytest
 
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
 from nftgraph.errors import MalformedRecord
-from nftgraph.ingest import (EARLIEST_TIMESTAMP, NULL_ADDRESS, TRANSFER_TOPIC,
-                             Skip, SkipReason, decode_transfer,
+from nftgraph.ingest import (EARLIEST_TIMESTAMP, NULL_ADDRESS, RAW_CSV_COLUMNS,
+                             TRANSFER_TOPIC, RawLog, SkipReason,
+                             TransferEvent, decode_transfer,
                              normalize_stream, parse_log_line, read_transfers,
                              write_transfers)
 from oracles import keccak256
@@ -93,6 +97,8 @@ def test_parse_rejects_empty_and_bad_csv():
         parse_log_line("{not json", now=NOW)
     with pytest.raises(MalformedRecord, match="bad json"):
         parse_log_line('{"a":' + "[" * 100000, now=NOW)
+    with pytest.raises(MalformedRecord, match="bad csv"):
+        parse_log_line("1,2," + "a" * 200000 + ",3,4,5,6", now=NOW)
 
 
 def _raw(topics, contract=GOOD_CONTRACT):
@@ -120,12 +126,12 @@ def test_decode_three_topic_is_arity_skip():
     out = decode_transfer(_raw([TRANSFER_TOPIC,
                                 pad_addr("0x" + "01" * 20),
                                 pad_addr("0x" + "02" * 20)]))
-    assert isinstance(out, Skip) and out.reason is SkipReason.ARITY
+    assert out is SkipReason.ARITY
 
 
 def test_decode_wrong_topic_skip():
     out = decode_transfer(_raw([OTHER_TOPIC] * 4))
-    assert isinstance(out, Skip) and out.reason is SkipReason.WRONG_TOPIC
+    assert out is SkipReason.WRONG_TOPIC
 
 
 def test_decode_null_to_null_is_malformed():
@@ -178,9 +184,9 @@ def test_normalize_stream_golden(tmp_path):
     assert stats.skipped_malformed == 1
     assert stats.balances()
 
-    by_contract = {c.contract: c for c in classes}
-    assert by_contract[GOOD_CONTRACT].erc721
-    assert not by_contract[ERC20_CONTRACT].erc721
+    by_contract = {c["contract"]: c for c in classes}
+    assert by_contract[GOOD_CONTRACT]["erc721"]
+    assert not by_contract[ERC20_CONTRACT]["erc721"]
 
     normalize_stream([str(raw)], str(out2), now=NOW)
     assert out1.read_bytes() == out2.read_bytes()
@@ -199,6 +205,35 @@ def test_normalize_rejects_nothing_on_clean_file(tmp_path):
                                 transfer_topics(a1, a2, 1)) + "\n")
     stats, _ = normalize_stream([str(raw)], str(tmp_path / "n.csv"), now=NOW)
     assert stats.transfers_emitted == stats.records_read == 1
+
+
+def test_over_long_integer_field_is_malformed(tmp_path):
+    # int() and json.loads refuse more than 4300 digits (the interpreter's
+    # default limit) with a plain ValueError
+    from nftgraph.cli import main
+    a1, a2 = "0x" + "01" * 20, "0x" + "02" * 20
+    good = raw_csv_line(1, 1600000000, "0x" + "ab" * 32, 0, GOOD_CONTRACT,
+                        transfer_topics(a1, a2, 1))
+    long_csv = raw_csv_line("9" * 5000, 1600000000, "0x" + "cd" * 32, 0,
+                            GOOD_CONTRACT, transfer_topics(a1, a2, 2))
+    obj = {"block_number": 0, "block_timestamp": 1600000000,
+           "transaction_hash": "0x" + "ef" * 32, "log_index": 0,
+           "address": GOOD_CONTRACT, "topics": transfer_topics(a1, a2, 3),
+           "data": "0x"}
+    long_json = json.dumps(obj).replace('"block_number": 0',
+                                        '"block_number": ' + "9" * 5000)
+    for line in (long_csv, long_json):
+        with pytest.raises(MalformedRecord):
+            parse_log_line(line, now=NOW)
+    raw = tmp_path / "raw.csv"
+    raw.write_text("\n".join([good, long_csv, long_json]) + "\n")
+    report = tmp_path / "report.json"
+    assert main(["ingest", "--input", str(raw), "--output",
+                 str(tmp_path / "n.csv"), "--report", str(report)]) == 0
+    body = json.loads(report.read_text())
+    assert body["stats"]["transfers_emitted"] == 1
+    assert body["stats"]["skipped_malformed"] == 2
+    assert body["balances"] is True
 
 
 def test_write_read_round_trip(tmp_path):
@@ -261,3 +296,80 @@ def test_read_transfers_rejects_bad_header(tmp_path):
     p.write_text("a,b,c\n1,2,3\n")
     with pytest.raises(MalformedRecord):
         list(read_transfers(str(p)))
+
+
+# -- fuzzing -----------------------------------------------------------
+
+def _check_line(line):
+    """parse_log_line gives a RawLog or raises MalformedRecord; decoding
+    that gives a TransferEvent or a SkipReason or raises MalformedRecord.
+    Anything else escaping would abort a whole ingest."""
+    try:
+        raw = parse_log_line(line, now=NOW)
+    except MalformedRecord:
+        return
+    assert isinstance(raw, RawLog)
+    try:
+        out = decode_transfer(raw)
+    except MalformedRecord:
+        return
+    assert isinstance(out, (TransferEvent, SkipReason))
+
+
+_CANON_TOPICS = transfer_topics("0x" + "01" * 20, "0x" + "0a" * 20, 7)
+_CANON_FIELDS = ["100", "1600000000", "0x" + "1f" * 32, "3", GOOD_CONTRACT,
+                 "|".join(_CANON_TOPICS), "0x00ff"]
+_CANON_LINE = ",".join(_CANON_FIELDS)
+_CANON_OBJ = {"block_number": 100, "block_timestamp": 1600000000,
+              "transaction_hash": "0x" + "1f" * 32, "log_index": 3,
+              "address": GOOD_CONTRACT, "topics": _CANON_TOPICS,
+              "data": "0x00ff"}
+
+# reading a file splits lines at \n and \r, so no line holds either
+_line_text = st.text(st.characters(exclude_characters="\n\r"))
+
+_json_values = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(),
+    lambda inner: st.lists(inner, max_size=4)
+    | st.dictionaries(st.text(), inner, max_size=4),
+    max_leaves=10)
+
+
+@st.composite
+def _spliced_csv(draw):
+    i = draw(st.integers(0, len(_CANON_LINE)))
+    j = draw(st.integers(i, len(_CANON_LINE)))
+    return _CANON_LINE[:i] + draw(_line_text) + _CANON_LINE[j:]
+
+
+@st.composite
+def _json_field_replaced(draw):
+    obj = dict(_CANON_OBJ)
+    obj[draw(st.sampled_from(RAW_CSV_COLUMNS))] = draw(_json_values)
+    return json.dumps(obj)
+
+
+@st.composite
+def _digit_run_field(draw):
+    """The canonical CSV or JSON line with one field replaced by a run of
+    up to 5000 digits, past the interpreter's int() digit limit."""
+    n = draw(st.integers(1, 5000))
+    run = (draw(st.text("0123456789", min_size=1, max_size=8)) * n)[:n]
+    k = draw(st.integers(0, len(RAW_CSV_COLUMNS) - 1))
+    if draw(st.booleans()):
+        fields = list(_CANON_FIELDS)
+        fields[k] = run
+        return ",".join(fields)
+    obj = dict(_CANON_OBJ, **{RAW_CSV_COLUMNS[k]: "@"})
+    return json.dumps(obj).replace('"@"', run)
+
+
+@pytest.mark.parametrize("lines", [_line_text, _spliced_csv(),
+                                   _json_field_replaced(),
+                                   _digit_run_field()],
+                         ids=["text", "spliced_csv", "json_field",
+                              "digit_run"])
+@settings(max_examples=300, deadline=None)
+@given(data=st.data())
+def test_fuzz_parse_and_decode_raise_only_malformed(lines, data):
+    _check_line(data.draw(lines))

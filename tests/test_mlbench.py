@@ -10,10 +10,11 @@ from conftest import addr, graph_of, random_events
 from nftgraph.errors import BadRecord, InsufficientNodes
 from nftgraph.graph import TemporalGraph
 from nftgraph.ingest import NULL_ADDRESS
-from nftgraph.mlbench import (ScoreRecord, SplitPlan, build_snapshots,
+from nftgraph.mlbench import (ScoreRecord, build_snapshots,
                               eval_classification, eval_link_scores,
                               export_features, read_score_file,
-                              sample_negatives, trader_labels)
+                              sample_negatives, split_roles,
+                              trader_labels)
 
 
 def ts(y, m, d, h=0):
@@ -52,31 +53,31 @@ def test_pair_stats_count_and_last_ts():
     assert stats == (3, t0 + 999)
 
 
-# -- split plans -------------------------------------------------------
+# -- split roles -------------------------------------------------------
 
 def test_fixed_split_last_20_percent():
     for t in (1, 4, 5, 9, 10, 253):
-        plan = SplitPlan.assign("fixed", t)
+        roles = split_roles("fixed", t)
         test_n = math.ceil(0.2 * t)
-        assert plan.roles == ["train"] * (t - test_n) + ["test"] * test_n
+        assert roles == ["train"] * (t - test_n) + ["test"] * test_n
 
 
 def test_node_fixed_split_80_10_10():
-    plan = SplitPlan.assign("node_fixed", 10)
-    assert plan.roles == ["train"] * 8 + ["val"] * 1 + ["test"] * 1
-    plan = SplitPlan.assign("node_fixed", 7)
-    assert plan.roles.count("train") == 5
-    assert plan.roles.count("val") == 0
-    assert plan.roles.count("test") == 2
+    roles = split_roles("node_fixed", 10)
+    assert roles == ["train"] * 8 + ["val"] * 1 + ["test"] * 1
+    roles = split_roles("node_fixed", 7)
+    assert roles.count("train") == 5
+    assert roles.count("val") == 0
+    assert roles.count("test") == 2
 
 
 def test_live_update_all_test():
-    assert SplitPlan.assign("live_update", 4).roles == ["test"] * 4
+    assert split_roles("live_update", 4) == ["test"] * 4
 
 
 def test_unknown_mode():
     with pytest.raises(ValueError):
-        SplitPlan.assign("bogus", 3)
+        split_roles("bogus", 3)
 
 
 # -- negative sampling -------------------------------------------------
@@ -135,22 +136,22 @@ def test_trader_thresholds_right_closed():
     t0 = ts(2021, 1, 1)
     for gap, want in cases:
         g = graph_of([(t0, 0, 1), (t0 + gap, 0, 2)])
-        by_addr = {t.address: t.cls for t in trader_labels(g)}
+        by_addr = trader_labels(g)
         assert by_addr[addr(0)] == want, (gap, want)
 
 
 def test_trader_single_transaction_filtered():
     g = graph_of([(ts(2021, 1, 1), 0, 1)])
-    assert trader_labels(g) == []
+    assert trader_labels(g) == {}
 
 
 def test_trader_null_excluded_by_default():
     t0 = ts(2021, 1, 1)
     g = graph_of([(t0, NULL_ADDRESS, 0), (t0 + 60, NULL_ADDRESS, 1),
                   (t0 + 120, 0, 1)])
-    labels = {t.address for t in trader_labels(g)}
+    labels = set(trader_labels(g))
     assert NULL_ADDRESS not in labels
-    labels_with = {t.address for t in trader_labels(g, include_null=True)}
+    labels_with = set(trader_labels(g, include_null=True))
     assert NULL_ADDRESS in labels_with
 
 
@@ -161,8 +162,8 @@ def test_trader_partition_complete():
                    if g.n_txc[i] >= 2 and i != g.null_id)
     labels = trader_labels(g)
     assert len(labels) == eligible
-    assert all(t.cls in ("daily", "weekly", "monthly", "yearly", "remaining")
-               for t in labels)
+    assert all(c in ("daily", "weekly", "monthly", "yearly", "remaining")
+               for c in labels.values())
 
 
 # -- feature export ----------------------------------------------------
@@ -171,8 +172,8 @@ def test_export_link_task(tmp_path):
     t0 = ts(2021, 1, 1)
     g = graph_of([(t0, 0, 1), (t0 + 60, 0, 1), (ts(2021, 1, 2), 1, 2)])
     series = build_snapshots(g, "day")
-    plan = export_features(g, series, str(tmp_path), task="link")
-    assert plan.roles == ["train", "test"]
+    roles = export_features(g, series, str(tmp_path), task="link")
+    assert roles == ["train", "test"]
     with open(tmp_path / "snapshot_0000" / "edges.csv") as fh:
         rows = list(csv.DictReader(fh))
     assert rows[0]["tx_count"] == "2"
