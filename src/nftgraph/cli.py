@@ -238,36 +238,33 @@ def cmd_csm(args) -> int:
     if args.queries:
         queries = []
         for path in args.queries:
-            with open(path) as fh:
+            with open(path, encoding="utf-8") as fh:
                 name = os.path.splitext(os.path.basename(path))[0]
                 queries.append(csm_mod.parse_query(fh.read(), name))
     else:
         queries = csm_mod.builtin_patterns()
 
-    cfg = csm_mod.StreamConfig(window=args.window,
-                               time_limit_ms=args.time_limit_ms,
-                               label_pool=args.label_pool, seed=args.seed)
-    results = csm_mod.run_stream(initial, stream, queries, cfg)
+    results = csm_mod.run_stream(
+        initial, stream, queries, window=args.window,
+        time_limit_ms=args.time_limit_ms, label_pool=args.label_pool,
+        seed=args.seed)
 
-    write_csv(args.output,
-              ["query", "matches", "matches_dedup", "elapsed_ms", "timed_out"],
-              _round_floats([(r.name, r.matches, r.matches_dedup, r.elapsed_ms,
-                              int(r.timed_out)) for r in results]))
+    columns = ["query", "matches", "matches_dedup", "elapsed_ms"]
+    write_csv(args.output, columns + ["timed_out"],
+              _round_floats([[r[c] for c in columns] + [int(r["timed_out"])]
+                             for r in results]))
     meta = _make_report(args, [args.input], {
         "initial_edges": len(initial),
         "stream_edges": len(stream),
         "dropped_hub_addresses": [g.addresses[h] for h in dropped_hubs],
-        "results": [{"query": r.name, "matches": r.matches,
-                     "matches_dedup": r.matches_dedup,
-                     "elapsed_ms": r.elapsed_ms,
-                     "timed_out": r.timed_out} for r in results],
+        "results": results,
     })
     meta_path = args.report
     if meta_path is None and args.output not in (None, "-"):
         meta_path = args.output + ".meta.json"
     if meta_path:
         _emit_json(meta, meta_path)
-    if any(r.timed_out for r in results):
+    if any(r["timed_out"] for r in results):
         return EXIT_TIMEOUT
     return EXIT_OK
 

@@ -281,22 +281,27 @@ def _composers(autos: list[tuple[int, ...]]) -> list[Callable]:
 class MatchContext:
     """Incremental matching state for one query over an insertion stream.
 
-    `elapsed_ms` counts the query's automorphism enumeration here and the
-    match enumeration of every insert, all against `time_limit_ms`.  If
-    the automorphisms are not all found within the budget, the context
-    gets no search plans: its first insert finds nothing and sets
-    `timed_out`, like an insert cut mid-search.  A query with more than
-    MAX_AUTOMORPHISMS automorphisms raises QueryError.
+    The `initial` (u, v, ts) pairs are loaded untimed, and none of their
+    matches is reported.  `labels` (vertex -> label) is shared, not
+    copied.  `elapsed_ms` counts the query's automorphism enumeration
+    here and the match enumeration of every insert, all against
+    `time_limit_ms`.  If the automorphisms are not all found within the
+    budget, the context gets no search plans: its first insert finds
+    nothing and sets `timed_out`, like an insert cut mid-search.  A
+    query with more than MAX_AUTOMORPHISMS automorphisms raises
+    QueryError.
     """
 
-    def __init__(self, q: QueryGraph, *, window: int | None = None,
-                 time_limit_ms: float = 3.6e6):
+    def __init__(self, q: QueryGraph,
+                 initial: Iterable[tuple[int, int, int]] = (),
+                 labels: dict[int, object] | None = None, *,
+                 window: int | None = None, time_limit_ms: float = 3.6e6):
         t0 = time.perf_counter()
         self.q = q
         self.window = window
         self.time_limit_ms = time_limit_ms
         self.graph = SimpleDigraph((), ())
-        self.labels: dict[int, object] = {}
+        self.labels = {} if labels is None else labels
         self.pair_ts: dict[tuple[int, int], int] = {}
         self.match_count = 0
         self.dedup_canon: set[tuple[int, ...]] = set()
@@ -319,10 +324,9 @@ class MatchContext:
                           if a in seeds and b in seeds]
                 self._plans.append((x, y, checks, _compile(q, seeds)))
         self.elapsed_ms = (time.perf_counter() - t0) * 1000.0
-
-    def add_initial_edge(self, u: int, v: int, ts: int) -> None:
-        if self.graph.add_pair(u, v):
-            self.pair_ts[(u, v)] = ts
+        for u, v, ts in initial:
+            if self.graph.add_pair(u, v):
+                self.pair_ts[(u, v)] = ts
 
     def _window_ok(self, mapping: tuple[int, ...]) -> bool:
         if self.window is None:
@@ -398,35 +402,6 @@ class MatchContext:
         return len(self.dedup_canon)
 
 
-def init_context(initial_edges: Iterable[tuple[int, int, int]], q: QueryGraph,
-                 labels: dict[int, object] | None = None, *,
-                 window: int | None = None,
-                 time_limit_ms: float = 3.6e6) -> MatchContext:
-    """Load the initial graph without reporting any of its matches."""
-    ctx = MatchContext(q, window=window, time_limit_ms=time_limit_ms)
-    ctx.labels.update(labels or {})
-    for u, v, ts in initial_edges:
-        ctx.add_initial_edge(u, v, ts)
-    return ctx
-
-
-@dataclass
-class QueryResult:
-    name: str
-    matches: int
-    matches_dedup: int
-    elapsed_ms: float
-    timed_out: bool
-
-
-@dataclass
-class StreamConfig:
-    window: int | None = None
-    time_limit_ms: float = 3.6e6
-    label_pool: int | None = None
-    seed: int = 0
-
-
 def assign_labels(vertices: Iterable[int], pool: int, seed: int) -> dict[int, int]:
     """Seeded random label per vertex from `pool` labels, stable in vertex order."""
     rng = random.Random(seed)
@@ -435,31 +410,33 @@ def assign_labels(vertices: Iterable[int], pool: int, seed: int) -> dict[int, in
 
 def run_stream(initial: Sequence[tuple[int, int, int]],
                stream: Sequence[tuple[int, int, int]],
-               queries: Sequence[QueryGraph],
-               cfg: StreamConfig | None = None) -> list[QueryResult]:
+               queries: Sequence[QueryGraph], *,
+               window: int | None = None, time_limit_ms: float = 3.6e6,
+               label_pool: int | None = None, seed: int = 0) -> list[dict]:
     """Replay the insertion stream against every query independently.
 
-    Elapsed time covers each query's automorphism enumeration and match
-    enumeration; graph-update bookkeeping is excluded.  A query hitting
-    its time limit is flagged and the remaining queries still run.
+    Returns one `{"query", "matches", "matches_dedup", "elapsed_ms",
+    "timed_out"}` row per query.  Elapsed time covers each query's
+    automorphism enumeration and match enumeration; graph-update
+    bookkeeping is excluded.  A query hitting its time limit is flagged
+    and the remaining queries still run.
     """
-    cfg = cfg or StreamConfig()
     labels: dict[int, object] = {}
-    if cfg.label_pool is not None:
+    if label_pool is not None:
         vertices = dict.fromkeys(w for u, v, _ts in chain(initial, stream)
                                  for w in (u, v))
-        labels = assign_labels(vertices, cfg.label_pool, cfg.seed)
+        labels = assign_labels(vertices, label_pool, seed)
     results = []
     for q in queries:
-        ctx = init_context(initial, q, labels, window=cfg.window,
-                           time_limit_ms=cfg.time_limit_ms)
+        ctx = MatchContext(q, initial, labels, window=window,
+                           time_limit_ms=time_limit_ms)
         try:
             for u, v, ts in stream:
                 ctx.insert_edge(u, v, ts)
         except TimeLimitExceeded:
             pass
-        results.append(QueryResult(
-            name=q.name, matches=ctx.match_count,
-            matches_dedup=ctx.dedup_count, elapsed_ms=ctx.elapsed_ms,
-            timed_out=ctx.timed_out))
+        results.append({"query": q.name, "matches": ctx.match_count,
+                        "matches_dedup": ctx.dedup_count,
+                        "elapsed_ms": ctx.elapsed_ms,
+                        "timed_out": ctx.timed_out})
     return results

@@ -340,15 +340,16 @@ def read_transfers(source) -> Iterator[TransferEvent]:
 
     The one normalized-CSV reader.  A bad header, a row with the wrong
     column count or a non-numeric field is a MalformedRecord naming the
-    line.
+    line, and so is a row the csv module rejects (a field longer than
+    `csv.field_size_limit()`).
     """
     if isinstance(source, (str, os.PathLike)):
         fh = open(source, "r", encoding="utf-8", newline="")
         close = True
     else:
         fh, close = source, False
+    reader = csv.reader(fh)
     try:
-        reader = csv.reader(fh)
         header = next(reader, None)
         if header is not None and header != NORMALIZED_HEADER:
             raise MalformedRecord("bad normalized header")
@@ -367,6 +368,9 @@ def read_transfers(source) -> Iterator[TransferEvent]:
                 raise MalformedRecord(
                     f"non-numeric field at line {reader.line_num}") from None
             yield event
+    except csv.Error as e:
+        raise MalformedRecord(
+            f"bad csv at line {reader.line_num}: {e}") from None
     finally:
         if close:
             fh.close()

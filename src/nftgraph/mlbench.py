@@ -14,6 +14,7 @@ import os
 import random
 from collections import Counter
 from dataclasses import dataclass, field
+from typing import Iterator
 
 from .errors import BadRecord, InsufficientNodes
 from .graph import TemporalGraph
@@ -231,9 +232,11 @@ class ScoreRecord:
 
 
 def read_score_file(path: str, k: int | None = None) -> list[ScoreRecord]:
+    """Score rows `positive_id,pos_score,neg_score...`; a NaN score, a
+    non-numeric one or a row the csv module rejects is a BadRecord."""
     records = []
-    with open(path, newline="") as fh:
-        for row in csv.reader(fh):
+    with open(path, encoding="utf-8", newline="") as fh:
+        for row in _csv_rows(fh):
             if not row:
                 continue
             if row[0] == "positive_id":
@@ -245,6 +248,8 @@ def read_score_file(path: str, k: int | None = None) -> list[ScoreRecord]:
                                   neg_scores=tuple(float(x) for x in row[2:]))
             except ValueError:
                 raise BadRecord(f"non-numeric score for {row[0]!r}") from None
+            if any(map(math.isnan, (rec.pos_score, *rec.neg_scores))):
+                raise BadRecord(f"NaN score for {row[0]!r}")
             if k is not None and len(rec.neg_scores) != k:
                 raise BadRecord(
                     f"{row[0]!r}: expected {k} negatives, got {len(rec.neg_scores)}")
@@ -293,11 +298,20 @@ def eval_classification(pairs: list[tuple[str, str]]) -> dict:
 
 def read_prediction_file(path: str) -> list[tuple[str, str]]:
     pairs = []
-    with open(path, newline="") as fh:
-        for row in csv.reader(fh):
+    with open(path, encoding="utf-8", newline="") as fh:
+        for row in _csv_rows(fh):
             if not row or row[0] in ("id", "node_id"):
                 continue
             if len(row) < 3:
                 raise BadRecord("prediction rows need id,true,predicted")
             pairs.append((row[1], row[2]))
     return pairs
+
+
+def _csv_rows(fh) -> Iterator[list[str]]:
+    """`csv.reader(fh)` with its errors raised as BadRecord."""
+    reader = csv.reader(fh)
+    try:
+        yield from reader
+    except csv.Error as e:
+        raise BadRecord(f"bad csv at line {reader.line_num}: {e}") from None

@@ -15,7 +15,7 @@ from pathlib import Path
 
 import oracles
 from conftest import make_events, random_events
-from nftgraph.csm import builtin_patterns, init_context
+from nftgraph.csm import MatchContext, builtin_patterns
 from nftgraph.graph import SimpleDigraph, TemporalGraph, simple_view
 from nftgraph.ingest import normalize_stream
 from nftgraph.metrics import (assortativity, avg_clustering, density,
@@ -114,7 +114,7 @@ def test_criterion_csm_delta_correctness():
             all_pairs = init_pairs | {(u, v) for u, v, _ in stream}
             nodes = {x for p in all_pairs for x in p}
             for q in patterns:
-                ctx = init_context(initial, q)
+                ctx = MatchContext(q, initial)
                 got = []
                 for u, v, t in stream:
                     got.extend(ctx.insert_edge(u, v, t))
@@ -183,10 +183,10 @@ def test_criterion_planted_fixture_recovery(planted):
     results = run_stream([e for e in edges if e[2] <= split],
                          [e for e in edges if e[2] > split],
                          builtin_patterns())
-    by_name = {r.name: r for r in results}
-    if by_name["p1"].matches_dedup != ledger["wash_cycles"]:
+    by_name = {r["query"]: r for r in results}
+    if by_name["p1"]["matches_dedup"] != ledger["wash_cycles"]:
         ok, details = False, details + ["wash cycles"]
-    if by_name["p1"].matches != 3 * ledger["wash_cycles"]:
+    if by_name["p1"]["matches"] != 3 * ledger["wash_cycles"]:
         ok, details = False, details + ["wash cycle mappings"]
 
     from collections import Counter

@@ -1,9 +1,13 @@
 import csv
 import json
+import os
 import re
+import subprocess
+import sys
 
 import pytest
 
+import nftgraph
 from nftgraph import cache
 from nftgraph.cli import main
 from nftgraph.fixture import write_fixture
@@ -65,6 +69,89 @@ def test_bad_data_exits_2(data_dir, tmp_path, capsys):
         assert main(argv) == 2
         err = capsys.readouterr().err
         assert err.startswith("nftgraph: ") and err.count("\n") == 1
+
+
+def _one_error_line(capsys):
+    err = capsys.readouterr().err
+    assert err.startswith("nftgraph: ") and err.count("\n") == 1
+    return err
+
+
+@pytest.mark.parametrize("cmd", ["stats", "build"])
+def test_over_long_normalized_field_exits_2(data_dir, tmp_path, capsys, cmd):
+    # past csv.field_size_limit() (131072 characters)
+    lines = (data_dir / "planted.csv").read_text().splitlines(keepends=True)
+    row = lines[2].split(",")
+    row[2] = "f" * 200000                                   # tx_hash
+    lines[2] = ",".join(row)
+    bad = tmp_path / "big.csv"
+    bad.write_text("".join(lines))
+    out = tmp_path / "out"
+    flag = "--output" if cmd == "build" else "--report"
+    capsys.readouterr()
+    assert main([cmd, "--input", str(bad), flag, str(out)]) == 2
+    assert "line 3" in _one_error_line(capsys)
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("task,text", [
+    ("link", "p1,0.9,0.1," + "1" * 200000 + "\n"),
+    ("node", "node_id,true,predicted\nn1,daily," + "d" * 200000 + "\n"),
+], ids=["score", "prediction"])
+def test_eval_over_long_field_exits_2(tmp_path, capsys, task, text):
+    path = tmp_path / "in.csv"
+    path.write_text(text)
+    capsys.readouterr()
+    assert main(["eval", "--input", str(path), "--task", task]) == 2
+    _one_error_line(capsys)
+
+
+@pytest.mark.parametrize("row", ["p1,nan,0.1,0.2", "p1,0.9,0.1,NaN"],
+                         ids=["positive", "negative"])
+def test_eval_nan_score_exits_2(tmp_path, capsys, row):
+    scores = tmp_path / "scores.csv"
+    scores.write_text(row + "\np2,0.9,0.1,0.2\n")
+    capsys.readouterr()
+    assert main(["eval", "--input", str(scores)]) == 2
+    assert "NaN" in _one_error_line(capsys)
+
+
+def test_eval_infinite_score_is_valid(tmp_path, capsys):
+    scores = tmp_path / "scores.csv"
+    scores.write_text("p1,inf,0.1,0.2\np2,-inf,0.1,0.2\n")
+    report = tmp_path / "eval.json"
+    assert main(["eval", "--input", str(scores), "--report", str(report)]) == 0
+    metrics = json.loads(report.read_text())["metrics"]
+    assert metrics["auc"] == 0.5 and metrics["mrr"] == 0.666666667
+
+
+def _run_under_c_locale(argv):
+    """The CLI in a subprocess whose locale encoding is ASCII."""
+    env = dict(os.environ, LC_ALL="C", PYTHONUTF8="0",
+               PYTHONCOERCECLOCALE="0",
+               PYTHONPATH=os.path.dirname(os.path.dirname(nftgraph.__file__)))
+    return subprocess.run([sys.executable, "-m", "nftgraph.cli", *argv],
+                          env=env, capture_output=True, text=True)
+
+
+def test_text_inputs_are_read_as_utf8_under_any_locale(data_dir, tmp_path):
+    qfile = tmp_path / "tri.q"
+    qfile.write_text("# Dreieck \u00fcber drei Adressen\n"
+                     "v 0 *; v 1 *; v 2 *; e 0 1; e 1 2; e 2 0\n",
+                     encoding="utf-8")
+    out = _run_under_c_locale([
+        "csm", "--input", str(data_dir / "planted.csv"),
+        "--initial-until", str(ledger_of(data_dir)["csm_initial_until"]),
+        "--queries", str(qfile), "--output", str(tmp_path / "csm.csv")])
+    assert out.returncode == 0, out.stderr
+    scores = tmp_path / "scores.csv"
+    scores.write_text("p\u00fc,0.9,0.1,0.2\n", encoding="utf-8")
+    preds = tmp_path / "preds.csv"
+    preds.write_text("n1,t\u00e4glich,t\u00e4glich\n", encoding="utf-8")
+    for path, task in ((scores, "link"), (preds, "node")):
+        out = _run_under_c_locale(["eval", "--input", str(path),
+                                   "--task", task])
+        assert out.returncode == 0, out.stderr
 
 
 # -- pipeline ----------------------------------------------------------

@@ -4,9 +4,9 @@ import pytest
 
 import oracles
 from nftgraph import csm
-from nftgraph.csm import (BUILTIN_PATTERNS, MatchContext, StreamConfig,
-                          assign_labels, builtin_patterns, init_context,
-                          match_static, parse_query, run_stream)
+from nftgraph.csm import (BUILTIN_PATTERNS, MatchContext, assign_labels,
+                          builtin_patterns, match_static, parse_query,
+                          run_stream)
 from nftgraph.errors import QueryError, TimeLimitExceeded
 from nftgraph.graph import SimpleDigraph
 
@@ -116,12 +116,12 @@ def test_static_matches_oracle_on_random_graphs():
 # -- incremental matching ----------------------------------------------
 
 def test_initial_graph_reports_nothing():
-    ctx = init_context([(0, 1, 10), (1, 2, 20), (2, 0, 30)], P1)
+    ctx = MatchContext(P1, [(0, 1, 10), (1, 2, 20), (2, 0, 30)])
     assert ctx.match_count == 0
 
 
 def test_insert_completing_cycle():
-    ctx = init_context([(0, 1, 10), (1, 2, 20)], P1)
+    ctx = MatchContext(P1, [(0, 1, 10), (1, 2, 20)])
     matches = ctx.insert_edge(2, 0, 30)
     assert len(matches) == 3
     assert ctx.match_count == 3
@@ -133,20 +133,17 @@ def test_insert_completing_cycle():
 
 
 def test_reinsert_existing_pair_is_noop():
-    ctx = init_context([(0, 1, 10)], P2)
+    ctx = MatchContext(P2, [(0, 1, 10)])
     assert ctx.insert_edge(0, 1, 99) == []
     assert ctx.insert_edge(1, 0, 100) != []
     assert ctx.insert_edge(1, 0, 101) == []
 
 
 def test_window_filter():
-    ctx = MatchContext(P1, window=1800)
-    ctx.add_initial_edge(0, 1, 0)
-    ctx.add_initial_edge(1, 2, 1000)
+    initial = [(0, 1, 0), (1, 2, 1000)]
+    ctx = MatchContext(P1, initial, window=1800)
     assert ctx.insert_edge(2, 0, 3600) == []      # span 3600 > 1800
-    ctx2 = MatchContext(P1, window=3600)
-    ctx2.add_initial_edge(0, 1, 0)
-    ctx2.add_initial_edge(1, 2, 1000)
+    ctx2 = MatchContext(P1, initial, window=3600)
     assert len(ctx2.insert_edge(2, 0, 3600)) == 3
 
 
@@ -175,14 +172,14 @@ def test_time_limit_bounds_a_single_insert():
     p3 = parse_query(BUILTIN_PATTERNS["p3"], "p3")
     complete = [(a, b, 1) for a in range(12) for b in range(12)
                 if a != b and (a, b) != (0, 1)]
-    assert len(init_context(complete, p3).insert_edge(0, 1, 2)) == 360
-    ctx = init_context(complete, p3, time_limit_ms=0.0)
+    assert len(MatchContext(p3, complete).insert_edge(0, 1, 2)) == 360
+    ctx = MatchContext(p3, complete, time_limit_ms=0.0)
     assert ctx.insert_edge(0, 1, 2) == []
     assert ctx.match_count == 0
     assert ctx.timed_out
     # a context that has its plans, with the budget running out in the
     # search: the insert is abandoned
-    ctx = init_context(complete, p3)
+    ctx = MatchContext(p3, complete)
     ctx.time_limit_ms = ctx.elapsed_ms
     assert ctx._plans and ctx.insert_edge(0, 1, 2) == []
     assert ctx.match_count == 0
@@ -237,7 +234,7 @@ def test_delta_correctness_random_streams():
     for _ in range(12):
         initial, stream = _random_stream(rng, 15, 60)
         for q in builtin_patterns():
-            ctx = init_context(initial, q)
+            ctx = MatchContext(q, initial)
             seen = []
             prev_count = 0
             for u, v, t in stream:
@@ -258,9 +255,9 @@ def test_label_pool_one_equals_wildcard():
     initial, stream = _random_stream(rng, 12, 60)
     plain = run_stream(initial, stream, builtin_patterns())
     labeled = run_stream(initial, stream, builtin_patterns(),
-                         StreamConfig(label_pool=1, seed=3))
-    assert [(r.matches, r.matches_dedup) for r in plain] == \
-        [(r.matches, r.matches_dedup) for r in labeled]
+                         label_pool=1, seed=3)
+    assert [(r["matches"], r["matches_dedup"]) for r in plain] == \
+        [(r["matches"], r["matches_dedup"]) for r in labeled]
 
 
 def test_labels_restrict_matches():
@@ -269,7 +266,7 @@ def test_labels_restrict_matches():
     initial = [(0, 1, 1), (1, 2, 2)]
     stream = [(2, 0, 3)]
     labels = {0: 2, 1: 5, 2: 5}
-    ctx = init_context(initial, q, labels)
+    ctx = MatchContext(q, initial, labels)
     got = ctx.insert_edge(*stream[0])
     assert got == [(0, 1, 2)]
 
@@ -278,16 +275,16 @@ def test_run_stream_isolated_queries():
     initial = [(0, 1, 1), (1, 2, 2)]
     stream = [(2, 0, 3), (1, 0, 4)]
     results = run_stream(initial, stream, builtin_patterns())
-    by_name = {r.name: r for r in results}
-    assert by_name["p1"].matches == 3
-    assert by_name["p1"].matches_dedup == 1
-    assert by_name["p2"].matches == 2
-    assert not any(r.timed_out for r in results)
+    by_name = {r["query"]: r for r in results}
+    assert by_name["p1"]["matches"] == 3
+    assert by_name["p1"]["matches_dedup"] == 1
+    assert by_name["p2"]["matches"] == 2
+    assert not any(r["timed_out"] for r in results)
 
 
 def test_run_stream_empty_stream():
     results = run_stream([(0, 1, 1), (1, 0, 2)], [], builtin_patterns())
-    assert all(r.matches == 0 for r in results)
+    assert all(r["matches"] == 0 for r in results)
 
 
 def test_relabeling_data_vertices_preserves_counts():
@@ -302,8 +299,8 @@ def test_relabeling_data_vertices_preserves_counts():
     stream2 = [(relab(u), relab(v), t) for u, v, t in stream]
     a = run_stream(initial, stream, builtin_patterns())
     b = run_stream(initial2, stream2, builtin_patterns())
-    assert [(r.matches, r.matches_dedup) for r in a] == \
-        [(r.matches, r.matches_dedup) for r in b]
+    assert [(r["matches"], r["matches_dedup"]) for r in a] == \
+        [(r["matches"], r["matches_dedup"]) for r in b]
 
 
 # -- symmetry breaking -------------------------------------------------
@@ -376,7 +373,7 @@ def _check_against_oracle(initial, stream, q, labels, window):
         if done >= len(initial) and (
                 window is None or max(ts) - min(ts) <= window):
             want.setdefault(done, []).append(m)
-    ctx = init_context(initial, q, labels, window=window)
+    ctx = MatchContext(q, initial, labels, window=window)
     for i, (u, v, t) in enumerate(stream, len(initial)):
         got = ctx.insert_edge(u, v, t)
         assert got == sorted(want.get(i, []))
@@ -404,7 +401,6 @@ def test_symmetry_breaking_matches_oracle():
                     w for u, v, _t in edges for w in (u, v)), pool, k)
             counts = _check_against_oracle(edges[:cut], edges[cut:], q,
                                            labels, window)
-            (r,) = run_stream(edges[:cut], edges[cut:], [q],
-                              StreamConfig(window=window, label_pool=pool,
-                                           seed=k))
-            assert (r.matches, r.matches_dedup) == counts
+            (r,) = run_stream(edges[:cut], edges[cut:], [q], window=window,
+                              label_pool=pool, seed=k)
+            assert (r["matches"], r["matches_dedup"]) == counts

@@ -1,3 +1,4 @@
+import io
 import json
 
 import pytest
@@ -6,8 +7,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from nftgraph.errors import MalformedRecord
-from nftgraph.ingest import (EARLIEST_TIMESTAMP, NULL_ADDRESS, RAW_CSV_COLUMNS,
-                             TRANSFER_TOPIC, RawLog, SkipReason,
+from nftgraph.ingest import (EARLIEST_TIMESTAMP, NORMALIZED_HEADER,
+                             NULL_ADDRESS, RAW_CSV_COLUMNS, TRANSFER_TOPIC, RawLog, SkipReason,
                              TransferEvent, decode_transfer,
                              normalize_stream, parse_log_line, read_transfers,
                              write_transfers)
@@ -373,3 +374,49 @@ def _digit_run_field(draw):
 @given(data=st.data())
 def test_fuzz_parse_and_decode_raise_only_malformed(lines, data):
     _check_line(data.draw(lines))
+
+
+def _check_normalized(text):
+    """read_transfers yields TransferEvents or raises MalformedRecord."""
+    try:
+        events = list(read_transfers(io.StringIO(text, newline="")))
+    except MalformedRecord:
+        return
+    assert all(isinstance(e, TransferEvent) for e in events)
+
+
+_NORM_FIELDS = ["1600000000", "100", "0x" + "1f" * 32, "3", GOOD_CONTRACT,
+                NULL_ADDRESS, "0x" + "0a" * 20, "7"]
+_NORM_TEXT = (",".join(NORMALIZED_HEADER) + "\r\n"
+              + ",".join(_NORM_FIELDS) + "\r\n")
+
+
+@st.composite
+def _spliced_normalized(draw):
+    i = draw(st.integers(0, len(_NORM_TEXT)))
+    j = draw(st.integers(i, len(_NORM_TEXT)))
+    return _NORM_TEXT[:i] + draw(st.text()) + _NORM_TEXT[j:]
+
+
+@st.composite
+def _over_long_normalized_field(draw):
+    """The valid file with one field replaced by a 5000-digit number or
+    by a 200000-character run, past csv.field_size_limit()."""
+    fields = list(_NORM_FIELDS)
+    k = draw(st.integers(0, len(fields) - 1))
+    fields[k] = draw(st.sampled_from(["9" * 5000, "a" * 200000]))
+    return ",".join(NORMALIZED_HEADER) + "\n" + ",".join(fields) + "\n"
+
+
+def test_read_transfers_accepts_the_fuzz_seed_file():
+    (event,) = read_transfers(io.StringIO(_NORM_TEXT, newline=""))
+    assert event.token_id == 7 and event.is_mint
+
+
+@pytest.mark.parametrize("files", [st.text(), _spliced_normalized(),
+                                   _over_long_normalized_field()],
+                         ids=["text", "spliced", "over_long"])
+@settings(max_examples=300, deadline=None)
+@given(data=st.data())
+def test_fuzz_read_transfers_raises_only_malformed(files, data):
+    _check_normalized(data.draw(files))
