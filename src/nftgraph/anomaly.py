@@ -9,37 +9,11 @@ from __future__ import annotations
 
 import statistics
 from collections import Counter
-from dataclasses import dataclass
 
 from .graph import TemporalGraph
 
 LOW_ACTIVITY = "LOW_ACTIVITY"
 HIGH_RATIO = "HIGH_RATIO"
-
-
-@dataclass(frozen=True)
-class SuspiciousPair:
-    a: str
-    b: str
-    interval_seconds: int
-    rule_hits: tuple[str, ...]
-    a_tx_count: int
-    b_tx_count: int
-    pair_tx_count: int
-    a_ratio: float
-    b_ratio: float
-
-
-@dataclass(frozen=True)
-class BotReport:
-    address: str
-    contract: str
-    direction: str          # "out" or "in"
-    run_length: int
-    median_interval_seconds: float
-    first_token_id: int
-    start_ts: int
-    end_ts: int
 
 
 def _min_cross_gap(ts_a: list[int], ts_b: list[int]) -> int:
@@ -59,8 +33,9 @@ def _min_cross_gap(ts_a: list[int], ts_b: list[int]) -> int:
 
 def simultaneous_bidirectional(g: TemporalGraph, threshold_seconds: int = 86400,
                                *, include_null: bool = False):
-    """Unordered pairs with opposing edges whose minimal cross-direction
-    interval is within the threshold.  Sorted by address pair."""
+    """((u, v), gap) for each pair of node ids u < v with opposing edges
+    whose minimal cross-direction interval `gap` is within the threshold.
+    Sorted by id pair."""
     directions = {(u, v) for u, v, _ts in g.edges(
         include_null=include_null, include_self_loops=False)}
     bidir = {(u, v) for (u, v) in directions if u < v and (v, u) in directions}
@@ -74,33 +49,31 @@ def simultaneous_bidirectional(g: TemporalGraph, threshold_seconds: int = 86400,
     for u, v in bidir:
         gap = _min_cross_gap(ts_by_dir[(u, v)], ts_by_dir[(v, u)])
         if gap <= threshold_seconds:
-            out.append(((g.addresses[u], g.addresses[v]), gap))
-    out.sort(key=lambda item: item[0])
+            out.append(((u, v), gap))
+    out.sort()
     return out
 
 
 def suspicious_pairs(g: TemporalGraph, candidates, min_tx: int = 5,
-                     ratio: float = 0.8) -> list[SuspiciousPair]:
-    """Apply the two wallet-pair rules to simultaneous bidirectional pairs.
+                     ratio: float = 0.8) -> list[dict]:
+    """Apply the two wallet-pair rules to simultaneous bidirectional pairs;
+    one `suspicious_pair` report row per flagged pair, sorted by the
+    endpoint addresses `a` and `b`.
 
     LOW_ACTIVITY: either endpoint has fewer than `min_tx` incident edges.
     HIGH_RATIO: for either endpoint, the share of its edges that involve
     the other endpoint exceeds `ratio`.
     """
     pair_counts: Counter = Counter()
-    wanted = set()
-    for (a, b), _gap in candidates:
-        ia, ib = g.addr_id(a), g.addr_id(b)
-        wanted.add((min(ia, ib), max(ia, ib)))
+    wanted = {pair for pair, _gap in candidates}
     for u, v, _ts in g.edges():
         key = (min(u, v), max(u, v))
         if key in wanted:
             pair_counts[key] += 1
 
     flagged = []
-    for (a, b), gap in candidates:
-        ia, ib = g.addr_id(a), g.addr_id(b)
-        between = pair_counts[(min(ia, ib), max(ia, ib))]
+    for (ia, ib), gap in candidates:
+        between = pair_counts[(ia, ib)]
         ta, tb = g.n_txc[ia], g.n_txc[ib]
         ra = between / ta if ta else 0.0
         rb = between / tb if tb else 0.0
@@ -110,11 +83,13 @@ def suspicious_pairs(g: TemporalGraph, candidates, min_tx: int = 5,
         if ra > ratio or rb > ratio:
             hits.append(HIGH_RATIO)
         if hits:
-            flagged.append(SuspiciousPair(
-                a=a, b=b, interval_seconds=gap, rule_hits=tuple(hits),
-                a_tx_count=ta, b_tx_count=tb, pair_tx_count=between,
-                a_ratio=ra, b_ratio=rb))
-    flagged.sort(key=lambda s: (s.a, s.b))
+            flagged.append({
+                "type": "suspicious_pair",
+                "a": g.addresses[ia], "b": g.addresses[ib],
+                "interval_seconds": gap, "rule_hits": tuple(hits),
+                "a_tx_count": ta, "b_tx_count": tb, "pair_tx_count": between,
+                "a_ratio": ra, "b_ratio": rb})
+    flagged.sort(key=lambda s: (s["a"], s["b"]))
     return flagged
 
 
@@ -135,14 +110,15 @@ def _scan_runs(seq: list[tuple[int, int]], min_run: int,
 
 
 def bot_scan(g: TemporalGraph, min_run: int = 100,
-             max_median_interval: float = 600.0) -> list[BotReport]:
+             max_median_interval: float = 600.0) -> list[dict]:
     """Flag addresses with long consecutive-token-id transfer runs.
 
     Within one contract, a maximal run of >= min_run outgoing or incoming
     transfers whose token ids increase by exactly 1 and whose median
     inter-event gap is at most `max_median_interval` seconds marks the
     address as bot-like.  The longest qualifying run per
-    (address, contract, direction) is reported.
+    (address, contract, direction) is reported, as one `bot_report` row
+    with the run's `direction` ("out" or "in").
     """
     by_key: dict[tuple[int, int, str], list[tuple[int, int]]] = {}
     for k in range(g.num_edges):
@@ -157,10 +133,11 @@ def bot_scan(g: TemporalGraph, min_run: int = 100,
         if not runs:
             continue
         start, end, med = max(runs, key=lambda r: r[1] - r[0])
-        reports.append(BotReport(
-            address=g.addresses[node], contract=g.contracts[cid],
-            direction=direction, run_length=end - start,
-            median_interval_seconds=med, first_token_id=seq[start][1],
-            start_ts=seq[start][0], end_ts=seq[end - 1][0]))
-    reports.sort(key=lambda r: (r.address, r.contract, r.direction))
+        reports.append({
+            "type": "bot_report",
+            "address": g.addresses[node], "contract": g.contracts[cid],
+            "direction": direction, "run_length": end - start,
+            "median_interval_seconds": med, "first_token_id": seq[start][1],
+            "start_ts": seq[start][0], "end_ts": seq[end - 1][0]})
+    reports.sort(key=lambda r: (r["address"], r["contract"], r["direction"]))
     return reports

@@ -5,7 +5,8 @@ a built graph can be dumped to a compact binary file and loaded back much
 faster.  The format is a private convenience, not an interchange format:
 files are regeneratable from the normalized CSV at any time and carry a
 version number so stale caches are rejected rather than misread.  Loading
-also checks column lengths, id ranges and edge time order.
+also checks column lengths, id ranges, edge time order and that node
+first-seen times rise with the node id within the edges' time span.
 
 Layout (all integers little-endian):
     magic   4 bytes  b"LGLB"
@@ -141,4 +142,12 @@ def load(path: str) -> TemporalGraph:
             raise CacheFormatError(f"{name} holds an id outside [0, {bound})")
     if g.e_ts != sorted(g.e_ts):
         raise CacheFormatError("e_ts is not in time order")
+    # nodes are interned at their first edge: first-seen times rise with
+    # the node id and lie within the edges' time span
+    if g.n_first != sorted(g.n_first):
+        raise CacheFormatError("n_first is not in time order")
+    if n and not m:
+        raise CacheFormatError("nodes without edges")
+    if n and not g.e_ts[0] <= g.n_first[0] <= g.n_first[-1] <= g.e_ts[-1]:
+        raise CacheFormatError("n_first lies outside the edges' time span")
     return g

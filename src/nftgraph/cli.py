@@ -15,7 +15,6 @@ import hashlib
 import json
 import os
 import sys
-from dataclasses import asdict
 
 from . import anomaly as anomaly_mod
 from . import cache as cache_mod
@@ -142,9 +141,9 @@ _GROWTH_CSVS = (
 def _growth_csvs(series, out_dir: str) -> None:
     for name, fields in _GROWTH_CSVS:
         write_csv(os.path.join(out_dir, name), ["period", *fields],
-                  _round_floats([(label, *(getattr(rec, f) for f in fields))
-                                 for label, rec in series]))
-    tidy = [(label, f, getattr(rec, f)) for label, rec in series
+                  _round_floats([(label, *(row[f] for f in fields))
+                                 for label, row in series]))
+    tidy = [(label, f, row[f]) for label, row in series
             for _name, fields in _GROWTH_CSVS for f in fields]
     write_csv(os.path.join(out_dir, "series.csv"),
               ["period", "metric", "value"], _round_floats(tidy))
@@ -200,8 +199,6 @@ def cmd_anomaly(args) -> int:
                                            ratio=args.ratio)
     bots = anomaly_mod.bot_scan(g, min_run=args.bot_min_run,
                                 max_median_interval=args.bot_max_median_interval)
-    lines = ([{"type": "suspicious_pair", **asdict(s)} for s in flagged]
-             + [{"type": "bot_report", **asdict(b)} for b in bots])
     summary = _make_report(args, [args.input], {
         "type": "summary",
         "candidate_pairs": len(candidates),
@@ -211,7 +208,7 @@ def cmd_anomaly(args) -> int:
         "bot_reports": len(bots),
     })
     with open_output(args.output) as out:
-        for line in [*lines, summary]:
+        for line in [*flagged, *bots, summary]:
             out.write(json.dumps(_round_floats(line), sort_keys=True) + "\n")
     return EXIT_OK
 
@@ -271,26 +268,28 @@ def cmd_csm(args) -> int:
 
 def cmd_export_ml(args) -> int:
     g = _load_graph(args.input)
-    series = mlbench.build_snapshots(g, args.granularity,
-                                     exclude_null=not args.include_null)
+    exclude_null = not args.include_null
+    snaps = mlbench.build_snapshots(g, args.granularity,
+                                    exclude_null=exclude_null)
     for idx in args.negatives_snapshot or []:
-        if not 0 <= idx < len(series):
+        if not 0 <= idx < len(snaps):
             print(f"nftgraph: --negatives-snapshot {idx} is outside "
-                  f"[0, {len(series)})", file=sys.stderr)
+                  f"[0, {len(snaps)})", file=sys.stderr)
             return EXIT_USAGE
     roles = mlbench.export_features(
-        g, series, args.out_dir, task=args.task, split_mode=args.split_mode,
+        g, snaps, args.out_dir, granularity=args.granularity,
+        exclude_null=exclude_null, task=args.task, split_mode=args.split_mode,
         seed=args.seed, earlystop_fraction=args.earlystop_fraction)
     for idx in args.negatives_snapshot or []:
-        negatives = mlbench.sample_negatives(series, idx, k=args.negatives_k,
+        negatives = mlbench.sample_negatives(snaps, idx, k=args.negatives_k,
                                              seed=args.seed)
         write_csv(os.path.join(args.out_dir, f"negatives_{idx:04d}.csv"),
                   ["src", "dst"] + [f"neg_{i}" for i in range(args.negatives_k)],
                   [[u, v] + negs for (u, v), negs in sorted(negatives.items())])
     body = {
-        "snapshots": len(series),
+        "snapshots": len(snaps),
         "roles": roles,
-        "labels": [s.label for s in series.snapshots],
+        "labels": [s.label for s in snaps],
     }
     _emit_json(_make_report(args, [args.input], body),
                args.report or os.path.join(args.out_dir, "report.json"))

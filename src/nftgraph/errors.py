@@ -27,10 +27,6 @@ class NegativeAge(DataError):
     pass
 
 
-class Degenerate(DataError):
-    pass
-
-
 class InsufficientNodes(DataError):
     pass
 

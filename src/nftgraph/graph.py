@@ -13,22 +13,12 @@ import hashlib
 import json
 import os
 from bisect import bisect_right
-from dataclasses import dataclass
 from itertools import islice
 from typing import Iterable, Iterator
 
 from .errors import NegativeAge, UnknownNode, UnsortedInput
 from .ingest import NULL_ADDRESS, read_transfers
 from .periods import Period, iter_periods
-
-
-@dataclass(frozen=True)
-class NodeRecord:
-    address: str
-    first_seen: int
-    last_seen: int
-    tx_count: int
-    entered_via_mint: bool
 
 
 class TemporalGraph:
@@ -134,12 +124,6 @@ class TemporalGraph:
             return self._addr_ids[address]
         except KeyError:
             raise UnknownNode(address) from None
-
-    def node_record(self, address: str) -> NodeRecord:
-        i = self.addr_id(address)
-        return NodeRecord(address=address, first_seen=self.n_first[i],
-                          last_seen=self.n_last[i], tx_count=self.n_txc[i],
-                          entered_via_mint=self.n_mint[i])
 
     def node_age(self, address: str, t: int) -> int:
         """Age of a node at time t: t minus its first-seen timestamp."""

@@ -15,11 +15,9 @@ from __future__ import annotations
 import random
 import statistics
 from collections import Counter
-from dataclasses import dataclass
 
-from .errors import Degenerate
 from .graph import SimpleDigraph, TemporalGraph, simple_view
-from .periods import period_index
+from .periods import tag_periods
 
 DAY = 86400
 
@@ -192,23 +190,14 @@ def metrics_report(view: SimpleDigraph, *, diameter_exact_threshold: int = 10000
 # stream-level measurements
 # ---------------------------------------------------------------------
 
-@dataclass
-class GrowthRecord:
-    new_nodes: int = 0
-    new_mint_nodes: int = 0
-    new_nonmint_nodes: int = 0
-    new_edges: int = 0
-    new_bidirectional_edges: int = 0
-    new_self_loops: int = 0
-    pct_edges_new_old: float = 0.0
-    pct_edges_new_new: float = 0.0
-    pct_edges_old_old: float = 0.0
+_GROWTH_COUNTS = ("new_nodes", "new_mint_nodes", "new_nonmint_nodes",
+                  "new_edges", "new_bidirectional_edges", "new_self_loops")
 
 
 def growth_series(g: TemporalGraph, granularity: str, *,
-                  include_self_loops: bool = True
-                  ) -> list[tuple[str, GrowthRecord]]:
-    """Per-period (label, GrowthRecord); "new" means first seen in the period.
+                  include_self_loops: bool = True) -> list[tuple[str, dict]]:
+    """Per-period (label, row) of new-node and new-edge counts plus the
+    `pct_edges_*` mix; "new" means first seen in the period.
 
     The Null address and its edges are left out.
 
@@ -217,51 +206,36 @@ def growth_series(g: TemporalGraph, granularity: str, *,
     completes.
     """
     periods = g.periods(granularity)
-    records = [GrowthRecord() for _ in periods]
-    node_period = {}
-    for i in range(g.num_nodes):
-        if i == g.null_id:
-            continue
-        p = period_index(periods, g.n_first[i])
-        node_period[i] = p
-        rec = records[p]
-        rec.new_nodes += 1
-        if g.n_mint[i]:
-            rec.new_mint_nodes += 1
-        else:
-            rec.new_nonmint_nodes += 1
+    rows = [dict.fromkeys(_GROWTH_COUNTS, 0) for _ in periods]
+    node_period = []                # n_first is nondecreasing in node id
+    for p, (i, _first) in tag_periods(periods, enumerate(g.n_first)):
+        node_period.append(p)
+        if i != g.null_id:
+            rows[p]["new_nodes"] += 1
+            rows[p]["new_mint_nodes" if g.n_mint[i]
+                    else "new_nonmint_nodes"] += 1
 
     seen_pairs: set[tuple[int, int]] = set()
-    shares = [[0, 0, 0] for _ in periods]  # new-old, new-new, old-old
-    p = 0
-    for u, v, ts in g.edges(include_null=False,
-                            include_self_loops=include_self_loops):
+    mix = [[0, 0, 0] for _ in periods]  # new pairs by new endpoints 0-2
+    for p, (u, v, _ts) in tag_periods(periods, g.edges(
+            include_null=False, include_self_loops=include_self_loops)):
         if (u, v) in seen_pairs:
             continue
         seen_pairs.add((u, v))
-        while ts >= periods[p].end_ts:
-            p += 1
-        rec = records[p]
-        rec.new_edges += 1
+        row = rows[p]
+        row["new_edges"] += 1
         if u == v:
-            rec.new_self_loops += 1
+            row["new_self_loops"] += 1
         elif (v, u) in seen_pairs:
-            rec.new_bidirectional_edges += 1
-        u_new = node_period[u] == p
-        v_new = node_period[v] == p
-        if u_new and v_new:
-            shares[p][1] += 1
-        elif u_new or v_new:
-            shares[p][0] += 1
-        else:
-            shares[p][2] += 1
+            row["new_bidirectional_edges"] += 1
+        mix[p][(node_period[u] == p) + (node_period[v] == p)] += 1
 
-    for rec, (no, nn, oo) in zip(records, shares):
-        if rec.new_edges:
-            rec.pct_edges_new_old = 100.0 * no / rec.new_edges
-            rec.pct_edges_new_new = 100.0 * nn / rec.new_edges
-            rec.pct_edges_old_old = 100.0 * oo / rec.new_edges
-    return [(p.label, r) for p, r in zip(periods, records)]
+    for row, counts in zip(rows, mix):
+        n = row["new_edges"]
+        for key, c in zip(("pct_edges_old_old", "pct_edges_new_old",
+                           "pct_edges_new_new"), counts):
+            row[key] = 100.0 * c / n if n else 0.0
+    return [(p.label, row) for p, row in zip(periods, rows)]
 
 
 def mutual_edge_intervals(g: TemporalGraph, *, include_null: bool = False):
@@ -332,19 +306,22 @@ def holder_stats(g: TemporalGraph, t: int | None = None, top_k: int = 10):
 
 
 def hub_correlation(g: TemporalGraph, granularity: str, period: int | str, *,
-                    include_null: bool = False) -> float:
+                    include_null: bool = False) -> float | None:
     """Pearson correlation between degree at the end of a period and the
-    number of distinct new-node connections gained in the next period."""
+    number of distinct new-node connections gained in the next period.
+
+    None without a following period, below two nodes or at zero
+    variance; an unknown period label or index is a ValueError.
+    """
     periods = g.periods(granularity)
+    p = period
     if isinstance(period, str):
-        labels = [p.label for p in periods]
-        if period not in labels:
-            raise Degenerate(f"no period {period!r}")
-        p = labels.index(period)
-    else:
-        p = period
-    if p + 1 >= len(periods):
-        raise Degenerate("no following period")
+        labels = [q.label for q in periods]
+        p = labels.index(period) if period in labels else -1
+    if not 0 <= p < len(periods):
+        raise ValueError(f"no period {period!r}")
+    if p + 1 == len(periods):
+        return None
     cutoff = periods[p].end_ts - 1
     view = simple_view(g, cutoff, include_null=include_null)
     nxt = periods[p + 1]
@@ -362,12 +339,10 @@ def hub_correlation(g: TemporalGraph, granularity: str, period: int | str, *,
     for node in sorted(view.nodes):
         xs.append(view.degree(node))
         ys.append(len(gains.get(node, ())))
-    if len(xs) < 2:
-        raise Degenerate("fewer than two nodes in period")
     try:
         return statistics.correlation(xs, ys)
-    except statistics.StatisticsError:
-        raise Degenerate("zero variance") from None
+    except statistics.StatisticsError:     # below two nodes, zero variance
+        return None
 
 
 def tea_tet(g: TemporalGraph, granularity: str, split_time: int, *,
@@ -384,10 +359,8 @@ def tea_tet(g: TemporalGraph, granularity: str, split_time: int, *,
     in_period: list[set[tuple[int, int]]] = [set() for _ in periods]
     has_train: set[tuple[int, int]] = set()
     has_test: set[tuple[int, int]] = set()
-    p = 0
-    for u, v, ts in g.edges(include_null=include_null):
-        while ts >= periods[p].end_ts:
-            p += 1
+    for p, (u, v, ts) in tag_periods(periods,
+                                     g.edges(include_null=include_null)):
         pair = (u, v)
         in_period[p].add(pair)
         if pair not in first_period:

@@ -13,12 +13,13 @@ import math
 import os
 import random
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterator
 
 from .errors import BadRecord, InsufficientNodes
 from .graph import TemporalGraph
 from .output import open_output, write_csv
+from .periods import tag_periods
 
 DAY = 86400
 
@@ -40,42 +41,28 @@ class Snapshot:
     new_nodes: list[int]             # nodes first active in this period
 
 
-@dataclass
-class SnapshotSeries:
-    granularity: str
-    exclude_null: bool
-    snapshots: list[Snapshot] = field(default_factory=list)
-
-    def __len__(self) -> int:
-        return len(self.snapshots)
-
-
 def build_snapshots(g: TemporalGraph, granularity: str, *,
-                    exclude_null: bool = True) -> SnapshotSeries:
-    """Bucket the transfer stream into calendar snapshots.
+                    exclude_null: bool = True) -> list[Snapshot]:
+    """Bucket the transfer stream into calendar snapshots, one per period.
 
     With exclude_null (the default for ML exports) every Null-incident
     transaction is removed before bucketing.
     """
-    series = SnapshotSeries(granularity=granularity, exclude_null=exclude_null)
     periods = g.periods(granularity)
     snaps = [Snapshot(index=i, label=p.label, start_ts=p.start_ts,
                       end_ts=p.end_ts, pair_stats={}, new_nodes=[])
              for i, p in enumerate(periods)]
     seen_nodes: set[int] = set()
-    pi = 0
-    for u, v, ts in g.edges(include_null=not exclude_null):
-        while ts >= periods[pi].end_ts:
-            pi += 1
-        snap = snaps[pi]
+    for p, (u, v, ts) in tag_periods(
+            periods, g.edges(include_null=not exclude_null)):
+        snap = snaps[p]
         cnt, _last = snap.pair_stats.get((u, v), (0, 0))
         snap.pair_stats[(u, v)] = (cnt + 1, ts)
         for w in (u, v):
             if w not in seen_nodes:
                 seen_nodes.add(w)
                 snap.new_nodes.append(w)
-    series.snapshots = snaps
-    return series
+    return snaps
 
 
 def split_roles(mode: str, num_snapshots: int) -> list[str]:
@@ -96,7 +83,7 @@ def split_roles(mode: str, num_snapshots: int) -> list[str]:
     raise ValueError(f"unknown split mode {mode!r}")
 
 
-def sample_negatives(series: SnapshotSeries, index: int, k: int = 100,
+def sample_negatives(snapshots: list[Snapshot], index: int, k: int = 100,
                      seed: int = 0) -> dict[tuple[int, int], list[int]]:
     """For each positive (u, v) of a snapshot, k distinct corrupted targets.
 
@@ -104,8 +91,8 @@ def sample_negatives(series: SnapshotSeries, index: int, k: int = 100,
     snapshot, excluding v itself and any v' that forms a same-period
     positive (u, v').  Deterministic under (seed, index).
     """
-    snap = series.snapshots[index]
-    eligible_set = {w for s in series.snapshots[:index + 1]
+    snap = snapshots[index]
+    eligible_set = {w for s in snapshots[:index + 1]
                     for w in s.new_nodes}
     eligible = sorted(eligible_set)
     rng = random.Random(f"{seed}:{index}")
@@ -163,24 +150,28 @@ def trader_labels(g: TemporalGraph, *,
     return labels
 
 
-def export_features(g: TemporalGraph, series: SnapshotSeries, out_dir: str, *,
+def export_features(g: TemporalGraph, snapshots: list[Snapshot], out_dir: str,
+                    *, granularity: str, exclude_null: bool,
                     task: str = "link", split_mode: str = "fixed",
                     seed: int = 0, earlystop_fraction: float = 0.1) -> list[str]:
     """Write one directory per snapshot: edges.csv, nodes.csv, manifest.json.
+
+    `granularity` and `exclude_null` are the ones the snapshots were built
+    with; the manifests record them.
 
     Edge features are (tx count between the pair, latest interaction
     timestamp).  Node features: cumulative total degree for the node task,
     the constant 1 for the link task.  live_update additionally marks a
     seeded random `earlystop` fraction of each snapshot's edges.
     """
-    roles = split_roles(split_mode, len(series))
+    roles = split_roles(split_mode, len(snapshots))
     label_by_addr = trader_labels(g) if task == "node" else {}
     os.makedirs(out_dir, exist_ok=True)
     write_csv(os.path.join(out_dir, "addresses.csv"),
               ["address_id", "address"], enumerate(g.addresses))
     active: set[int] = set()         # nodes active up to this snapshot
     degree: Counter = Counter()      # their pair-degree up to this snapshot
-    for snap in series.snapshots:
+    for snap in snapshots:
         active.update(snap.new_nodes)
         for u, v in snap.pair_stats:
             degree[u] += 1
@@ -206,14 +197,14 @@ def export_features(g: TemporalGraph, series: SnapshotSeries, out_dir: str, *,
             write_csv(os.path.join(sd, "nodes.csv"), ["address_id", "feature"],
                       ([node, 1] for node in sorted(active)))
         manifest = {
-            "granularity": series.granularity,
+            "granularity": granularity,
             "label": snap.label,
             "start_ts": snap.start_ts,
             "end_ts": snap.end_ts,
             "role": roles[snap.index],
             "split_mode": split_mode,
             "seed": seed,
-            "exclude_null": series.exclude_null,
+            "exclude_null": exclude_null,
         }
         with open_output(os.path.join(sd, "manifest.json")) as fh:
             json.dump(manifest, fh, indent=2, sort_keys=True)

@@ -7,7 +7,7 @@ quarter (3 months), half (6 months), year.
 from __future__ import annotations
 
 from datetime import date, datetime, timedelta, timezone
-from typing import Iterator, NamedTuple
+from typing import Iterable, Iterator, NamedTuple
 
 GRANULARITIES = ("day", "week", "month", "quarter", "half", "year")
 
@@ -84,13 +84,20 @@ def iter_periods(granularity: str, first_ts: int, last_ts: int) -> Iterator[Peri
         start = nxt
 
 
-def period_index(periods: list[Period], ts: int) -> int:
-    """Index of the period containing ts; periods must be contiguous."""
-    lo, hi = 0, len(periods) - 1
-    while lo < hi:
-        mid = (lo + hi) // 2
-        if ts >= periods[mid].end_ts:
-            lo = mid + 1
-        else:
-            hi = mid
-    return lo
+def tag_periods(periods: list[Period],
+                items: Iterable[tuple]) -> Iterator[tuple[int, tuple]]:
+    """Yield (index of the period holding item[-1], item) for each item.
+
+    The one walk that buckets by period.  Each item's last field is its
+    timestamp; the items must come in nondecreasing timestamp order, and
+    the contiguous `periods` must cover every timestamp.
+    """
+    p = 0
+    end = periods[0].end_ts if periods else None
+    for item in items:
+        ts = item[-1]
+        if ts >= end:               # rare: only at a period boundary
+            while ts >= periods[p].end_ts:
+                p += 1
+            end = periods[p].end_ts
+        yield p, item

@@ -236,6 +236,97 @@ def tea_counts(events, period_of):
     return out
 
 
+def period_index(periods, ts):
+    """Index of the period containing ts, by bisection over contiguous
+    periods."""
+    lo, hi = 0, len(periods) - 1
+    while lo < hi:
+        mid = (lo + hi) // 2
+        if ts >= periods[mid].end_ts:
+            lo = mid + 1
+        else:
+            hi = mid
+    return lo
+
+
+def growth_rows(events, period_of, null, include_self_loops=True):
+    """label -> growth row (the growth_series keys) for every label where a
+    node or a pair is new; nodes and pairs touching `null` are left out.
+
+    A node is new at its first event and entered via mint when that event
+    is a transfer from `null`; a pair is new at its first kept event and
+    bidirectional when its reverse's first kept event comes earlier.
+    """
+    first = {}
+    for k, (_ts, u, v) in enumerate(events):
+        for w in (u, v):
+            first.setdefault(w, k)
+    label_of = {w: period_of(events[k][0]) for w, k in first.items()}
+    rows = {}
+
+    def row(label):
+        return rows.setdefault(label, {
+            "new_nodes": 0, "new_mint_nodes": 0, "new_nonmint_nodes": 0,
+            "new_edges": 0, "new_bidirectional_edges": 0,
+            "new_self_loops": 0, "mix": [0, 0, 0]})
+
+    for w, k in first.items():
+        if w != null:
+            r = row(label_of[w])
+            r["new_nodes"] += 1
+            mint = events[k][1] == null
+            r["new_mint_nodes" if mint else "new_nonmint_nodes"] += 1
+    kept = [k for k, (_ts, u, v) in enumerate(events)
+            if null not in (u, v) and (include_self_loops or u != v)]
+    pair_first = {}
+    for k in kept:
+        pair_first.setdefault(events[k][1:], k)
+    for (u, v), k in pair_first.items():
+        label = period_of(events[k][0])
+        r = row(label)
+        r["new_edges"] += 1
+        if u == v:
+            r["new_self_loops"] += 1
+        elif pair_first.get((v, u), k) < k:
+            r["new_bidirectional_edges"] += 1
+        new_ends = [w for w in (u, v) if label_of[w] == label]
+        r["mix"][len(new_ends)] += 1
+    for r in rows.values():
+        old_old, new_old, new_new = r.pop("mix")
+        total = r["new_edges"]
+        for key, part in (("pct_edges_old_old", old_old),
+                          ("pct_edges_new_old", new_old),
+                          ("pct_edges_new_new", new_new)):
+            r[key] = float(Fraction(100 * part, total)) if total else 0.0
+    return rows
+
+
+def snapshot_buckets(events, period_of, null=None):
+    """label -> (pair stats, new nodes) over the events not touching
+    `null` (None keeps every event).
+
+    Pair stats map each pair to (transfers, last timestamp) within the
+    period; new nodes are those whose first kept event falls in the
+    period, ordered by that event and by source before destination.
+    """
+    kept = [e for e in events if null is None or null not in e[1:]]
+    out = {}
+    for label in dict.fromkeys(period_of(ts) for ts, _u, _v in kept):
+        in_period = [e for e in kept if period_of(e[0]) == label]
+        stats = {}
+        for _ts, u, v in in_period:
+            times = [ts for ts, a, b in in_period if (a, b) == (u, v)]
+            stats[(u, v)] = (len(times), max(times))
+        out[label] = (stats, [])
+    firsts = {}
+    for k, (ts, u, v) in enumerate(kept):
+        for side, w in enumerate((u, v)):
+            firsts.setdefault(w, (2 * k + side, ts))
+    for w, (_pos, ts) in sorted(firsts.items(), key=lambda kv: kv[1]):
+        out[period_of(ts)][1].append(w)
+    return out
+
+
 # ---------------------------------------------------------------------
 # subgraph matching (plain recursion in query-vertex id order)
 # ---------------------------------------------------------------------

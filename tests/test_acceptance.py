@@ -23,7 +23,7 @@ from nftgraph.metrics import (assortativity, avg_clustering, density,
                               reciprocity, tea_tet)
 from nftgraph.mlbench import (ScoreRecord, eval_link_scores, split_roles,
                               trader_labels)
-from nftgraph.periods import iter_periods, period_index
+from nftgraph.periods import iter_periods
 
 
 def _report(name: str, ok: bool, detail: str = ""):
@@ -68,7 +68,8 @@ def test_criterion_metric_oracle_equivalence():
             tea, _ = tea_tet(g, "day", split_time=0, include_null=True)
             periods = list(iter_periods("day", g.e_ts[0], g.e_ts[-1]))
             want_tea = oracles.tea_counts(
-                triples, lambda t: periods[period_index(periods, t)].label)
+                triples,
+                lambda t: periods[oracles.period_index(periods, t)].label)
             got_tea = {label: (d["new"], d["recurring"])
                        for label, d in tea if d["new"] or d["recurring"]}
             assert got_tea == want_tea
@@ -155,21 +156,22 @@ def test_criterion_planted_fixture_recovery(planted):
 
     cands = simultaneous_bidirectional(g)
     flagged = suspicious_pairs(g, cands)
-    got_pairs = {frozenset((s.a, s.b)) for s in flagged}
+    got_pairs = {frozenset((s["a"], s["b"])) for s in flagged}
     want_pairs = {frozenset(s["pair"]) for s in ledger["suspicious_pairs"]}
     if got_pairs != want_pairs:                 # precision = recall = 1.0
         ok, details = False, details + ["suspicious pairs"]
-    got_rules = {frozenset((s.a, s.b)): sorted(s.rule_hits) for s in flagged}
+    got_rules = {frozenset((s["a"], s["b"])): sorted(s["rule_hits"])
+                 for s in flagged}
     want_rules = {frozenset(s["pair"]): sorted(s["rules"])
                   for s in ledger["suspicious_pairs"]}
     if got_rules != want_rules:
         ok, details = False, details + ["rule hits"]
 
-    bots = {b.address for b in bot_scan(g)}
+    bots = {b["address"] for b in bot_scan(g)}
     if bots != set(ledger["bot_addresses"]):
         ok, details = False, details + ["bot addresses"]
     (bot_report,) = bot_scan(g)
-    if bot_report.run_length != ledger["bot_run_length"]:
+    if bot_report["run_length"] != ledger["bot_run_length"]:
         ok, details = False, details + ["bot run length"]
 
     hist, cum = mutual_edge_intervals(g)

@@ -13,7 +13,7 @@ def test_simultaneous_included_and_excluded():
     out = simultaneous_bidirectional(g, 86400)
     assert len(out) == 1
     (pair, gap), = out
-    assert set(pair) == {addr(0), addr(1)}
+    assert {g.addresses[i] for i in pair} == {addr(0), addr(1)}
     assert gap == 60
 
 
@@ -29,7 +29,7 @@ def test_simultaneous_matches_quadratic_scan():
     for _ in range(25):
         events = random_events(rng, 12, 120)
         g = TemporalGraph.build(events)
-        got = {frozenset(pair): gap
+        got = {frozenset(g.addresses[i] for i in pair): gap
                for pair, gap in simultaneous_bidirectional(g, 50000)}
         # brute force: all cross-direction |dt| minima per unordered pair
         ts = {}
@@ -50,8 +50,8 @@ def test_low_activity_rule():
     g = graph_of([(1000, 0, 1), (1060, 1, 0)])
     cands = simultaneous_bidirectional(g)
     (s,) = suspicious_pairs(g, cands)
-    assert LOW_ACTIVITY in s.rule_hits
-    assert s.a_tx_count == s.b_tx_count == 2
+    assert LOW_ACTIVITY in s["rule_hits"]
+    assert s["a_tx_count"] == s["b_tx_count"] == 2
 
 
 def test_high_ratio_rule_fires_on_either_endpoint():
@@ -62,8 +62,8 @@ def test_high_ratio_rule_fires_on_either_endpoint():
     g = graph_of(triples)
     cands = simultaneous_bidirectional(g)
     (s,) = suspicious_pairs(g, cands)
-    assert s.rule_hits == (HIGH_RATIO,)
-    assert s.a_ratio == 0.9 or s.b_ratio == 0.9
+    assert s["rule_hits"] == (HIGH_RATIO,)
+    assert s["a_ratio"] == 0.9 or s["b_ratio"] == 0.9
 
 
 def test_no_rule_no_flag():
@@ -84,14 +84,14 @@ def test_rule_monotonicity():
         cands = simultaneous_bidirectional(g)
 
         def low_set(min_tx):
-            return {(s.a, s.b) for s in suspicious_pairs(g, cands,
-                                                         min_tx=min_tx)
-                    if LOW_ACTIVITY in s.rule_hits}
+            return {(s["a"], s["b"]) for s in suspicious_pairs(g, cands,
+                                                               min_tx=min_tx)
+                    if LOW_ACTIVITY in s["rule_hits"]}
 
         def high_set(ratio):
-            return {(s.a, s.b) for s in suspicious_pairs(g, cands,
-                                                         ratio=ratio)
-                    if HIGH_RATIO in s.rule_hits}
+            return {(s["a"], s["b"]) for s in suspicious_pairs(g, cands,
+                                                               ratio=ratio)
+                    if HIGH_RATIO in s["rule_hits"]}
 
         assert low_set(3) <= low_set(5) <= low_set(8)
         assert high_set(0.9) <= high_set(0.8) <= high_set(0.5)
@@ -103,11 +103,11 @@ def test_bot_run_flagged():
     # token ids must increase by exactly 1 along the run
     for k in range(g.num_edges):
         g.e_token[k] = 1000 + k
-    (r,) = [b for b in bot_scan(g) if b.direction == "out"]
-    assert r.address == addr(5)
-    assert r.run_length == 150
-    assert r.median_interval_seconds == 120
-    assert r.first_token_id == 1000
+    (r,) = [b for b in bot_scan(g) if b["direction"] == "out"]
+    assert r["address"] == addr(5)
+    assert r["run_length"] == 150
+    assert r["median_interval_seconds"] == 120
+    assert r["first_token_id"] == 1000
 
 
 def test_bot_shuffled_ids_not_flagged():

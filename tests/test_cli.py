@@ -211,6 +211,32 @@ def test_cache_with_bad_edge_column_exits_2(data_dir, tmp_path, capsys,
         assert not out.exists()
 
 
+@pytest.mark.parametrize("damage", ["past_last_edge", "out_of_order",
+                                    "no_edges"])
+def test_cache_with_bad_n_first_exits_2(data_dir, tmp_path, capsys, damage):
+    good = tmp_path / "good.lglb"
+    assert main(["build", "--input", str(data_dir / "planted.csv"),
+                 "--output", str(good), "--report", str(tmp_path / "b.json")]) == 0
+    g = cache.load(str(good))
+    if damage == "past_last_edge":
+        g.n_first[5] = g.e_ts[-1] + 1
+    elif damage == "out_of_order":
+        g.n_first[5], g.n_first[6] = g.n_first[6] + 40 * 86400, g.n_first[5]
+    else:
+        for column in (g.e_src, g.e_dst, g.e_ts, g.e_contract, g.e_token):
+            column.clear()
+    bad = tmp_path / "bad.lglb"
+    cache.save(g, str(bad))
+    capsys.readouterr()
+    out = tmp_path / "out"
+    assert main(["metrics", "--input", str(bad), "--out-dir", str(out),
+                 "--granularity", "week"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("nftgraph: ") and err.count("\n") == 1
+    assert "Traceback" not in err
+    assert not out.exists()
+
+
 def test_build_then_cached_analysis(data_dir, tmp_path, capsys):
     cache_path = tmp_path / "g.lglb"
     rc = main(["build", "--input", str(data_dir / "planted.csv"),

@@ -13,16 +13,16 @@ def test_build_interns_and_counts():
     g = graph_of([(100, NULL_ADDRESS, 0), (200, 0, 1), (300, 1, 0)])
     assert g.num_nodes == 3           # Null, a0, a1
     assert g.num_edges == 3
-    rec = g.node_record(addr(0))
-    assert rec.first_seen == 100 and rec.last_seen == 300
-    assert rec.tx_count == 3
-    assert rec.entered_via_mint
-    assert not g.node_record(addr(1)).entered_via_mint
+    a0, a1 = g.addr_id(addr(0)), g.addr_id(addr(1))
+    assert g.n_first[a0] == 100 and g.n_last[a0] == 300
+    assert g.n_txc[a0] == 3
+    assert g.n_mint[a0]
+    assert not g.n_mint[a1]
 
 
 def test_self_loop_counts_once():
     g = graph_of([(100, 0, 0)])
-    assert g.node_record(addr(0)).tx_count == 1
+    assert g.n_txc[g.addr_id(addr(0))] == 1
 
 
 def test_unsorted_input_raises():

@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 import oracles
 from conftest import addr, graph_of, make_events, random_events
 from nftgraph import metrics
-from nftgraph.errors import Degenerate
 from nftgraph.graph import SimpleDigraph, TemporalGraph, simple_view
 from nftgraph.ingest import NULL_ADDRESS
 from nftgraph.metrics import (active_periods, assortativity, avg_clustering,
@@ -235,22 +234,59 @@ def test_growth_series_basic():
     series = growth_series(g, "month")
     assert [label for label, _ in series] == ["2021-01", "2021-02"]
     jan, feb = (rec for _, rec in series)
-    assert jan.new_nodes == 2 and jan.new_mint_nodes == 1
-    assert jan.new_edges == 1
-    assert feb.new_nodes == 1
-    assert feb.new_edges == 2
-    assert feb.new_bidirectional_edges == 1     # 2->0 closes 0->2
-    assert feb.pct_edges_new_old == 100.0 * 2 / 2
-    assert jan.pct_edges_new_new == 100.0
+    assert jan["new_nodes"] == 2 and jan["new_mint_nodes"] == 1
+    assert jan["new_edges"] == 1
+    assert feb["new_nodes"] == 1
+    assert feb["new_edges"] == 2
+    assert feb["new_bidirectional_edges"] == 1     # 2->0 closes 0->2
+    assert feb["pct_edges_new_old"] == 100.0 * 2 / 2
+    assert jan["pct_edges_new_new"] == 100.0
+
+
+def _label_of(g, granularity):
+    """The oracle's period bucketing: timestamp -> label by bisection."""
+    periods = g.periods(granularity)
+    return lambda t: periods[oracles.period_index(periods, t)].label
+
+
+def _triples(events, include_null=True):
+    return [(e.timestamp, e.from_addr, e.to_addr) for e in events
+            if include_null or NULL_ADDRESS not in (e.from_addr, e.to_addr)]
+
+
+@pytest.mark.parametrize("include_self_loops", [True, False])
+def test_growth_series_matches_oracle(include_self_loops):
+    rng = random.Random(31)
+    loops = 0
+    for _ in range(30):
+        events = random_events(rng, 10, 150, with_null=True)
+        loops += sum(e.from_addr == e.to_addr for e in events)
+        g = TemporalGraph.build(events)
+        for granularity in ("day", "week", "month"):
+            rows = growth_series(g, granularity,
+                                 include_self_loops=include_self_loops)
+            assert [label for label, _ in rows] == \
+                [p.label for p in g.periods(granularity)]
+            want = oracles.growth_rows(_triples(events),
+                                       _label_of(g, granularity),
+                                       NULL_ADDRESS, include_self_loops)
+            got = {label: row for label, row in rows if any(row.values())}
+            assert got.keys() == want.keys()
+            for label, row in got.items():
+                assert row == pytest.approx(want[label], abs=1e-9)
+            # floats even when zero, as the fig1c CSV prints them
+            assert all(type(row[k]) is float for _, row in rows
+                       for k in row if k.startswith("pct_"))
+    assert loops > 0
 
 
 def test_growth_percentages_sum():
     rng = random.Random(8)
     g = TemporalGraph.build(random_events(rng, 30, 200))
     for _, rec in growth_series(g, "day"):
-        if rec.new_edges:
-            assert rec.pct_edges_new_new + rec.pct_edges_new_old + \
-                rec.pct_edges_old_old == pytest.approx(100.0)
+        if rec["new_edges"]:
+            assert rec["pct_edges_new_new"] + rec["pct_edges_new_old"] + \
+                rec["pct_edges_old_old"] == pytest.approx(100.0)
 
 
 def test_mutual_intervals_example_and_oracle():
@@ -308,10 +344,21 @@ def test_hub_correlation_positive_on_rich_get_richer():
 
 def test_hub_correlation_degenerate():
     g = graph_of([(ts(2021, 1, 1), 0, 1)])
-    with pytest.raises(Degenerate):
-        hub_correlation(g, "month", 0)          # no following period
-    with pytest.raises(Degenerate):
+    assert hub_correlation(g, "month", 0) is None   # no following period
+    with pytest.raises(ValueError):
         hub_correlation(g, "month", "1999-01")  # unknown label
+
+
+def test_hub_correlation_undefined_is_none_and_bad_index_raises():
+    # one node in january: below two nodes
+    g = graph_of([(ts(2021, 1, 1), 0, 0), (ts(2021, 2, 1), 0, 1)])
+    assert hub_correlation(g, "month", "2021-01") is None
+    # both january nodes have degree 1: zero variance
+    g = graph_of([(ts(2021, 1, 1), 0, 1), (ts(2021, 2, 1), 0, 2)])
+    assert hub_correlation(g, "month", 0) is None
+    for index in (-1, 2):
+        with pytest.raises(ValueError):
+            hub_correlation(g, "month", index)
 
 
 def test_tea_tet_example():
@@ -327,7 +374,7 @@ def test_tea_tet_example():
 
 
 def test_tea_matches_oracle():
-    from nftgraph.periods import iter_periods, period_index
+    from nftgraph.periods import iter_periods
     rng = random.Random(21)
     for _ in range(20):
         events = random_events(rng, 20, 150)
@@ -336,6 +383,21 @@ def test_tea_matches_oracle():
         periods = list(iter_periods("day", g.e_ts[0], g.e_ts[-1]))
         want = oracles.tea_counts(
             [(e.timestamp, e.from_addr, e.to_addr) for e in events],
-            lambda t: periods[period_index(periods, t)].label)
+            lambda t: periods[oracles.period_index(periods, t)].label)
         got = {label: (d["new"], d["recurring"]) for label, d in tea}
         assert {k: v for k, v in got.items() if v != (0, 0)} == want
+
+
+@pytest.mark.parametrize("include_null", [True, False])
+def test_tea_with_null_and_self_loops_matches_oracle(include_null):
+    rng = random.Random(41)
+    for _ in range(25):
+        events = random_events(rng, 8, 150, with_null=True)
+        g = TemporalGraph.build(events)
+        for granularity in ("day", "week"):
+            tea, _ = tea_tet(g, granularity, split_time=0,
+                             include_null=include_null)
+            want = oracles.tea_counts(_triples(events, include_null),
+                                      _label_of(g, granularity))
+            got = {label: (d["new"], d["recurring"]) for label, d in tea}
+            assert {k: v for k, v in got.items() if v != (0, 0)} == want

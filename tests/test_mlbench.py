@@ -6,6 +6,7 @@ from datetime import datetime, timezone
 
 import pytest
 
+import oracles
 from conftest import addr, graph_of, random_events
 from nftgraph.errors import BadRecord, InsufficientNodes
 from nftgraph.graph import TemporalGraph
@@ -31,7 +32,7 @@ def test_ten_days_ten_snapshots():
 def test_61_days_three_month_snapshots():
     g = graph_of([(ts(2021, 1, 15), 0, 1), (ts(2021, 3, 16), 0, 2)])
     series = build_snapshots(g, "month")
-    assert [s.label for s in series.snapshots] == \
+    assert [s.label for s in series] == \
         ["2021-01", "2021-02", "2021-03"]
 
 
@@ -39,18 +40,42 @@ def test_exclude_null_removes_transactions():
     g = graph_of([(ts(2021, 1, 1), NULL_ADDRESS, 0),
                   (ts(2021, 1, 1, 6), 0, 1)])
     series = build_snapshots(g, "day")
-    (snap,) = series.snapshots
+    (snap,) = series
     assert len(snap.pair_stats) == 1
     with_null = build_snapshots(g, "day", exclude_null=False)
-    assert len(with_null.snapshots[0].pair_stats) == 2
+    assert len(with_null[0].pair_stats) == 2
 
 
 def test_pair_stats_count_and_last_ts():
     t0 = ts(2021, 1, 1)
     g = graph_of([(t0, 0, 1), (t0 + 60, 0, 1), (t0 + 999, 0, 1)])
-    snap = build_snapshots(g, "day").snapshots[0]
+    snap = build_snapshots(g, "day")[0]
     (stats,) = snap.pair_stats.values()
     assert stats == (3, t0 + 999)
+
+
+@pytest.mark.parametrize("exclude_null", [True, False])
+def test_snapshots_match_oracle(exclude_null):
+    rng = random.Random(51)
+    for _ in range(25):
+        events = random_events(rng, 10, 150, with_null=True)
+        g = TemporalGraph.build(events)
+        for granularity in ("day", "week"):
+            snaps = build_snapshots(g, granularity, exclude_null=exclude_null)
+            periods = g.periods(granularity)
+            assert [(s.index, s.label, s.start_ts, s.end_ts) for s in snaps] \
+                == [(i, *p) for i, p in enumerate(periods)]
+            want = oracles.snapshot_buckets(
+                [(e.timestamp, e.from_addr, e.to_addr) for e in events],
+                lambda t: periods[oracles.period_index(periods, t)].label,
+                NULL_ADDRESS if exclude_null else None)
+            name = g.addresses
+            got = {s.label: ({(name[u], name[v]): st
+                              for (u, v), st in s.pair_stats.items()},
+                             [name[w] for w in s.new_nodes])
+                   for s in snaps if s.pair_stats}
+            assert got == want
+            assert all(s.new_nodes == [] for s in snaps if not s.pair_stats)
 
 
 # -- split roles -------------------------------------------------------
@@ -94,7 +119,7 @@ def test_negatives_valid_and_deterministic():
     out1 = sample_negatives(series, 0, k=3, seed=5)
     out2 = sample_negatives(series, 0, k=3, seed=5)
     assert out1 == out2
-    positives = set(series.snapshots[0].pair_stats)
+    positives = set(series[0].pair_stats)
     for (u, v), negs in out1.items():
         assert len(negs) == len(set(negs)) == 3
         for w in negs:
@@ -172,7 +197,8 @@ def test_export_link_task(tmp_path):
     t0 = ts(2021, 1, 1)
     g = graph_of([(t0, 0, 1), (t0 + 60, 0, 1), (ts(2021, 1, 2), 1, 2)])
     series = build_snapshots(g, "day")
-    roles = export_features(g, series, str(tmp_path), task="link")
+    roles = export_features(g, series, str(tmp_path), granularity="day",
+                            exclude_null=True, task="link")
     assert roles == ["train", "test"]
     with open(tmp_path / "snapshot_0000" / "edges.csv") as fh:
         rows = list(csv.DictReader(fh))
@@ -188,7 +214,8 @@ def test_export_node_task_cumulative_degree(tmp_path):
     t0 = ts(2021, 1, 1)
     g = graph_of([(t0, 0, 1), (ts(2021, 1, 2), 0, 2)])
     series = build_snapshots(g, "day")
-    export_features(g, series, str(tmp_path), task="node")
+    export_features(g, series, str(tmp_path), granularity="day",
+                    exclude_null=True, task="node")
     with open(tmp_path / "snapshot_0001" / "nodes.csv") as fh:
         rows = {r["address_id"]: r for r in csv.DictReader(fh)}
     a0 = str(g.addr_id(addr(0)))
@@ -202,7 +229,8 @@ def test_export_live_update_earlystop_mask(tmp_path):
     triples = [(t0 + i * 60, i, i + 1) for i in range(50)]
     g = graph_of(triples)
     series = build_snapshots(g, "day")
-    export_features(g, series, str(tmp_path), split_mode="live_update",
+    export_features(g, series, str(tmp_path), granularity="day",
+                    exclude_null=True, split_mode="live_update",
                     seed=3, earlystop_fraction=0.3)
     with open(tmp_path / "snapshot_0000" / "edges.csv") as fh:
         rows = list(csv.DictReader(fh))
@@ -215,7 +243,8 @@ def test_export_manifest_roles(tmp_path):
     import json
     g = graph_of([(ts(2021, 1, 1 + i), 0, i + 1) for i in range(5)])
     series = build_snapshots(g, "day")
-    export_features(g, series, str(tmp_path), split_mode="fixed")
+    export_features(g, series, str(tmp_path), granularity="day",
+                    exclude_null=True, split_mode="fixed")
     man = json.loads((tmp_path / "snapshot_0004" / "manifest.json").read_text())
     assert man["role"] == "test"
     assert man["granularity"] == "day"

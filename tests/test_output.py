@@ -166,7 +166,8 @@ def test_failed_export_leaves_each_file_whole(tmp_path, disk_full):
     series = build_snapshots(g, "month")
 
     def export(out, task):
-        export_features(g, series, str(out), task=task)
+        export_features(g, series, str(out), granularity="month",
+                        exclude_null=True, task=task)
         return _tree(out)
 
     link = export(tmp_path / "link", "link")
@@ -175,7 +176,8 @@ def test_failed_export_leaves_each_file_whole(tmp_path, disk_full):
     export(out, "link")
     disk_full(sum(map(len, node.values())) // 2)
     with pytest.raises(OSError):
-        export_features(g, series, str(out), task="node")
+        export_features(g, series, str(out), granularity="month",
+                        exclude_null=True, task="node")
     after = _tree(out)
     assert after.keys() == link.keys()
     assert all(data in (link[rel], node[rel]) for rel, data in after.items())

@@ -1,9 +1,12 @@
 from datetime import date, datetime, timezone
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from nftgraph.periods import (iter_periods, period_index, period_label,
-                              period_start_date)
+from nftgraph.periods import (GRANULARITIES, iter_periods, period_label,
+                              period_start_date, tag_periods)
+from oracles import period_index
 
 
 def ts(y, m, d, h=0):
@@ -60,3 +63,27 @@ def test_week_crossing_year_boundary():
     # 2020-12-31 (Thursday) and 2021-01-01 share ISO week 2020-W53
     periods = list(iter_periods("week", ts(2020, 12, 31), ts(2021, 1, 1)))
     assert [p.label for p in periods] == ["2020-W53"]
+
+
+@settings(max_examples=200, deadline=None)
+@given(granularity=st.sampled_from(GRANULARITIES),
+       first_day=st.integers(0, 30000),
+       # (days after the previous stamp, second of the day): UTC
+       # midnights start a period, 86399 is a period's last second
+       steps=st.lists(st.tuples(st.integers(0, 40), st.one_of(
+           st.just(0), st.just(86399), st.integers(0, 86399))),
+           min_size=1, max_size=60))
+def test_tag_periods_matches_bisect_oracle(granularity, first_day, steps):
+    day, stamps = first_day, []
+    for gap, second in steps:
+        day += gap
+        stamps.append(day * 86400 + second)
+    stamps.sort()
+    periods = list(iter_periods(granularity, stamps[0], stamps[-1]))
+    items = [(i, ts) for i, ts in enumerate(stamps)]
+    tagged = list(tag_periods(periods, items))
+    assert [item for _p, item in tagged] == items
+    assert [p for p, _item in tagged] == \
+        [period_index(periods, ts) for ts in stamps]
+    for p, (_i, ts) in tagged:
+        assert periods[p].start_ts <= ts < periods[p].end_ts
