@@ -5,19 +5,22 @@ a built graph can be dumped to a compact binary file and loaded back much
 faster.  The format is a private convenience, not an interchange format:
 files are regeneratable from the normalized CSV at any time and carry a
 version number so stale caches are rejected rather than misread.  Loading
-also checks column lengths, id ranges, edge time order and that node
-first-seen times rise with the node id within the edges' time span.
+checks the crc32, column lengths and edge time order; the TemporalGraph
+constructor then checks the ids and derives the node columns.
 
 Layout (all integers little-endian):
     magic   4 bytes  b"LGLB"
     version u16
-    then length-prefixed sections: address table, contract table,
-    node arrays, edge arrays.
+    length-prefixed sections: address table, contract table, then the
+    edge columns e_src, e_dst, e_ts, e_contract, e_token
+    crc32   u32 of every byte after the version
 """
 
 from __future__ import annotations
 
+import os
 import struct
+import zlib
 from array import array
 
 from .errors import DataError
@@ -25,129 +28,108 @@ from .graph import TemporalGraph
 from .output import open_output
 
 MAGIC = b"LGLB"
-VERSION = 1
+VERSION = 2
 
 
 class CacheFormatError(DataError):
     """Cache file is corrupt or from an incompatible version."""
 
 
-def _write_strings(fh, items: list[str]) -> None:
-    fh.write(struct.pack("<I", len(items)))
+class _Checksummed:
+    """A cache file plus the crc32 of the payload bytes moved through
+    `write` and `_take`; `left` bounds what reads may take, so a damaged
+    length field reads as truncation before anything is allocated."""
+
+    def __init__(self, fh, left: int = 0):
+        self.fh, self.left, self.crc = fh, left, 0
+
+    def write(self, data) -> None:
+        self.crc = zlib.crc32(data, self.crc)
+        self.fh.write(data)
+
+
+def _write_strings(f: _Checksummed, items: list[str]) -> None:
     blob = "\n".join(items).encode()
-    fh.write(struct.pack("<I", len(blob)))
-    fh.write(blob)
+    f.write(struct.pack("<II", len(items), len(blob)))
+    f.write(blob)
 
 
-def _read_strings(fh) -> list[str]:
-    count, nbytes = struct.unpack("<II", _take(fh, 8))
-    if count == 0:
-        _take(fh, nbytes)
-        return []
-    return _take(fh, nbytes).decode().split("\n")
+def _read_strings(f: _Checksummed) -> list[str]:
+    count, nbytes = struct.unpack("<II", _take(f, 8))
+    blob = _take(f, nbytes).decode()
+    return blob.split("\n") if count else []
 
 
-def _write_ints(fh, values, typecode: str = "q") -> None:
-    values = list(values)
+def _write_ints(f: _Checksummed, values) -> None:
     try:
-        a = array(typecode, values)
+        a = array("q", values)
     except OverflowError:
         # token ids are 256-bit on chain; fall back to decimal text
         blob = "\n".join(str(v) for v in values).encode()
-        fh.write(struct.pack("<cI", b"S", len(values)))
-        fh.write(struct.pack("<I", len(blob)))
-        fh.write(blob)
+        f.write(struct.pack("<cII", b"S", len(values), len(blob)))
+        f.write(blob)
         return
-    fh.write(struct.pack("<cI", typecode.encode(), len(a)))
-    a.tofile(fh)
+    f.write(struct.pack("<cI", b"q", len(a)))
+    a.tofile(f)
 
 
-def _read_ints(fh):
-    typecode, count = struct.unpack("<cI", _take(fh, 5))
+def _read_ints(f: _Checksummed):
+    typecode, count = struct.unpack("<cI", _take(f, 5))
     if typecode == b"S":
-        (nbytes,) = struct.unpack("<I", _take(fh, 4))
-        if count == 0:
-            _take(fh, nbytes)
-            return []
+        (nbytes,) = struct.unpack("<I", _take(f, 4))
         try:
-            return [int(s) for s in _take(fh, nbytes).decode().split("\n")]
+            blob = _take(f, nbytes).decode()
+            return [int(s) for s in blob.split("\n")] if count else []
         except ValueError:
             raise CacheFormatError("non-integer in a decimal column") from None
-    if typecode not in (b"b", b"q"):
+    if typecode != b"q":
         raise CacheFormatError(f"unknown column type {typecode!r}")
-    a = array(typecode.decode())
-    a.frombytes(_take(fh, count * a.itemsize))
+    a = array("q")
+    a.frombytes(_take(f, count * a.itemsize))
     return a
 
 
-def _take(fh, n: int) -> bytes:
-    data = fh.read(n)
-    if len(data) != n:
+def _take(f: _Checksummed, n: int) -> bytes:
+    if n > f.left:
         raise CacheFormatError("truncated cache file")
+    data = f.fh.read(n)
+    f.left -= n
+    f.crc = zlib.crc32(data, f.crc)
     return data
 
 
 def save(g: TemporalGraph, path: str) -> None:
     with open_output(path, binary=True) as fh:
-        fh.write(MAGIC)
-        fh.write(struct.pack("<H", VERSION))
-        _write_strings(fh, g.addresses)
-        _write_strings(fh, g.contracts)
-        _write_ints(fh, g.n_first)
-        _write_ints(fh, g.n_last)
-        _write_ints(fh, g.n_txc)
-        _write_ints(fh, (1 if m else 0 for m in g.n_mint), "b")
-        _write_ints(fh, g.e_src)
-        _write_ints(fh, g.e_dst)
-        _write_ints(fh, g.e_ts)
-        _write_ints(fh, g.e_contract)
-        _write_ints(fh, g.e_token)
+        fh.write(MAGIC + struct.pack("<H", VERSION))
+        f = _Checksummed(fh)
+        _write_strings(f, g.addresses)
+        _write_strings(f, g.contracts)
+        for column in (g.e_src, g.e_dst, g.e_ts, g.e_contract, g.e_token):
+            _write_ints(f, column)
+        fh.write(struct.pack("<I", f.crc))
 
 
 def load(path: str) -> TemporalGraph:
     with open(path, "rb") as fh:
-        if _take(fh, 4) != MAGIC:
+        f = _Checksummed(fh, os.fstat(fh.fileno()).st_size - 4)  # - crc32
+        if _take(f, 4) != MAGIC:
             raise CacheFormatError(f"{path} is not a graph cache")
-        (version,) = struct.unpack("<H", _take(fh, 2))
+        (version,) = struct.unpack("<H", _take(f, 2))
         if version != VERSION:
             raise CacheFormatError(
                 f"cache version {version}, expected {VERSION}; regenerate")
-        g = TemporalGraph()
-        g.addresses = _read_strings(fh)
-        g.contracts = _read_strings(fh)
-        g._addr_ids = {a: i for i, a in enumerate(g.addresses)}
-        g._contract_ids = {c: i for i, c in enumerate(g.contracts)}
-        from .ingest import NULL_ADDRESS
-        g.null_id = g._addr_ids.get(NULL_ADDRESS)
-        g.n_first = list(_read_ints(fh))
-        g.n_last = list(_read_ints(fh))
-        g.n_txc = list(_read_ints(fh))
-        g.n_mint = [bool(x) for x in _read_ints(fh)]
-        g.e_src = list(_read_ints(fh))
-        g.e_dst = list(_read_ints(fh))
-        g.e_ts = list(_read_ints(fh))
-        g.e_contract = list(_read_ints(fh))
-        g.e_token = list(_read_ints(fh))
-        trailing = fh.read(1)
-    if trailing:
-        raise CacheFormatError("trailing bytes after cache payload")
-    n, m = len(g.addresses), len(g.e_src)
-    if (any(len(c) != n for c in (g.n_first, g.n_last, g.n_txc, g.n_mint))
-            or any(len(c) != m
-                   for c in (g.e_dst, g.e_ts, g.e_contract, g.e_token))):
+        f.crc = 0                           # the crc32 covers what follows
+        addresses = _read_strings(f)
+        contracts = _read_strings(f)
+        e_src, e_dst, e_ts, e_contract, e_token = (
+            list(_read_ints(f)) for _ in range(5))
+        if f.left:
+            raise CacheFormatError("trailing bytes after cache payload")
+        if fh.read(4) != struct.pack("<I", f.crc):
+            raise CacheFormatError("checksum mismatch")
+    if any(len(c) != len(e_src) for c in (e_dst, e_ts, e_contract, e_token)):
         raise CacheFormatError("inconsistent section lengths")
-    for name, ids, bound in (("e_src", g.e_src, n), ("e_dst", g.e_dst, n),
-                             ("e_contract", g.e_contract, len(g.contracts))):
-        if ids and not (min(ids) >= 0 and max(ids) < bound):
-            raise CacheFormatError(f"{name} holds an id outside [0, {bound})")
-    if g.e_ts != sorted(g.e_ts):
+    if e_ts != sorted(e_ts):
         raise CacheFormatError("e_ts is not in time order")
-    # nodes are interned at their first edge: first-seen times rise with
-    # the node id and lie within the edges' time span
-    if g.n_first != sorted(g.n_first):
-        raise CacheFormatError("n_first is not in time order")
-    if n and not m:
-        raise CacheFormatError("nodes without edges")
-    if n and not g.e_ts[0] <= g.n_first[0] <= g.n_first[-1] <= g.e_ts[-1]:
-        raise CacheFormatError("n_first lies outside the edges' time span")
-    return g
+    return TemporalGraph(addresses, contracts,
+                         e_src, e_dst, e_ts, e_contract, e_token)

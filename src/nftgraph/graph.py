@@ -3,6 +3,8 @@
 The TemporalGraph is append-only and built in one pass from a normalized
 transfer file.  Addresses and contracts are interned to integer ids; edges
 live in parallel arrays so that ~10M edges fit comfortably in memory.
+The per-node records are derived from the edges by the one constructor,
+never stored or set elsewhere.
 All views derived from a built graph are immutable and safe to share
 across threads.
 """
@@ -16,7 +18,7 @@ from bisect import bisect_right
 from itertools import islice
 from typing import Iterable, Iterator
 
-from .errors import NegativeAge, UnknownNode, UnsortedInput
+from .errors import DataError, NegativeAge, UnknownNode, UnsortedInput
 from .ingest import NULL_ADDRESS, read_transfers
 from .periods import Period, iter_periods
 
@@ -24,47 +26,55 @@ from .periods import Period, iter_periods
 class TemporalGraph:
     """Time-sorted directed multigraph plus token ownership ledger."""
 
-    def __init__(self):
-        self.addresses: list[str] = []
-        self._addr_ids: dict[str, int] = {}
-        self.contracts: list[str] = []
-        self._contract_ids: dict[str, int] = {}
+    def __init__(self, addresses: list[str], contracts: list[str],
+                 e_src: list[int], e_dst: list[int], e_ts: list[int],
+                 e_contract: list[int], e_token: list[int]):
+        """A graph over interned, time-sorted edge columns.
+
+        Derives the node records (a self-loop is one transaction; a mint
+        node first appears as the dst of an edge from Null).  Raises
+        DataError for an id out of range, node ids out of first-appearance
+        order (src before dst), a node without an edge, or a string listed
+        twice.
+        """
+        self.addresses, self.contracts = addresses, contracts
+        self._addr_ids = {a: i for i, a in enumerate(addresses)}
+        self._contract_ids = {c: i for i, c in enumerate(contracts)}
+        if (len(self._addr_ids) != len(addresses)
+                or len(self._contract_ids) != len(contracts)):
+            raise DataError("an address or contract is listed twice")
+        self.null_id = self._addr_ids.get(NULL_ADDRESS)
         # parallel edge arrays, sorted by (timestamp, block, log_index)
-        self.e_src: list[int] = []
-        self.e_dst: list[int] = []
-        self.e_ts: list[int] = []
-        self.e_contract: list[int] = []
-        self.e_token: list[int] = []
-        # per-node records
-        self.n_first: list[int] = []
-        self.n_last: list[int] = []
-        self.n_txc: list[int] = []
-        self.n_mint: list[bool] = []
-        self.null_id: int | None = None
-
-    # -- construction -------------------------------------------------
-
-    def _intern_addr(self, addr: str) -> int:
-        i = self._addr_ids.get(addr)
-        if i is None:
-            i = len(self.addresses)
-            self._addr_ids[addr] = i
-            self.addresses.append(addr)
-            self.n_first.append(0)
-            self.n_last.append(0)
-            self.n_txc.append(0)
-            self.n_mint.append(False)
-            if addr == NULL_ADDRESS:
-                self.null_id = i
-        return i
-
-    def _intern_contract(self, contract: str) -> int:
-        i = self._contract_ids.get(contract)
-        if i is None:
-            i = len(self.contracts)
-            self._contract_ids[contract] = i
-            self.contracts.append(contract)
-        return i
+        self.e_src, self.e_dst, self.e_ts = e_src, e_dst, e_ts
+        self.e_contract, self.e_token = e_contract, e_token
+        n = len(addresses)
+        for name, ids, bound in (("e_src", e_src, n), ("e_dst", e_dst, n),
+                                 ("e_contract", e_contract, len(contracts))):
+            if ids and not (min(ids) >= 0 and max(ids) < bound):
+                raise DataError(f"{name} holds an id outside [0, {bound})")
+        self.n_first = n_first = [0] * n
+        self.n_last = n_last = [0] * n
+        self.n_txc = n_txc = [0] * n
+        self.n_mint = n_mint = [False] * n
+        null, seen = self.null_id, 0
+        for u, v, ts in zip(e_src, e_dst, e_ts):
+            if u >= seen:
+                if u != seen:
+                    raise DataError(f"node {u} appears before node {seen}")
+                n_first[u] = ts
+                seen += 1
+            if v >= seen:
+                if v != seen:
+                    raise DataError(f"node {v} appears before node {seen}")
+                n_first[v] = ts
+                n_mint[v] = u == null
+                seen += 1
+            n_last[u] = n_last[v] = ts
+            n_txc[u] += 1
+            if u != v:
+                n_txc[v] += 1
+        if seen != n:
+            raise DataError(f"node {seen} has no edge")
 
     @classmethod
     def build(cls, source) -> "TemporalGraph":
@@ -75,39 +85,21 @@ class TemporalGraph:
         """
         if isinstance(source, (str, os.PathLike)) or hasattr(source, "read"):
             source = read_transfers(source)
-        g = cls()
+        addr_ids, contract_ids = {}, {}
+        e_src, e_dst, e_ts, e_contract, e_token = [], [], [], [], []
         prev_ts = None
-        addr_ids, contract_ids = g._addr_ids, g._contract_ids
-        n_first, n_last, n_txc, n_mint = g.n_first, g.n_last, g.n_txc, g.n_mint
         for ts, _, tx_hash, _, contract, src, dst, token in source:
             if prev_ts is not None and ts < prev_ts:
                 raise UnsortedInput(f"timestamp regressed at {tx_hash}")
             prev_ts = ts
-            u = addr_ids.get(src)
-            if u is None:
-                u = g._intern_addr(src)
-                n_first[u] = ts
-            v = addr_ids.get(dst)
-            if v is None:
-                v = g._intern_addr(dst)
-                n_first[v] = ts
-                if src == NULL_ADDRESS:
-                    n_mint[v] = True
-            n_last[u] = ts
-            n_last[v] = ts
-            n_txc[u] += 1
-            n_txc[v] += 1
-            if u == v:
-                n_txc[u] -= 1  # a self-loop is one incident transaction
-            c = contract_ids.get(contract)
-            if c is None:
-                c = g._intern_contract(contract)
-            g.e_src.append(u)
-            g.e_dst.append(v)
-            g.e_ts.append(ts)
-            g.e_contract.append(c)
-            g.e_token.append(token)
-        return g
+            e_src.append(addr_ids.setdefault(src, len(addr_ids)))
+            e_dst.append(addr_ids.setdefault(dst, len(addr_ids)))
+            e_ts.append(ts)
+            e_contract.append(
+                contract_ids.setdefault(contract, len(contract_ids)))
+            e_token.append(token)
+        return cls(list(addr_ids), list(contract_ids),
+                   e_src, e_dst, e_ts, e_contract, e_token)
 
     # -- basic queries -------------------------------------------------
 
@@ -168,14 +160,13 @@ class TemporalGraph:
         return None if owner is None else self.addresses[owner]
 
     def summary(self) -> dict:
-        mints = sum(1 for m in self.n_mint if m)
         tokens = len({(c, t) for c, t in zip(self.e_contract, self.e_token)})
         return {
             "nodes": self.num_nodes,
             "edges": self.num_edges,
             "contracts": len(self.contracts),
             "tokens": tokens,
-            "mint_nodes": mints,
+            "mint_nodes": sum(self.n_mint),
             "first_timestamp": self.e_ts[0] if self.e_ts else None,
             "last_timestamp": self.e_ts[-1] if self.e_ts else None,
         }

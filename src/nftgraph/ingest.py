@@ -338,10 +338,10 @@ def write_transfers(path: str, events: Iterable[TransferEvent]) -> None:
 def read_transfers(source) -> Iterator[TransferEvent]:
     """Yield TransferEvents from a normalized CSV path or open text stream.
 
-    The one normalized-CSV reader.  A bad header, a row with the wrong
-    column count or a non-numeric field is a MalformedRecord naming the
-    line, and so is a row the csv module rejects (a field longer than
-    `csv.field_size_limit()`).
+    The one normalized-CSV reader.  A missing header (an empty file), a
+    bad header, a row with the wrong column count or a non-numeric field
+    is a MalformedRecord naming the line, and so is a row the csv module
+    rejects (a field longer than `csv.field_size_limit()`).
     """
     if isinstance(source, (str, os.PathLike)):
         fh = open(source, "r", encoding="utf-8", newline="")
@@ -351,8 +351,8 @@ def read_transfers(source) -> Iterator[TransferEvent]:
     reader = csv.reader(fh)
     try:
         header = next(reader, None)
-        if header is not None and header != NORMALIZED_HEADER:
-            raise MalformedRecord("bad normalized header")
+        if header != NORMALIZED_HEADER:
+            raise MalformedRecord("missing or bad normalized header")
         for row in reader:
             if not row:
                 continue

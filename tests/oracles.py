@@ -199,6 +199,26 @@ def effective_diameter(nodes, pairs, percentile=0.9):
 # stream measurements (events = list of (ts, src, dst) in time order)
 # ---------------------------------------------------------------------
 
+def node_columns(events, null):
+    """address -> (first, last, txc, mint) from the timestamps of the
+    events each address takes part in.
+
+    A self-loop is one event of its address.  An address is a mint node
+    when the event it first takes part in is a transfer to it from `null`.
+    """
+    times, first_event = {}, {}
+    for i, (ts, u, v) in enumerate(events):
+        for a in {u, v}:
+            times.setdefault(a, []).append(ts)
+            first_event.setdefault(a, i)
+    out = {}
+    for a, ts_list in times.items():
+        _, u, v = events[first_event[a]]
+        out[a] = (min(ts_list), max(ts_list), len(ts_list),
+                  u == null and v == a != u)
+    return out
+
+
 def mutual_intervals(events, bucket=86400):
     firsts = {}
     for ts, u, v in events:

@@ -1,11 +1,16 @@
+import contextlib
 import csv
+import io
 import json
 import os
 import re
 import subprocess
 import sys
+import tempfile
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 import nftgraph
 from nftgraph import cache
@@ -52,6 +57,8 @@ def test_missing_input_exits_2(tmp_path, capsys):
 def test_bad_data_exits_2(data_dir, tmp_path, capsys):
     bad = tmp_path / "bad.csv"
     bad.write_text("not,a,normalized,file\n1,2,3,4\n")
+    assert main(["stats", "--input", str(bad)]) == 2
+    bad.write_text("")                                      # no header
     assert main(["stats", "--input", str(bad)]) == 2
     lines = (data_dir / "planted.csv").read_text().splitlines(keepends=True)
     row = lines[2].split(",")
@@ -211,17 +218,20 @@ def test_cache_with_bad_edge_column_exits_2(data_dir, tmp_path, capsys,
         assert not out.exists()
 
 
-@pytest.mark.parametrize("damage", ["past_last_edge", "out_of_order",
-                                    "no_edges"])
+@pytest.mark.parametrize("damage", ["out_of_order", "no_edges"])
 def test_cache_with_bad_n_first_exits_2(data_dir, tmp_path, capsys, damage):
+    """A cache whose edges would put the derived first-seen times out of
+    node id order, or leave nodes without any edge."""
     good = tmp_path / "good.lglb"
     assert main(["build", "--input", str(data_dir / "planted.csv"),
                  "--output", str(good), "--report", str(tmp_path / "b.json")]) == 0
     g = cache.load(str(good))
-    if damage == "past_last_edge":
-        g.n_first[5] = g.e_ts[-1] + 1
-    elif damage == "out_of_order":
-        g.n_first[5], g.n_first[6] = g.n_first[6] + 40 * 86400, g.n_first[5]
+    if damage == "out_of_order":
+        # the same graph, with nodes 5 and 6 trading ids
+        swap = {5: 6, 6: 5}
+        g.addresses[5], g.addresses[6] = g.addresses[6], g.addresses[5]
+        g.e_src[:] = [swap.get(u, u) for u in g.e_src]
+        g.e_dst[:] = [swap.get(v, v) for v in g.e_dst]
     else:
         for column in (g.e_src, g.e_dst, g.e_ts, g.e_contract, g.e_token):
             column.clear()
@@ -235,6 +245,85 @@ def test_cache_with_bad_n_first_exits_2(data_dir, tmp_path, capsys, damage):
     assert err.startswith("nftgraph: ") and err.count("\n") == 1
     assert "Traceback" not in err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("table", ["addresses", "contracts"])
+def test_cache_with_repeated_string_exits_2(data_dir, tmp_path, capsys,
+                                            table):
+    good = tmp_path / "good.lglb"
+    assert main(["build", "--input", str(data_dir / "planted.csv"),
+                 "--output", str(good), "--report", str(tmp_path / "b.json")]) == 0
+    g = cache.load(str(good))
+    strings = getattr(g, table)
+    strings[1] = strings[0]
+    bad = tmp_path / "bad.lglb"
+    cache.save(g, str(bad))
+    capsys.readouterr()
+    out = tmp_path / "s.json"
+    assert main(["stats", "--input", str(bad), "--report", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("nftgraph: ") and err.count("\n") == 1
+    assert "twice" in err
+    assert not out.exists()
+
+
+@pytest.fixture(scope="module")
+def small_cache(tmp_path_factory):
+    """The planted fixture's cache (seed 1, scale 300)."""
+    d = tmp_path_factory.mktemp("small-cache")
+    write_fixture("planted", 1, 300, str(d / "planted.csv"))
+    assert main(["build", "--input", str(d / "planted.csv"),
+                 "--output", str(d / "g.lglb"),
+                 "--report", str(d / "b.json")]) == 0
+    return d / "g.lglb"
+
+
+def test_cache_with_damaged_tail_exits_2(small_cache, tmp_path, capsys):
+    """The last 50 bytes fall inside e_token, which no range or order
+    check can vet: only the checksum finds the damage."""
+    bad = tmp_path / "bad.lglb"
+    bad.write_bytes(small_cache.read_bytes()[:-50] + b"\x7f" * 50)
+    out = tmp_path / "anomaly.jsonl"
+    assert main(["anomaly", "--input", str(bad), "--output", str(out)]) == 2
+    assert capsys.readouterr().err == "nftgraph: checksum mismatch\n"
+    assert not out.exists()
+
+
+_DAMAGE = st.one_of(
+    st.tuples(st.just("flip"), st.integers(0, 1 << 20), st.integers(0, 7)),
+    st.tuples(st.just("overwrite"), st.integers(0, 1 << 20),
+              st.binary(min_size=1, max_size=8)),
+    st.tuples(st.just("truncate"), st.integers(0, 1 << 20), st.none()))
+
+
+@settings(deadline=None, max_examples=60)
+@given(damage=_DAMAGE)
+def test_damaged_cache_bytes_exit_2(small_cache, damage):
+    kind, at, arg = damage
+    good = small_cache.read_bytes()
+    blob = bytearray(good)
+    at %= len(blob)
+    if kind == "flip":
+        blob[at] ^= 1 << arg
+    elif kind == "overwrite":
+        blob[at:at + len(arg)] = arg
+    else:
+        del blob[at:]
+    assume(blob != good)
+    with tempfile.TemporaryDirectory() as d:
+        bad = os.path.join(d, "bad.lglb")
+        with open(bad, "wb") as fh:
+            fh.write(blob)
+        out = os.path.join(d, "out")
+        for argv in (["stats", "--report", out], ["anomaly", "--output", out]):
+            err = io.StringIO()
+            with contextlib.redirect_stderr(err):
+                rc = main([argv[0], "--input", bad, *argv[1:]])
+            err = err.getvalue()
+            assert rc == 2, (argv[0], err)
+            assert err.startswith("nftgraph: ") and err.count("\n") == 1
+            assert "Traceback" not in err
+            assert os.listdir(d) == ["bad.lglb"]
 
 
 def test_build_then_cached_analysis(data_dir, tmp_path, capsys):

@@ -10,7 +10,8 @@ When an output changes on purpose, re-record the manifest with
 
     PYTHONPATH=src python tests/test_golden.py
 
-and say in the change why the digests moved.
+which lists the names whose digests changed, were added or were removed
+before it rewrites the manifest; say in the change why they moved.
 """
 
 import csv
@@ -169,5 +170,12 @@ def test_cli_outputs_match_manifest(tmp_path, capsys):
 if __name__ == "__main__":
     with tempfile.TemporaryDirectory() as d:
         manifest = _run_all(Path(d))
+    old = json.loads(MANIFEST.read_text()) if MANIFEST.exists() else {}
+    for what, names in (
+            ("changed", [n for n in manifest if n in old
+                         and manifest[n] != old[n]]),
+            ("added", [n for n in manifest if n not in old]),
+            ("removed", [n for n in old if n not in manifest])):
+        print(f"{what}: {len(names)}", *names, sep="\n  ", file=sys.stderr)
     MANIFEST.write_text(json.dumps(manifest, indent=1, sort_keys=True) + "\n")
     print(f"recorded {len(manifest)} digests in {MANIFEST}", file=sys.stderr)

@@ -1,10 +1,15 @@
+import os
 import random
+import tempfile
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import oracles
 from conftest import addr, graph_of, make_events, random_events
 from nftgraph import cache
-from nftgraph.errors import NegativeAge, UnknownNode, UnsortedInput
+from nftgraph.errors import DataError, NegativeAge, UnknownNode, UnsortedInput
 from nftgraph.graph import TemporalGraph, peel_degree_one, simple_view
 from nftgraph.ingest import NULL_ADDRESS, write_transfers
 
@@ -23,6 +28,44 @@ def test_build_interns_and_counts():
 def test_self_loop_counts_once():
     g = graph_of([(100, 0, 0)])
     assert g.n_txc[g.addr_id(addr(0))] == 1
+
+
+_ADDRESS = st.one_of(st.integers(0, 5), st.just(NULL_ADDRESS))
+_ROW = st.tuples(st.integers(1600000000, 1600000300), _ADDRESS, _ADDRESS,
+                 st.sampled_from(["0x" + "c0" * 20, "0x" + "c1" * 20]),
+                 st.one_of(st.integers(0, 9), st.just(2 ** 255 + 1)))
+
+
+@settings(deadline=None, max_examples=80)
+@given(st.lists(_ROW, max_size=30))
+def test_node_columns_match_oracle_and_survive_the_cache(rows):
+    """Null, self-loops and repeated pairs are all in the draw."""
+    rows.sort(key=lambda r: r[0])
+    events = [ev._replace(contract=c, token_id=t) for ev, (*_, c, t)
+              in zip(make_events([r[:3] for r in rows]), rows)]
+    g = TemporalGraph.build(events)
+    want = oracles.node_columns(
+        [(ev.timestamp, ev.from_addr, ev.to_addr) for ev in events],
+        NULL_ADDRESS)
+    assert sorted(want) == sorted(g.addresses)
+    assert [want[a] for a in g.addresses] == \
+        list(zip(g.n_first, g.n_last, g.n_txc, g.n_mint))
+    with tempfile.TemporaryDirectory() as d:
+        path = os.path.join(d, "g.lglb")
+        cache.save(g, path)
+        assert vars(cache.load(path)) == vars(g)
+
+
+@pytest.mark.parametrize("addresses,e_src,e_dst,message", [
+    ([addr(0), addr(1)], [1], [0], "node 1 appears before node 0"),
+    ([addr(0), addr(1)], [0], [0], "node 1 has no edge"),
+    ([addr(0), addr(0)], [0], [1], "twice"),
+    ([addr(0), addr(1)], [0], [-1], "e_dst holds an id outside"),
+], ids=["out_of_order", "no_edge", "repeated_address", "out_of_range"])
+def test_constructor_rejects_bad_node_ids(addresses, e_src, e_dst, message):
+    with pytest.raises(DataError, match=message):
+        TemporalGraph(addresses, ["0x" + "c0" * 20], e_src, e_dst,
+                      [100], [0], [1])
 
 
 def test_unsorted_input_raises():
@@ -155,9 +198,10 @@ def test_cache_round_trip(tmp_path):
     h = cache.load(str(path))
     assert h.addresses == g.addresses
     assert h.contracts == g.contracts
-    assert list(h.e_src) == g.e_src and list(h.e_ts) == g.e_ts
-    assert list(h.e_token) == g.e_token
-    assert h.n_mint == g.n_mint
+    assert h.e_src == g.e_src and h.e_dst == g.e_dst and h.e_ts == g.e_ts
+    assert h.e_contract == g.e_contract and h.e_token == g.e_token
+    assert h.n_first == g.n_first and h.n_last == g.n_last
+    assert h.n_txc == g.n_txc and h.n_mint == g.n_mint
     assert h.null_id == g.null_id
     assert h.summary_digest() == g.summary_digest()
 
@@ -178,7 +222,7 @@ def test_cache_rejects_non_integer_big_token_id(tmp_path):
     path = tmp_path / "g.lglb"
     cache.save(g, str(path))
     blob = path.read_bytes()
-    path.write_bytes(blob[:-3] + b"x" + blob[-2:])      # a digit of e_token
+    path.write_bytes(blob[:-7] + b"x" + blob[-6:])      # a digit of e_token
     with pytest.raises(cache.CacheFormatError, match="non-integer"):
         cache.load(str(path))
 
@@ -215,13 +259,23 @@ def test_cache_rejects_trailing_bytes(tmp_path):
         cache.load(str(path))
 
 
+def test_cache_rejects_changed_byte(tmp_path):
+    path = tmp_path / "g.lglb"
+    cache.save(graph_of([(100, 0, 1), (200, 1, 2)]), str(path))
+    blob = bytearray(path.read_bytes())
+    blob[-5] ^= 1                       # the last byte of e_token
+    path.write_bytes(bytes(blob))
+    with pytest.raises(cache.CacheFormatError, match="checksum mismatch"):
+        cache.load(str(path))
+
+
 def test_cache_rejects_unknown_column_type(tmp_path):
     g = graph_of([(100, 0, 1)])
     path = tmp_path / "g.lglb"
     cache.save(g, str(path))
     blob = bytearray(path.read_bytes())
     at = 6 + sum(8 + len("\n".join(t).encode())
-                 for t in (g.addresses, g.contracts))   # n_first's typecode
+                 for t in (g.addresses, g.contracts))   # e_src's typecode
     assert blob[at:at + 1] == b"q"
     blob[at:at + 1] = b"z"
     path.write_bytes(bytes(blob))
@@ -229,7 +283,7 @@ def test_cache_rejects_unknown_column_type(tmp_path):
         cache.load(str(path))
 
 
-@pytest.mark.parametrize("column", ["n_txc", "e_dst", "e_token"])
+@pytest.mark.parametrize("column", ["e_dst", "e_token"])
 def test_cache_rejects_column_of_wrong_length(tmp_path, column):
     g = graph_of([(100, 0, 1), (200, 1, 2)])
     getattr(g, column).pop()
