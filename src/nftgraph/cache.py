@@ -56,7 +56,10 @@ def _write_strings(f: _Checksummed, items: list[str]) -> None:
 
 def _read_strings(f: _Checksummed) -> list[str]:
     count, nbytes = struct.unpack("<II", _take(f, 8))
-    blob = _take(f, nbytes).decode()
+    try:
+        blob = _take(f, nbytes).decode()
+    except UnicodeDecodeError:
+        raise CacheFormatError("a string table is not UTF-8") from None
     return blob.split("\n") if count else []
 
 

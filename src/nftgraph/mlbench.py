@@ -101,6 +101,10 @@ def sample_negatives(snapshots: list[Snapshot], index: int, k: int = 100,
         positives_by_src.setdefault(u, set()).add(v)
     out: dict[tuple[int, int], list[int]] = {}
     n = len(eligible)
+    # rng.randrange(n) without its frames: CPython draws bit_length(n)
+    # random bits until they fall below n, so the draws are the same
+    bits = n.bit_length()
+    getrandbits = rng.getrandbits
     for u, v in sorted(snap.pair_stats):
         banned = positives_by_src[u]
         if n - len(banned & eligible_set) < k:
@@ -108,8 +112,11 @@ def sample_negatives(snapshots: list[Snapshot], index: int, k: int = 100,
                 f"snapshot {snap.label}: need {k} negatives for ({u},{v})")
         chosen: list[int] = []
         used: set[int] = set()
-        while len(chosen) < k:
-            cand = eligible[rng.randrange(n)]
+        while len(chosen) < k:      # k > 0 here implies n > 0
+            r = getrandbits(bits)
+            while r >= n:
+                r = getrandbits(bits)
+            cand = eligible[r]
             if cand in banned or cand in used:
                 continue
             used.add(cand)
@@ -128,19 +135,24 @@ def trader_labels(g: TemporalGraph, *,
     are filtered out.  Thresholds are right-closed: a gap of exactly
     86,400 s is still a daily trader.
     """
-    times: dict[int, list[int]] = {}
+    last = list(g.n_first)
+    gap = [0] * g.num_nodes          # longest gap between transactions
     for u, v, ts in g.edges():
-        times.setdefault(u, []).append(ts)
+        d = ts - last[u]
+        if d > gap[u]:
+            gap[u] = d
+        last[u] = ts
         if v != u:
-            times.setdefault(v, []).append(ts)
+            d = ts - last[v]
+            if d > gap[v]:
+                gap[v] = d
+            last[v] = ts
     labels = {}
-    for node in range(g.num_nodes):
+    for node, max_gap in enumerate(gap):
         if not include_null and node == g.null_id:
             continue
-        ts = times.get(node, ())
-        if len(ts) < 2:
+        if g.n_txc[node] < 2:        # a self-loop is one transaction
             continue
-        max_gap = max(b - a for a, b in zip(ts, ts[1:]))
         cls = "remaining"
         for name, limit in _THRESHOLDS:
             if max_gap <= limit:
@@ -169,33 +181,46 @@ def export_features(g: TemporalGraph, snapshots: list[Snapshot], out_dir: str,
     os.makedirs(out_dir, exist_ok=True)
     write_csv(os.path.join(out_dir, "addresses.csv"),
               ["address_id", "address"], enumerate(g.addresses))
-    active: set[int] = set()         # nodes active up to this snapshot
-    degree: Counter = Counter()      # their pair-degree up to this snapshot
+    # Every field written below is an int or a TRADER_CLASSES label, which
+    # csv.writer never quotes, so rows are formatted here in its dialect.
+    # A node's nodes.csv row is reformatted only when its degree changes.
+    degree = [0] * g.num_nodes       # pair-degree up to this snapshot
+    rows = [""] * g.num_nodes        # each active node's nodes.csv row
+    order: list[int] = []            # the active nodes, in id order
     for snap in snapshots:
-        active.update(snap.new_nodes)
-        for u, v in snap.pair_stats:
-            degree[u] += 1
-            degree[v] += 1
+        order += snap.new_nodes
+        order.sort()                 # timsort merges the two sorted runs
+        if task == "node":
+            changed = set(snap.new_nodes)
+            for u, v in snap.pair_stats:
+                degree[u] += 1
+                degree[v] += 1
+                changed.add(u)
+                changed.add(v)
+            for w in changed:
+                rows[w] = "%d,%d,%s\r\n" % (
+                    w, degree[w], label_by_addr.get(g.addresses[w], ""))
+        else:
+            for w in snap.new_nodes:
+                rows[w] = "%d,1\r\n" % w
         sd = os.path.join(out_dir, f"snapshot_{snap.index:04d}")
         os.makedirs(sd, exist_ok=True)
-        header = ["src", "dst", "tx_count", "last_ts"]
-        edges = [[u, v, cnt, last] for (u, v), (cnt, last)
-                 in sorted(snap.pair_stats.items())]
+        pairs = sorted(snap.pair_stats.items())
+        header = "src,dst,tx_count,last_ts"
         if split_mode == "live_update":
-            header.append("earlystop")
+            header += ",earlystop"
             rng = random.Random(f"{seed}:es:{snap.index}")
-            for row in edges:
-                row.append(int(rng.random() < earlystop_fraction))
-        write_csv(os.path.join(sd, "edges.csv"), header, edges)
-        if task == "node":
-            write_csv(os.path.join(sd, "nodes.csv"),
-                      ["address_id", "degree", "label"],
-                      ([node, degree[node],
-                        label_by_addr.get(g.addresses[node], "")]
-                       for node in sorted(active)))
+            edges = ["%d,%d,%d,%d,%d\r\n" % (u, v, cnt, last,
+                                             rng.random() < earlystop_fraction)
+                     for (u, v), (cnt, last) in pairs]
         else:
-            write_csv(os.path.join(sd, "nodes.csv"), ["address_id", "feature"],
-                      ([node, 1] for node in sorted(active)))
+            edges = ["%d,%d,%d,%d\r\n" % (u, v, cnt, last)
+                     for (u, v), (cnt, last) in pairs]
+        _write_rows(os.path.join(sd, "edges.csv"), header, edges)
+        _write_rows(os.path.join(sd, "nodes.csv"),
+                    "address_id,degree,label" if task == "node"
+                    else "address_id,feature",
+                    map(rows.__getitem__, order))
         manifest = {
             "granularity": granularity,
             "label": snap.label,
@@ -209,6 +234,14 @@ def export_features(g: TemporalGraph, snapshots: list[Snapshot], out_dir: str,
         with open_output(os.path.join(sd, "manifest.json")) as fh:
             json.dump(manifest, fh, indent=2, sort_keys=True)
     return roles
+
+
+def _write_rows(path: str, header: str, rows) -> None:
+    """Write a header and preformatted rows, each ending in CRLF as
+    csv.writer's rows do, through `open_output`."""
+    with open_output(path) as fh:
+        fh.write(header + "\r\n")
+        fh.writelines(rows)
 
 
 # ---------------------------------------------------------------------

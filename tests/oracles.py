@@ -9,7 +9,10 @@ between the two is meaningful.
 
 from __future__ import annotations
 
-from collections import deque
+import csv
+import io
+import random
+from collections import Counter, deque
 from fractions import Fraction
 
 
@@ -219,6 +222,30 @@ def node_columns(events, null):
     return out
 
 
+def trader_labels(events, null=None):
+    """address -> trader class from the longest gap between the
+    timestamps of its events, for addresses with two or more events.
+
+    A self-loop is one event of its address; `null` gets no label.
+    Thresholds are right-closed (a 30-day month, a 365-day year).
+    Addresses come in the order they first appear, src before dst.
+    """
+    times = {}
+    for ts, u, v in events:
+        for a in (u,) if u == v else (u, v):
+            times.setdefault(a, []).append(ts)
+    out = {}
+    for a, ts_list in times.items():
+        if a == null or len(ts_list) < 2:
+            continue
+        gap = max(y - x for x, y in zip(ts_list, ts_list[1:]))
+        out[a] = ("daily" if gap <= 86400 else
+                  "weekly" if gap <= 7 * 86400 else
+                  "monthly" if gap <= 30 * 86400 else
+                  "yearly" if gap <= 365 * 86400 else "remaining")
+    return out
+
+
 def mutual_intervals(events, bucket=86400):
     firsts = {}
     for ts, u, v in events:
@@ -396,4 +423,64 @@ def dedup_by_automorphism(q_n, q_edges, mappings, q_labels=None):
         if canon not in seen:
             seen.add(canon)
             out.append(m)
+    return out
+
+
+# ---------------------------------------------------------------------
+# ML export (snapshots: objects with index, pair_stats and new_nodes)
+# ---------------------------------------------------------------------
+
+def export_csv_texts(snapshots, label_of, task, split_mode, seed,
+                     earlystop_fraction):
+    """[(edges.csv, nodes.csv)] as text per snapshot, through csv.writer.
+
+    Each snapshot recounts every earlier snapshot's pairs and rewrites
+    every node active so far; `label_of` maps a node id to its class.
+    """
+    out = []
+    for i, snap in enumerate(snapshots):
+        upto = snapshots[:i + 1]
+        degree = Counter(w for s in upto for pair in s.pair_stats
+                         for w in pair)
+        active = sorted({w for s in upto for w in s.new_nodes})
+        header = ["src", "dst", "tx_count", "last_ts"]
+        edges = [[u, v, cnt, last] for (u, v), (cnt, last)
+                 in sorted(snap.pair_stats.items())]
+        if split_mode == "live_update":
+            header.append("earlystop")
+            rng = random.Random(f"{seed}:es:{snap.index}")
+            for row in edges:
+                row.append(int(rng.random() < earlystop_fraction))
+        if task == "node":
+            nodes = [["address_id", "degree", "label"]] + [
+                [w, degree[w], label_of.get(w, "")] for w in active]
+        else:
+            nodes = [["address_id", "feature"]] + [[w, 1] for w in active]
+        texts = []
+        for rows in ([header] + edges, nodes):
+            buf = io.StringIO()
+            csv.writer(buf).writerows(rows)
+            texts.append(buf.getvalue())
+        out.append(tuple(texts))
+    return out
+
+
+def sample_negatives(snapshots, index, k, seed):
+    """(u, v) -> k distinct targets drawn with rng.randrange over the nodes
+    seen by snapshot `index`, skipping v' of any same-snapshot (u, v');
+    None when some positive has fewer than k targets to draw from."""
+    snap = snapshots[index]
+    eligible = sorted({w for s in snapshots[:index + 1] for w in s.new_nodes})
+    rng = random.Random(f"{seed}:{index}")
+    out = {}
+    for u, v in sorted(snap.pair_stats):
+        banned = {b for a, b in snap.pair_stats if a == u}
+        if sum(1 for w in eligible if w not in banned) < k:
+            return None
+        chosen = []
+        while len(chosen) < k:
+            cand = eligible[rng.randrange(len(eligible))]
+            if cand not in banned and cand not in chosen:
+                chosen.append(cand)
+        out[(u, v)] = chosen
     return out

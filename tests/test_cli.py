@@ -289,6 +289,20 @@ def test_cache_with_damaged_tail_exits_2(small_cache, tmp_path, capsys):
     assert not out.exists()
 
 
+def test_cache_with_non_utf8_address_exits_2(small_cache, tmp_path, capsys):
+    """The address table is decoded before the checksum is read, so a
+    byte that is not UTF-8 there must still be reported as cache damage."""
+    blob = bytearray(small_cache.read_bytes())
+    blob[14] = 0xE7       # after magic, version and the table's two lengths
+    bad = tmp_path / "bad.lglb"
+    bad.write_bytes(blob)
+    out = tmp_path / "s.json"
+    assert main(["stats", "--input", str(bad), "--report", str(out)]) == 2
+    assert capsys.readouterr().err == \
+        "nftgraph: a string table is not UTF-8\n"
+    assert not out.exists()
+
+
 _DAMAGE = st.one_of(
     st.tuples(st.just("flip"), st.integers(0, 1 << 20), st.integers(0, 7)),
     st.tuples(st.just("overwrite"), st.integers(0, 1 << 20),
@@ -315,7 +329,10 @@ def test_damaged_cache_bytes_exit_2(small_cache, damage):
         with open(bad, "wb") as fh:
             fh.write(blob)
         out = os.path.join(d, "out")
-        for argv in (["stats", "--report", out], ["anomaly", "--output", out]):
+        for argv in (["stats", "--report", out], ["anomaly", "--output", out],
+                     ["metrics", "--out-dir", out],
+                     ["csm", "--initial-until", "0", "--output", out],
+                     ["export-ml", "--out-dir", out]):
             err = io.StringIO()
             with contextlib.redirect_stderr(err):
                 rc = main([argv[0], "--input", bad, *argv[1:]])

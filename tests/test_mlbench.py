@@ -1,17 +1,21 @@
 import csv
 import math
 import random
+import tempfile
 from collections import Counter
 from datetime import datetime, timezone
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import oracles
-from conftest import addr, graph_of, random_events
+from conftest import addr, graph_of, make_events, random_events
 from nftgraph.errors import BadRecord, InsufficientNodes
 from nftgraph.graph import TemporalGraph
 from nftgraph.ingest import NULL_ADDRESS
-from nftgraph.mlbench import (ScoreRecord, build_snapshots,
+from nftgraph.mlbench import (TRADER_CLASSES, ScoreRecord, build_snapshots,
                               eval_classification, eval_link_scores,
                               export_features, read_score_file,
                               sample_negatives, split_roles,
@@ -76,6 +80,21 @@ def test_snapshots_match_oracle(exclude_null):
                    for s in snaps if s.pair_stats}
             assert got == want
             assert all(s.new_nodes == [] for s in snaps if not s.pair_stats)
+
+
+# Up to 40 transfers over about a week among 8 addresses and Null, with
+# self-loops; times on whole days are likely, so gaps of exactly 86,400 s
+# are too.
+_T0 = ts(2021, 1, 1)
+_NODE = st.one_of(st.integers(0, 7), st.just(NULL_ADDRESS))
+_TIME = st.one_of(st.integers(0, 7 * 86400), st.integers(0, 7).map(
+    lambda d: d * 86400)).map(lambda t: _T0 + t)
+_EVENTS = st.lists(st.tuples(_TIME, _NODE, _NODE), min_size=1,
+                   max_size=40).map(make_events)
+
+
+def _triples(events):
+    return [(e.timestamp, e.from_addr, e.to_addr) for e in events]
 
 
 # -- split roles -------------------------------------------------------
@@ -151,6 +170,28 @@ def test_negatives_uniform_frequency():
         assert abs(c - total * p) <= 4 * sigma
 
 
+@settings(deadline=None, max_examples=80)
+@given(events=_EVENTS, exclude_null=st.booleans(), data=st.data())
+def test_negatives_match_randrange_oracle(events, exclude_null, data):
+    """The same draws as a randrange loop, also when k is at or near the
+    number of eligible targets and most draws are rejected."""
+    snaps = build_snapshots(TemporalGraph.build(events), "day",
+                            exclude_null=exclude_null)
+    index = data.draw(st.integers(0, len(snaps) - 1))
+    snap = snaps[index]
+    eligible = {w for s in snaps[:index + 1] for w in s.new_nodes}
+    room = min((len(eligible - {b for a, b in snap.pair_stats if a == u})
+                for u, _ in snap.pair_stats), default=3)
+    k = data.draw(st.integers(max(1, room - 2), room + 1))
+    seed = data.draw(st.integers(0, 3))
+    want = oracles.sample_negatives(snaps, index, k, seed)
+    if want is None:
+        with pytest.raises(InsufficientNodes):
+            sample_negatives(snaps, index, k=k, seed=seed)
+    else:
+        assert sample_negatives(snaps, index, k=k, seed=seed) == want
+
+
 # -- trader labels -----------------------------------------------------
 
 def test_trader_thresholds_right_closed():
@@ -189,6 +230,23 @@ def test_trader_partition_complete():
     assert len(labels) == eligible
     assert all(c in ("daily", "weekly", "monthly", "yearly", "remaining")
                for c in labels.values())
+
+
+@settings(deadline=None, max_examples=80)
+@given(events=_EVENTS)
+def test_trader_labels_match_oracle(events):
+    g = TemporalGraph.build(events)
+    triples = _triples(events)
+    assert list(trader_labels(g).items()) == \
+        list(oracles.trader_labels(triples, NULL_ADDRESS).items())
+    assert list(trader_labels(g, include_null=True).items()) == \
+        list(oracles.trader_labels(triples).items())
+
+
+def test_trader_classes_need_no_csv_quoting():
+    """export_features writes labels without csv.writer's quoting."""
+    for label in TRADER_CLASSES:
+        assert not set(label) & set(',"\r\n'), label
 
 
 # -- feature export ----------------------------------------------------
@@ -248,6 +306,29 @@ def test_export_manifest_roles(tmp_path):
     man = json.loads((tmp_path / "snapshot_0004" / "manifest.json").read_text())
     assert man["role"] == "test"
     assert man["granularity"] == "day"
+
+
+@pytest.mark.parametrize("task", ["link", "node"])
+@pytest.mark.parametrize("split_mode", ["fixed", "live_update"])
+@settings(deadline=None, max_examples=40)
+@given(events=_EVENTS, exclude_null=st.booleans(), seed=st.integers(0, 3))
+def test_export_files_match_csv_writer_oracle(task, split_mode, events,
+                                              exclude_null, seed):
+    g = TemporalGraph.build(events)
+    snaps = build_snapshots(g, "day", exclude_null=exclude_null)
+    label_of = {g.addr_id(a): c for a, c in
+                oracles.trader_labels(_triples(events), NULL_ADDRESS).items()}
+    want = oracles.export_csv_texts(snaps, label_of, task, split_mode, seed,
+                                    0.3)
+    with tempfile.TemporaryDirectory() as d:
+        export_features(g, snaps, d, granularity="day",
+                        exclude_null=exclude_null, task=task,
+                        split_mode=split_mode, seed=seed,
+                        earlystop_fraction=0.3)
+        got = [tuple(Path(d, f"snapshot_{s.index:04d}", name).read_bytes()
+                     .decode() for name in ("edges.csv", "nodes.csv"))
+               for s in snaps]
+    assert got == want
 
 
 # -- evaluation --------------------------------------------------------

@@ -40,6 +40,10 @@ class _FullDisk:
             raise OSError(errno.ENOSPC, "No space left on device")
         return self._fh.write(data)
 
+    def writelines(self, lines):
+        for line in lines:
+            self.write(line)
+
     def __getattr__(self, name):
         return getattr(self._fh, name)
 
