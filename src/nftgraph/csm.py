@@ -156,26 +156,29 @@ def _matching_order(q: QueryGraph, seeds: Sequence[int]) -> list[int]:
     return order
 
 
-def _label_ok(qlabel, dlabel) -> bool:
-    return qlabel is WILDCARD or qlabel == dlabel
-
-
-Step = tuple[int, object, tuple[int, ...], tuple[int, ...], bool]
+Step = tuple[int, object, tuple[int, ...], tuple[int, ...], bool,
+             tuple[tuple[int, int], ...]]
 
 
 def _compile(q: QueryGraph, seeds: Sequence[int]) -> list[Step]:
     """Search plan for the query vertices after `seeds` in matching order.
 
-    A step `(x, label, succ, pred, self_loop)` places query vertex x;
-    `succ` / `pred` are the earlier-placed vertices x has edges to / from.
+    A step `(x, label, succ, pred, self_loop, placed)` places query vertex
+    x; `succ` / `pred` are the earlier-placed vertices x has edges to /
+    from, and `placed` is every query edge that placing x completes.
     """
     order = _matching_order(q, seeds)
     edges = set(q.edges)
-    return [(x, q.labels[x],
-             tuple(y for y in order[:i] if (x, y) in edges),
-             tuple(y for y in order[:i] if (y, x) in edges),
-             (x, x) in edges)
-            for i, x in enumerate(order[len(seeds):], len(seeds))]
+    steps = []
+    for i, x in enumerate(order[len(seeds):], len(seeds)):
+        succ = tuple(y for y in order[:i] if (x, y) in edges)
+        pred = tuple(y for y in order[:i] if (y, x) in edges)
+        self_loop = (x, x) in edges
+        placed = [(x, y) for y in succ] + [(y, x) for y in pred]
+        if self_loop:
+            placed.append((x, x))
+        steps.append((x, q.labels[x], succ, pred, self_loop, tuple(placed)))
+    return steps
 
 
 # Plain recursion on purpose: a nested function calling itself is a
@@ -183,13 +186,16 @@ def _compile(q: QueryGraph, seeds: Sequence[int]) -> list[Step]:
 def _search(g: SimpleDigraph, labels: dict[int, object], steps: list[Step],
             assign: list[int | None], used: set[int],
             found: list[tuple[int, ...]], deadline: float = math.inf,
-            i: int = 0) -> None:
+            i: int = 0, span: tuple | None = None) -> None:
     """Extend the partial embedding `assign` through `steps[i:]`, appending
     each complete one to `found`.
 
     A vertex's candidates are the intersection of its placed neighbours'
     adjacency sets, which enforces every edge to earlier vertices; what is
-    left to check is the label, the self-loop and injectivity.  Raises
+    left to check is the label, the self-loop and injectivity.  `span` is
+    None, or `(window, pair_ts, lo, hi)`: `lo` and `hi` are the least and
+    greatest timestamp of the data pairs placed so far, and a candidate
+    is cut once its own pairs widen that spread past `window`.  Raises
     TimeLimitExceeded at the first search node past `deadline`.
     """
     if time.perf_counter() > deadline:
@@ -197,7 +203,7 @@ def _search(g: SimpleDigraph, labels: dict[int, object], steps: list[Step],
     if i == len(steps):
         found.append(tuple(assign))
         return
-    x, label, succ, pred, self_loop = steps[i]
+    x, label, succ, pred, self_loop, placed = steps[i]
     out, in_ = g.out, g.in_
     cands = None
     for y in succ:
@@ -206,14 +212,28 @@ def _search(g: SimpleDigraph, labels: dict[int, object], steps: list[Step],
     for y in pred:
         s = out.get(assign[y], _EMPTY)
         cands = s if cands is None else cands & s
+    if span is not None:
+        window, pair_ts, lo, hi = span
+    child = None
     for u in g.nodes if cands is None else cands:
         if (u in used
                 or (label is not WILDCARD and labels.get(u) != label)
                 or (self_loop and u not in out.get(u, _EMPTY))):
             continue
         assign[x] = u
+        if span is not None:
+            t_lo, t_hi = lo, hi
+            for a, b in placed:
+                t = pair_ts[assign[a], assign[b]]
+                if t < t_lo:
+                    t_lo = t
+                elif t > t_hi:
+                    t_hi = t
+            if t_hi - t_lo > window:
+                continue
+            child = (window, pair_ts, t_lo, t_hi)
         used.add(u)
-        _search(g, labels, steps, assign, used, found, deadline, i + 1)
+        _search(g, labels, steps, assign, used, found, deadline, i + 1, child)
         used.discard(u)
 
 
@@ -279,30 +299,30 @@ def _composers(autos: list[tuple[int, ...]]) -> list[Callable]:
 
 
 class MatchContext:
-    """Incremental matching state for one query over an insertion stream.
+    """Incremental matching state for one query over a shared data graph.
 
-    The `initial` (u, v, ts) pairs are loaded untimed, and none of their
-    matches is reported.  `labels` (vertex -> label) is shared, not
-    copied.  `elapsed_ms` counts the query's automorphism enumeration
-    here and the match enumeration of every insert, all against
-    `time_limit_ms`.  If the automorphisms are not all found within the
-    budget, the context gets no search plans: its first insert finds
-    nothing and sets `timed_out`, like an insert cut mid-search.  A
-    query with more than MAX_AUTOMORPHISMS automorphisms raises
-    QueryError.
+    The caller owns `graph`, `pair_ts` (pair -> timestamp of its first
+    insert) and `labels` (vertex -> label), and adds each new pair to
+    them before calling `insert_edge`; the context only reads them.
+    `elapsed_ms` counts the query's automorphism enumeration here and the
+    match enumeration of every insert, all against `time_limit_ms`.  If
+    the automorphisms are not all found within the budget, the context
+    gets no search plans: its first insert finds nothing and sets
+    `timed_out`, like an insert cut mid-search.  A query with more than
+    MAX_AUTOMORPHISMS automorphisms raises QueryError.
     """
 
-    def __init__(self, q: QueryGraph,
-                 initial: Iterable[tuple[int, int, int]] = (),
+    def __init__(self, q: QueryGraph, graph: SimpleDigraph,
+                 pair_ts: dict[tuple[int, int], int],
                  labels: dict[int, object] | None = None, *,
                  window: int | None = None, time_limit_ms: float = 3.6e6):
         t0 = time.perf_counter()
         self.q = q
+        self.graph = graph
+        self.pair_ts = pair_ts
+        self.labels = {} if labels is None else labels
         self.window = window
         self.time_limit_ms = time_limit_ms
-        self.graph = SimpleDigraph((), ())
-        self.labels = {} if labels is None else labels
-        self.pair_ts: dict[tuple[int, int], int] = {}
         self.match_count = 0
         self.dedup_canon: set[tuple[int, ...]] = set()
         self.timed_out = False
@@ -312,77 +332,87 @@ class MatchContext:
             self.autos = []
         self._composers = _composers(self.autos)
         # one plan per orbit of query edges, seeded at the orbit's least
-        # edge (x, y): the edges among the seeds that must already be
-        # present, and the steps placing the rest.  A match using the new
-        # pair as another edge of the orbit is an automorphic image of one
-        # using it as (x, y), and distinct orbits give disjoint classes.
+        # edge (x, y): the seeds' labels, whether the seed is a self-loop,
+        # the query's size, the other edges among the seeds, which must
+        # already be present, and the steps placing the rest.  A match
+        # using the new pair as another edge of the orbit is an
+        # automorphic image of one using it as (x, y), and distinct orbits
+        # give disjoint classes.
         self._plans = []
         for x, y in q.edges:
             if self.autos and (x, y) == min((a[x], a[y]) for a in self.autos):
                 seeds = [x] if x == y else [x, y]
                 checks = [(a, b) for a, b in q.edges
-                          if a in seeds and b in seeds]
-                self._plans.append((x, y, checks, _compile(q, seeds)))
+                          if a in seeds and b in seeds and (a, b) != (x, y)]
+                self._plans.append((x, y, q.labels[x], q.labels[y], x == y,
+                                    q.num_vertices, checks,
+                                    _compile(q, seeds)))
         self.elapsed_ms = (time.perf_counter() - t0) * 1000.0
-        for u, v, ts in initial:
-            if self.graph.add_pair(u, v):
-                self.pair_ts[(u, v)] = ts
-
-    def _window_ok(self, mapping: tuple[int, ...]) -> bool:
-        if self.window is None:
-            return True
-        ts = [self.pair_ts[(mapping[x], mapping[y])] for x, y in self.q.edges]
-        return max(ts) - min(ts) <= self.window
 
     def _classes(self, found: list[tuple[int, ...]], deadline: float
                  ) -> dict[tuple[int, ...], list[tuple[int, ...]]]:
-        """Canonical form -> orbit of each class in `found`, the orbit
-        empty when the class fails the window.
+        """Canonical form -> orbit of each class in `found`.
 
-        Every mapping of a class uses the same data pairs, so the window
-        is checked once per class.  Raises TimeLimitExceeded at the first
-        mapping past `deadline`.
+        Raises TimeLimitExceeded at the first mapping past `deadline`.
         """
         classes: dict[tuple[int, ...], list[tuple[int, ...]]] = {}
         for m in found:
             if time.perf_counter() > deadline:
                 raise TimeLimitExceeded
             orbit = [c(m) for c in self._composers]
-            canon = min(orbit)
-            if canon not in classes:
-                classes[canon] = orbit if self._window_ok(m) else []
+            classes.setdefault(min(orbit), orbit)
         return classes
 
-    def insert_edge(self, u: int, v: int, ts: int) -> list[tuple[int, ...]]:
-        """Insert a pair and return the sorted mappings (query vertex index
-        -> data vertex) of the matches it completes.
+    def insert_edge(self, u: int, v: int) -> list[tuple[int, ...]]:
+        """Return the sorted mappings (query vertex index -> data vertex)
+        of the matches completed by the pair (u, v), which the caller has
+        just added to the graph and to `pair_ts`.
 
-        The search stops at the first node past the per-query budget; that
-        insert is abandoned (it adds no matches) and `timed_out` is set.
-        Raises TimeLimitExceeded on any insert after the budget is spent
-        (counters keep their partial values).
+        With a window, the search cuts a branch once the data pairs placed
+        so far span more than the window; every query edge is placed as
+        the seed, a seed check or a step's edge, so a complete mapping
+        meets the window.  The search stops at the first node past the
+        per-query budget; that insert is abandoned (it adds no matches)
+        and `timed_out` is set.  Raises TimeLimitExceeded on any insert
+        after the budget is spent (counters keep their partial values).
         """
         if self.timed_out:
             raise TimeLimitExceeded(self.q.name)
-        if not self.graph.add_pair(u, v):
-            return []
-        self.pair_ts[(u, v)] = ts
         t0 = time.perf_counter()
         deadline = t0 + (self.time_limit_ms - self.elapsed_ms) / 1000.0
-        q_labels, labels, out = self.q.labels, self.labels, self.graph.out
+        labels, out, pair_ts = self.labels, self.graph.out, self.pair_ts
+        window = self.window
+        loop = u == v
+        seed_span = None                # the new pair alone placed
+        if window is not None:
+            seed_span = (window, pair_ts, pair_ts[u, v], pair_ts[u, v])
         found: list[tuple[int, ...]] = []
         try:
-            for x, y, checks, steps in self._plans:     # seed x -> u, y -> v
-                if ((x == y) != (u == v)
-                        or not _label_ok(q_labels[x], labels.get(u))
-                        or not _label_ok(q_labels[y], labels.get(v))):
+            # seed x -> u, y -> v
+            for x, y, x_label, y_label, seed_loop, n, checks, steps in \
+                    self._plans:
+                if (seed_loop != loop
+                        or (x_label is not WILDCARD
+                            and labels.get(u) != x_label)
+                        or (y_label is not WILDCARD
+                            and labels.get(v) != y_label)):
                     continue
-                assign = [None] * self.q.num_vertices
+                assign = [None] * n
                 assign[x], assign[y] = u, v
-                if all(assign[b] in out.get(assign[a], _EMPTY)
-                       for a, b in checks):
-                    _search(self.graph, labels, steps, assign, {u, v},
-                            found, deadline)
+                span = seed_span
+                if checks:
+                    if not all(assign[b] in out.get(assign[a], _EMPTY)
+                               for a, b in checks):
+                        continue
+                    if window is not None:
+                        ts = [pair_ts[u, v]]
+                        ts += [pair_ts[assign[a], assign[b]]
+                               for a, b in checks]
+                        if max(ts) - min(ts) > window:
+                            continue
+                        span = (window, pair_ts, min(ts), max(ts))
+                _search(self.graph, labels, steps, assign, {u, v}, found,
+                        deadline, 0, span)
             classes = self._classes(found, deadline) if found else {}
         except TimeLimitExceeded:
             classes = {}
@@ -390,8 +420,7 @@ class MatchContext:
         if classes:                     # most inserts complete no match
             matches = sorted(chain.from_iterable(classes.values()))
             self.match_count += len(matches)
-            self.dedup_canon.update(c for c, orbit in classes.items()
-                                    if orbit)
+            self.dedup_canon.update(classes)
         self.elapsed_ms += (time.perf_counter() - t0) * 1000.0
         if self.elapsed_ms > self.time_limit_ms:
             self.timed_out = True
@@ -413,30 +442,39 @@ def run_stream(initial: Sequence[tuple[int, int, int]],
                queries: Sequence[QueryGraph], *,
                window: int | None = None, time_limit_ms: float = 3.6e6,
                label_pool: int | None = None, seed: int = 0) -> list[dict]:
-    """Replay the insertion stream against every query independently.
+    """Replay the insertion stream against every query.
 
-    Returns one `{"query", "matches", "matches_dedup", "elapsed_ms",
-    "timed_out"}` row per query.  Elapsed time covers each query's
-    automorphism enumeration and match enumeration; graph-update
-    bookkeeping is excluded.  A query hitting its time limit is flagged
-    and the remaining queries still run.
+    One data graph is loaded with the initial pairs and then updated once
+    per stream edge; each new pair is searched by every query that has
+    not timed out, and a re-inserted pair is skipped.  Returns one
+    `{"query", "matches", "matches_dedup", "elapsed_ms", "timed_out"}` row
+    per query.  Elapsed time covers each query's automorphism enumeration
+    and match enumeration; graph-update bookkeeping is excluded.  A query
+    hitting its time limit is flagged and the remaining queries still run.
     """
     labels: dict[int, object] = {}
     if label_pool is not None:
         vertices = dict.fromkeys(w for u, v, _ts in chain(initial, stream)
                                  for w in (u, v))
         labels = assign_labels(vertices, label_pool, seed)
-    results = []
-    for q in queries:
-        ctx = MatchContext(q, initial, labels, window=window,
-                           time_limit_ms=time_limit_ms)
-        try:
-            for u, v, ts in stream:
-                ctx.insert_edge(u, v, ts)
-        except TimeLimitExceeded:
-            pass
-        results.append({"query": q.name, "matches": ctx.match_count,
-                        "matches_dedup": ctx.dedup_count,
-                        "elapsed_ms": ctx.elapsed_ms,
-                        "timed_out": ctx.timed_out})
-    return results
+    graph = SimpleDigraph((), ())
+    pair_ts: dict[tuple[int, int], int] = {}
+    for u, v, ts in initial:
+        if graph.add_pair(u, v):
+            pair_ts[u, v] = ts
+    contexts = [MatchContext(q, graph, pair_ts, labels, window=window,
+                             time_limit_ms=time_limit_ms) for q in queries]
+    live = contexts
+    for u, v, ts in stream:
+        if not live:
+            break
+        if not graph.add_pair(u, v):
+            continue
+        pair_ts[u, v] = ts
+        for ctx in live:
+            ctx.insert_edge(u, v)
+            if ctx.timed_out:   # the loop goes on over the old list
+                live = [c for c in live if not c.timed_out]
+    return [{"query": ctx.q.name, "matches": ctx.match_count,
+             "matches_dedup": ctx.dedup_count, "elapsed_ms": ctx.elapsed_ms,
+             "timed_out": ctx.timed_out} for ctx in contexts]

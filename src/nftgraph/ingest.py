@@ -150,6 +150,38 @@ def _norm_int(value, what: str) -> int:
     return n
 
 
+def _canonical_raw(m: re.Match, now: int | None) -> RawLog:
+    """The RawLog of a `_CANONICAL_CSV` match."""
+    block, ts, tx_hash, log_index, contract, topics, data = m.groups()
+    try:
+        block, ts, log_index = int(block), int(ts), int(log_index)
+    except ValueError:          # past the interpreter's int digit limit
+        raise MalformedRecord("integer field too long") from None
+    upper = now if now is not None else int(time.time())
+    if ts < EARLIEST_TIMESTAMP or ts > upper:
+        raise MalformedRecord("timestamp out of range")
+    return RawLog(block_number=block, block_timestamp=ts, tx_hash=tx_hash,
+                  log_index=log_index, contract=contract,
+                  topics=tuple(topics.split("|")), data=data)
+
+
+def _as_canonical_csv(obj: dict, topics: list) -> str:
+    """A JSON log object as a raw CSV line, or "" if a topic is not a str.
+
+    Only the line's match against `_CANONICAL_CSV` is trusted.  No text
+    of a JSON value but a str or an int (bool, float, null, list, object)
+    matches a field of the pattern, and a topic holding `|` changes the
+    topic count, which the caller checks.
+    """
+    try:
+        joined = "|".join(topics)
+    except TypeError:
+        return ""
+    return (f"{obj['block_number']},{obj['block_timestamp']},"
+            f"{obj['transaction_hash']},{obj['log_index']},{obj['address']},"
+            f"{joined},{obj['data']}")
+
+
 def parse_log_line(line: str, *, now: int | None = None) -> RawLog:
     """Parse one raw JSONL or CSV line into a RawLog.
 
@@ -159,18 +191,7 @@ def parse_log_line(line: str, *, now: int | None = None) -> RawLog:
     stripped = line.strip()
     m = _CANONICAL_CSV.match(stripped)
     if m is not None:
-        block, ts, tx_hash, log_index, contract, topics, data = m.groups()
-        try:
-            block, ts, log_index = int(block), int(ts), int(log_index)
-        except ValueError:      # past the interpreter's int digit limit
-            raise MalformedRecord("integer field too long") from None
-        upper = now if now is not None else int(time.time())
-        if ts < EARLIEST_TIMESTAMP or ts > upper:
-            raise MalformedRecord("timestamp out of range")
-        return RawLog(block_number=block, block_timestamp=ts,
-                      tx_hash=tx_hash, log_index=log_index,
-                      contract=contract, topics=tuple(topics.split("|")),
-                      data=data)
+        return _canonical_raw(m, now)
     if not stripped:
         raise MalformedRecord("empty line")
     if stripped.startswith("{"):
@@ -184,6 +205,9 @@ def parse_log_line(line: str, *, now: int | None = None) -> RawLog:
         topics = obj["topics"]
         if not isinstance(topics, list):
             raise MalformedRecord("topics not a list")
+        m = _CANONICAL_CSV.match(_as_canonical_csv(obj, topics))
+        if m is not None and m.group(6).count("|") == len(topics) - 1:
+            return _canonical_raw(m, now)
     else:
         try:
             row = next(csv.reader([stripped]))

@@ -11,7 +11,9 @@ from __future__ import annotations
 
 import csv
 import io
+import json
 import random
+import re
 from collections import Counter, deque
 from fractions import Fraction
 
@@ -372,6 +374,93 @@ def snapshot_buckets(events, period_of, null=None):
     for w, (_pos, ts) in sorted(firsts.items(), key=lambda kv: kv[1]):
         out[period_of(ts)][1].append(w)
     return out
+
+
+# ---------------------------------------------------------------------
+# raw log lines (every field normalized one at a time, no fast path)
+# ---------------------------------------------------------------------
+
+RAW_COLUMNS = ("block_number", "block_timestamp", "transaction_hash",
+               "log_index", "address", "topics", "data")
+
+
+class Malformed(Exception):
+    pass
+
+
+def _hex_field(value, nbytes=None):
+    """Strip, lowercase and 0x-prefix; `nbytes` None is data (any even
+    length, JSON null as 0x)."""
+    if value is None and nbytes is None:
+        return "0x"
+    if not isinstance(value, str):
+        raise Malformed
+    v = value.strip().lower()
+    if not v.startswith("0x"):
+        v = "0x" + v
+    digits = v[2:]
+    if nbytes is None:
+        ok = len(digits) % 2 == 0
+    else:
+        ok = len(digits) == 2 * nbytes
+    if not ok or re.fullmatch(r"[0-9a-f]*", digits) is None:
+        raise Malformed
+    return v
+
+
+def _int_field(value):
+    if isinstance(value, bool):
+        raise Malformed
+    if isinstance(value, float) and not value.is_integer():
+        raise Malformed
+    try:
+        n = int(value)
+    except (TypeError, ValueError):
+        raise Malformed from None
+    if n < 0:
+        raise Malformed
+    return n
+
+
+def parse_log_line(line, now, earliest):
+    """The seven RawLog fields of a raw JSONL or CSV line, or None where
+    ingest.parse_log_line must raise MalformedRecord."""
+    text = line.strip()
+    if not text:
+        return None
+    if text.startswith("{"):
+        try:
+            obj = json.loads(text)
+        except (ValueError, RecursionError):
+            return None
+        if any(k not in obj for k in RAW_COLUMNS):
+            return None
+        topics = obj["topics"]
+        if not isinstance(topics, list):
+            return None
+    else:
+        try:
+            rows = list(csv.reader([text]))
+        except csv.Error:
+            return None
+        if len(rows[0]) != len(RAW_COLUMNS):
+            return None
+        obj = dict(zip(RAW_COLUMNS, rows[0]))
+        topics = [t for t in obj["topics"].split("|") if t != ""]
+    if not 1 <= len(topics) <= 4:
+        return None
+    try:
+        ts = _int_field(obj["block_timestamp"])
+        if not earliest <= ts <= now:
+            return None
+        return (_int_field(obj["block_number"]), ts,
+                _hex_field(obj["transaction_hash"], 32),
+                _int_field(obj["log_index"]),
+                _hex_field(obj["address"], 20),
+                tuple(_hex_field(t, 32) for t in topics),
+                _hex_field(obj["data"]))
+    except Malformed:
+        return None
 
 
 # ---------------------------------------------------------------------

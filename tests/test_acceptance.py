@@ -14,8 +14,8 @@ import time
 from pathlib import Path
 
 import oracles
-from conftest import make_events, random_events
-from nftgraph.csm import MatchContext, builtin_patterns
+from conftest import csm_context, make_events, random_events
+from nftgraph.csm import builtin_patterns
 from nftgraph.graph import SimpleDigraph, TemporalGraph, simple_view
 from nftgraph.ingest import normalize_stream
 from nftgraph.metrics import (assortativity, avg_clustering, density,
@@ -115,10 +115,10 @@ def test_criterion_csm_delta_correctness():
             all_pairs = init_pairs | {(u, v) for u, v, _ in stream}
             nodes = {x for p in all_pairs for x in p}
             for q in patterns:
-                ctx = MatchContext(q, initial)
+                ctx, insert = csm_context(q, initial)
                 got = []
                 for u, v, t in stream:
-                    got.extend(ctx.insert_edge(u, v, t))
+                    got.extend(insert(u, v, t))
                 full = oracles.enumerate_embeddings(
                     nodes, all_pairs, q.num_vertices, q.edges)
                 want = [m for m in full

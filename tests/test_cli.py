@@ -343,6 +343,113 @@ def test_damaged_cache_bytes_exit_2(small_cache, damage):
             assert os.listdir(d) == ["bad.lglb"]
 
 
+@pytest.fixture(scope="module")
+def small_texts(tmp_path_factory):
+    """{"raw.csv", "raw.jsonl", "norm.csv": bytes} of a 40-transfer
+    planted fixture: its raw log as CSV and as JSONL, and the normalized
+    CSV that ingesting either gives."""
+    d = tmp_path_factory.mktemp("small-texts")
+    write_fixture("planted", 2, 40, str(d / "norm.csv"),
+                  raw_path=str(d / "raw.csv"))
+    with open(d / "raw.csv", newline="") as fh:
+        rows = list(csv.DictReader(fh))
+    ints = ("block_number", "block_timestamp", "log_index")
+    jsonl = "".join(json.dumps({**row, **{k: int(row[k]) for k in ints},
+                                "topics": row["topics"].split("|")}) + "\n"
+                    for row in rows)
+    return {"raw.csv": (d / "raw.csv").read_bytes(),
+            "raw.jsonl": jsonl.encode(),
+            "norm.csv": (d / "norm.csv").read_bytes()}
+
+
+_TEXT_DAMAGE = st.lists(st.one_of(
+    st.tuples(st.just("flip"), st.integers(0, 1 << 16), st.integers(0, 7)),
+    st.tuples(st.just("splice"), st.integers(0, 1 << 16),
+              st.integers(0, 80),
+              st.one_of(st.binary(max_size=8),
+                        st.text(max_size=8).map(str.encode),
+                        st.sampled_from([b",", b"|", b'"', b"\n", b"\r",
+                                         b"{", b"}", b"0x", b"-1", b"\x00",
+                                         b"99999999999999999999"]))),
+    st.tuples(st.just("truncate"), st.integers(0, 1 << 16))),
+    min_size=1, max_size=4)
+
+
+def _damaged(blob: bytes, damage) -> bytes:
+    blob = bytearray(blob)
+    for kind, at, *args in damage:
+        at %= len(blob) + 1
+        if kind == "flip" and at < len(blob):
+            blob[at] ^= 1 << args[0]
+        elif kind == "splice":
+            blob[at:at + args[0]] = args[1]
+        elif kind == "truncate":
+            del blob[at:]
+    return bytes(blob)
+
+
+def _run_in(d, argv):
+    """main(argv) with the paths in it under `d`: (exit code, stderr)."""
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err), contextlib.redirect_stdout(
+            io.StringIO()):
+        rc = main([os.path.join(d, a) if a.endswith((".csv", ".jsonl",
+                                                     ".lglb", ".json"))
+                   else a for a in argv])
+    err = err.getvalue()
+    assert rc in (0, 1, 2), (argv, rc, err)
+    assert "Traceback" not in err
+    if rc:
+        assert err.startswith("nftgraph: ") and err.count("\n") == 1
+    return rc, err
+
+
+@settings(deadline=None, max_examples=60)
+@given(name=st.sampled_from(["raw.csv", "raw.jsonl"]), damage=_TEXT_DAMAGE)
+def test_ingest_of_damaged_raw_log_exits_cleanly(small_texts, name, damage):
+    """Every run exits 0, 1 or 2 without a traceback, and leaves the
+    normalized CSV and the report complete, or neither."""
+    with tempfile.TemporaryDirectory() as d:
+        with open(os.path.join(d, name), "wb") as fh:
+            fh.write(_damaged(small_texts[name], damage))
+        rc, _err = _run_in(d, ["ingest", "--input", name, "--output",
+                               "out.csv", "--report", "r.json"])
+        if rc:
+            assert sorted(os.listdir(d)) == [name]
+            return
+        report = json.loads(open(os.path.join(d, "r.json")).read())
+        assert report["balances"] is True
+        with open(os.path.join(d, "out.csv"), newline="") as fh:
+            rows = list(csv.reader(fh))
+        assert len(rows) - 1 == report["stats"]["transfers_emitted"]
+
+
+@settings(deadline=None, max_examples=60)
+@given(damage=_TEXT_DAMAGE)
+def test_build_and_stats_of_damaged_normalized_csv_exit_cleanly(
+        small_texts, damage):
+    """`build` leaves a cache that loads and its report, or neither;
+    `stats` leaves a complete report or none."""
+    with tempfile.TemporaryDirectory() as d:
+        with open(os.path.join(d, "in.csv"), "wb") as fh:
+            fh.write(_damaged(small_texts["norm.csv"], damage))
+        rc, _err = _run_in(d, ["build", "--input", "in.csv", "--output",
+                               "g.lglb", "--report", "b.json"])
+        if rc:
+            assert sorted(os.listdir(d)) == ["in.csv"]
+        else:
+            built = json.loads(open(os.path.join(d, "b.json")).read())
+            g = cache.load(os.path.join(d, "g.lglb"))
+            assert built["summary"] == g.summary()
+        stats_rc, _err = _run_in(d, ["stats", "--input", "in.csv",
+                                     "--report", "s.json"])
+        assert stats_rc == rc
+        assert os.path.exists(os.path.join(d, "s.json")) == (rc == 0)
+        if rc == 0:
+            stats = json.loads(open(os.path.join(d, "s.json")).read())
+            assert stats["summary"] == built["summary"]
+
+
 def test_build_then_cached_analysis(data_dir, tmp_path, capsys):
     cache_path = tmp_path / "g.lglb"
     rc = main(["build", "--input", str(data_dir / "planted.csv"),

@@ -1,12 +1,14 @@
+import math
 import random
+import time
 
 import pytest
 
 import oracles
+from conftest import csm_context
 from nftgraph import csm
-from nftgraph.csm import (BUILTIN_PATTERNS, MatchContext, assign_labels,
-                          builtin_patterns, match_static, parse_query,
-                          run_stream)
+from nftgraph.csm import (BUILTIN_PATTERNS, assign_labels, builtin_patterns,
+                          match_static, parse_query, run_stream)
 from nftgraph.errors import QueryError, TimeLimitExceeded
 from nftgraph.graph import SimpleDigraph
 
@@ -116,13 +118,13 @@ def test_static_matches_oracle_on_random_graphs():
 # -- incremental matching ----------------------------------------------
 
 def test_initial_graph_reports_nothing():
-    ctx = MatchContext(P1, [(0, 1, 10), (1, 2, 20), (2, 0, 30)])
+    ctx, _insert = csm_context(P1, [(0, 1, 10), (1, 2, 20), (2, 0, 30)])
     assert ctx.match_count == 0
 
 
 def test_insert_completing_cycle():
-    ctx = MatchContext(P1, [(0, 1, 10), (1, 2, 20)])
-    matches = ctx.insert_edge(2, 0, 30)
+    ctx, insert = csm_context(P1, [(0, 1, 10), (1, 2, 20)])
+    matches = insert(2, 0, 30)
     assert len(matches) == 3
     assert ctx.match_count == 3
     assert ctx.dedup_count == 1
@@ -133,55 +135,56 @@ def test_insert_completing_cycle():
 
 
 def test_reinsert_existing_pair_is_noop():
-    ctx = MatchContext(P2, [(0, 1, 10)])
-    assert ctx.insert_edge(0, 1, 99) == []
-    assert ctx.insert_edge(1, 0, 100) != []
-    assert ctx.insert_edge(1, 0, 101) == []
+    _ctx, insert = csm_context(P2, [(0, 1, 10)])
+    assert insert(0, 1, 99) == []
+    assert insert(1, 0, 100) != []
+    assert insert(1, 0, 101) == []
 
 
 def test_window_filter():
     initial = [(0, 1, 0), (1, 2, 1000)]
-    ctx = MatchContext(P1, initial, window=1800)
-    assert ctx.insert_edge(2, 0, 3600) == []      # span 3600 > 1800
-    ctx2 = MatchContext(P1, initial, window=3600)
-    assert len(ctx2.insert_edge(2, 0, 3600)) == 3
+    _ctx, insert = csm_context(P1, initial, window=1800)
+    assert insert(2, 0, 3600) == []      # span 3600 > 1800
+    _ctx, insert = csm_context(P1, initial, window=3600)
+    assert len(insert(2, 0, 3600)) == 3
 
 
 def test_time_limit_flags_and_raises():
-    ctx = MatchContext(P1, time_limit_ms=0.0)
-    ctx.insert_edge(0, 1, 1)
+    ctx, insert = csm_context(P1, time_limit_ms=0.0)
+    insert(0, 1, 1)
     assert ctx.timed_out
     with pytest.raises(TimeLimitExceeded):
-        ctx.insert_edge(1, 2, 2)
+        insert(1, 2, 2)
 
 
 def test_time_limit_bounds_automorphism_enumeration():
     # a 9-leaf out-star has 9! automorphisms, far more than 50 ms finds
     star = parse_query("; ".join(f"v {i} *" for i in range(10)) + "; "
                        + "; ".join(f"e 0 {i}" for i in range(1, 10)))
-    ctx = MatchContext(star, time_limit_ms=50.0)
+    ctx, insert = csm_context(star, time_limit_ms=50.0)
     assert ctx.autos == [] and ctx._plans == []
     assert ctx.elapsed_ms > 50.0 and not ctx.timed_out
-    assert ctx.insert_edge(0, 1, 1) == []
+    assert insert(0, 1, 1) == []
     assert ctx.timed_out
     with pytest.raises(TimeLimitExceeded):
-        ctx.insert_edge(0, 2, 2)
+        insert(0, 2, 2)
 
 
 def test_time_limit_bounds_a_single_insert():
     p3 = parse_query(BUILTIN_PATTERNS["p3"], "p3")
     complete = [(a, b, 1) for a in range(12) for b in range(12)
                 if a != b and (a, b) != (0, 1)]
-    assert len(MatchContext(p3, complete).insert_edge(0, 1, 2)) == 360
-    ctx = MatchContext(p3, complete, time_limit_ms=0.0)
-    assert ctx.insert_edge(0, 1, 2) == []
+    _ctx, insert = csm_context(p3, complete)
+    assert len(insert(0, 1, 2)) == 360
+    ctx, insert = csm_context(p3, complete, time_limit_ms=0.0)
+    assert insert(0, 1, 2) == []
     assert ctx.match_count == 0
     assert ctx.timed_out
     # a context that has its plans, with the budget running out in the
     # search: the insert is abandoned
-    ctx = MatchContext(p3, complete)
+    ctx, insert = csm_context(p3, complete)
     ctx.time_limit_ms = ctx.elapsed_ms
-    assert ctx._plans and ctx.insert_edge(0, 1, 2) == []
+    assert ctx._plans and insert(0, 1, 2) == []
     assert ctx.match_count == 0
     assert ctx.timed_out
 
@@ -194,14 +197,14 @@ def out_star(leaves):
 
 
 def test_automorphism_count_is_capped(monkeypatch):
-    assert len(MatchContext(out_star(8)).autos) == 40320     # 8!
+    assert len(csm_context(out_star(8))[0].autos) == 40320   # 8!
     with pytest.raises(QueryError, match="star9"):
-        MatchContext(out_star(9))                            # 9! = 362880
+        csm_context(out_star(9))                             # 9! = 362880
     monkeypatch.setattr(csm, "MAX_AUTOMORPHISMS", 24)
-    assert len(MatchContext(out_star(4)).autos) == 24        # 4!
+    assert len(csm_context(out_star(4))[0].autos) == 24      # 4!
     monkeypatch.setattr(csm, "MAX_AUTOMORPHISMS", 23)
     with pytest.raises(QueryError, match="more than 23 automorphisms"):
-        MatchContext(out_star(4))
+        csm_context(out_star(4))
 
 
 def _random_stream(rng, max_nodes=30, max_inserts=200):
@@ -234,11 +237,11 @@ def test_delta_correctness_random_streams():
     for _ in range(12):
         initial, stream = _random_stream(rng, 15, 60)
         for q in builtin_patterns():
-            ctx = MatchContext(q, initial)
+            ctx, insert = csm_context(q, initial)
             seen = []
             prev_count = 0
             for u, v, t in stream:
-                got = ctx.insert_edge(u, v, t)
+                got = insert(u, v, t)
                 assert ctx.match_count >= prev_count   # monotone
                 prev_count = ctx.match_count
                 seen.extend(got)
@@ -266,8 +269,8 @@ def test_labels_restrict_matches():
     initial = [(0, 1, 1), (1, 2, 2)]
     stream = [(2, 0, 3)]
     labels = {0: 2, 1: 5, 2: 5}
-    ctx = MatchContext(q, initial, labels)
-    got = ctx.insert_edge(*stream[0])
+    _ctx, insert = csm_context(q, initial, labels)
+    got = insert(*stream[0])
     assert got == [(0, 1, 2)]
 
 
@@ -308,7 +311,7 @@ def test_relabeling_data_vertices_preserves_counts():
 def test_one_plan_per_query_edge_orbit():
     # |Aut| is 3/2/4/1/2, so p1-p3 have one edge orbit each, p4's four
     # edges are four orbits and p5 has {0->1}, {1->2, 1->3}, {2->0, 3->0}
-    assert [len(MatchContext(q)._plans) for q in builtin_patterns()] == \
+    assert [len(csm_context(q)[0]._plans) for q in builtin_patterns()] == \
         [1, 1, 1, 4, 3]
 
 
@@ -373,9 +376,9 @@ def _check_against_oracle(initial, stream, q, labels, window):
         if done >= len(initial) and (
                 window is None or max(ts) - min(ts) <= window):
             want.setdefault(done, []).append(m)
-    ctx = MatchContext(q, initial, labels, window=window)
+    ctx, insert = csm_context(q, initial, labels, window=window)
     for i, (u, v, t) in enumerate(stream, len(initial)):
-        got = ctx.insert_edge(u, v, t)
+        got = insert(u, v, t)
         assert got == sorted(want.get(i, []))
     every = sorted(m for ms in want.values() for m in ms)
     dedup = len(oracles.dedup_by_automorphism(q.num_vertices, q.edges, every,
@@ -404,3 +407,94 @@ def test_symmetry_breaking_matches_oracle():
             (r,) = run_stream(edges[:cut], edges[cut:], [q], window=window,
                               label_pool=pool, seed=k)
             assert (r["matches"], r["matches_dedup"]) == counts
+
+
+def test_run_stream_shares_one_graph_across_queries():
+    """Every query runs over the one data graph: each row equals the
+    oracle's counts for its query alone, over streams with re-inserted
+    pairs, self-loops, windows and label pools."""
+    rng = random.Random(131)
+    for k in range(16):
+        queries = builtin_patterns() + [_random_query(rng) for _ in range(4)]
+        window = rng.choice([None, 40, 150])
+        pool = rng.choice([None, 1, 2])
+        n = rng.randint(3, 7)
+        total = rng.randint(10, 60)
+        cut = rng.randint(0, total)
+        edges = [(rng.randrange(n), rng.randrange(n), 10 * t)
+                 for t in range(total)]
+        labels = {}
+        if pool is not None:
+            labels = assign_labels(dict.fromkeys(
+                w for u, v, _t in edges for w in (u, v)), pool, k)
+        rows = run_stream(edges[:cut], edges[cut:], queries, window=window,
+                          label_pool=pool, seed=k)
+        assert [r["query"] for r in rows] == [q.name for q in queries]
+        for q, r in zip(queries, rows):
+            assert (r["matches"], r["matches_dedup"]) == \
+                _check_against_oracle(edges[:cut], edges[cut:], q, labels,
+                                      window)
+            assert not r["timed_out"]
+
+
+def test_run_stream_time_out_leaves_other_queries(monkeypatch):
+    """A query that times out is flagged and searched no further (a later
+    insert would raise), and every other row is unchanged."""
+    rng = random.Random(137)
+    initial, stream = _random_stream(rng, 10, 120)
+    keys = ("query", "matches", "matches_dedup", "timed_out")
+    want = [{k: r[k] for k in keys}
+            for r in run_stream(initial, stream, builtin_patterns())]
+    assert any(r["matches"] for r in want)
+    real = csm.query_automorphisms
+
+    class Clock:                # csm's `time`, an hour late after p3
+        late = 0.0
+
+        @classmethod
+        def perf_counter(cls):
+            return time.perf_counter() + cls.late
+
+    def automorphisms(q, deadline=math.inf):
+        if q.name == "p3":      # its whole budget goes by
+            Clock.late += 3600.0 * 2
+            raise TimeLimitExceeded
+        return real(q, deadline)
+
+    monkeypatch.setattr(csm, "time", Clock)
+    monkeypatch.setattr(csm, "query_automorphisms", automorphisms)
+    got = [{k: r[k] for k in keys}
+           for r in run_stream(initial, stream, builtin_patterns())]
+    assert got[2] == {"query": "p3", "matches": 0, "matches_dedup": 0,
+                      "timed_out": True}
+    assert got[:2] + got[3:] == want[:2] + want[3:]
+
+
+def test_window_prunes_inside_the_search(monkeypatch):
+    """With a window narrower than every gap between timestamps, no
+    branch outlives its first step: far fewer search nodes than without
+    a window, and still the oracle's counts (none)."""
+    rng = random.Random(139)
+    n, total = 8, 150
+    edges = [(rng.randrange(n), rng.randrange(n), 10 * t)
+             for t in range(total)]
+    initial, stream = edges[:50], edges[50:]
+    real = csm._search
+    calls = 0
+
+    def counted(*args, **kwargs):
+        nonlocal calls
+        calls += 1
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(csm, "_search", counted)
+    searched = {}
+    for window in (None, 9):
+        calls = 0
+        rows = run_stream(initial, stream, builtin_patterns(), window=window)
+        searched[window] = calls
+        for q, r in zip(builtin_patterns(), rows):
+            assert (r["matches"], r["matches_dedup"]) == \
+                _check_against_oracle(initial, stream, q, {}, window)
+    assert all(r["matches"] == 0 for r in rows)
+    assert searched[9] * 5 < searched[None]

@@ -12,6 +12,7 @@ from nftgraph.ingest import (EARLIEST_TIMESTAMP, NORMALIZED_HEADER,
                              TransferEvent, decode_transfer,
                              normalize_stream, parse_log_line, read_transfers,
                              write_transfers)
+import oracles
 from oracles import keccak256
 
 NOW = 1700000000
@@ -374,6 +375,84 @@ def _digit_run_field(draw):
 @given(data=st.data())
 def test_fuzz_parse_and_decode_raise_only_malformed(lines, data):
     _check_line(data.draw(lines))
+
+
+_TOPIC_VALUES = st.one_of(
+    st.sampled_from(_CANON_TOPICS), st.just("|".join(_CANON_TOPICS[:2])),
+    st.just(_CANON_TOPICS[1].upper()), st.just(_CANON_TOPICS[1][2:]),
+    st.just(" " + _CANON_TOPICS[1]), st.just(""), st.just("|"),
+    st.none(), st.integers(), st.booleans())
+
+_FIELD_VALUES = st.one_of(
+    _json_values, st.integers(-5, 2 * NOW), st.floats(0, 2 * NOW),
+    st.sampled_from(["100", "007", " 100", "+3", "1_0", "0x" + "1f" * 32,
+                     "0X" + "1F" * 32, "1f" * 32, GOOD_CONTRACT,
+                     GOOD_CONTRACT.upper(), "0x" + "aa" * 19, "0x00FF",
+                     "0x0", "00ff", "", "0x", "1,2", "1|2", "\u0661"]))
+
+
+@st.composite
+def _json_near_canonical(draw):
+    """The canonical JSON object with some fields replaced by values on
+    both sides of what the canonical line pattern accepts."""
+    obj = dict(_CANON_OBJ)
+    for key in draw(st.sets(st.sampled_from(RAW_CSV_COLUMNS), max_size=2)):
+        if key == "topics":
+            obj[key] = draw(st.one_of(
+                _merged_topics(), st.lists(_TOPIC_VALUES, max_size=5),
+                _json_values))
+        else:
+            obj[key] = draw(_FIELD_VALUES)
+    return json.dumps(obj)
+
+
+@st.composite
+def _merged_topics(draw):
+    """The canonical topics with some neighbours joined by `|`."""
+    topics = [_CANON_TOPICS[0]]
+    for t in _CANON_TOPICS[1:]:
+        if draw(st.booleans()):
+            topics[-1] += "|" + t
+        else:
+            topics.append(t)
+    return topics
+
+
+@pytest.mark.parametrize("lines", [_line_text, _spliced_csv(),
+                                   _json_field_replaced(),
+                                   _json_near_canonical()],
+                         ids=["text", "spliced_csv", "json_field",
+                              "json_near_canonical"])
+@settings(max_examples=300, deadline=None)
+@given(data=st.data())
+def test_fuzz_parse_log_line_equals_oracle(lines, data):
+    """The canonical-line fast paths, for CSV and for JSON, parse a line
+    exactly as normalizing each field does."""
+    line = data.draw(lines)
+    want = oracles.parse_log_line(line, NOW, EARLIEST_TIMESTAMP)
+    try:
+        got = tuple(parse_log_line(line, now=NOW))
+    except MalformedRecord:
+        got = None
+    assert got == want
+
+
+def test_json_fast_path_guards():
+    """A JSON line that would read as canonical CSV once formatted, but
+    whose fields say otherwise, is parsed by the field checks."""
+    canon = parse_log_line(json.dumps(_CANON_OBJ), now=NOW)
+    assert canon == parse_log_line(_CANON_LINE, now=NOW)
+    as_str = dict(_CANON_OBJ, block_number="100", log_index="3")
+    assert parse_log_line(json.dumps(as_str), now=NOW) == canon
+    for bad in ({"topics": ["|".join(_CANON_TOPICS)]},    # one topic, 4 parts
+                {"topics": "|".join(_CANON_TOPICS)},      # not a list
+                {"log_index": True}, {"block_number": [100]}):
+        with pytest.raises(MalformedRecord):
+            parse_log_line(json.dumps(dict(_CANON_OBJ, **bad)), now=NOW)
+    assert parse_log_line(json.dumps(dict(_CANON_OBJ, log_index=3.0)),
+                          now=NOW) == canon
+    assert parse_log_line(json.dumps(dict(_CANON_OBJ, data=None)),
+                          now=NOW).data == "0x"
 
 
 def _check_normalized(text):
