@@ -450,7 +450,8 @@ def run_stream(initial: Sequence[tuple[int, int, int]],
     `{"query", "matches", "matches_dedup", "elapsed_ms", "timed_out"}` row
     per query.  Elapsed time covers each query's automorphism enumeration
     and match enumeration; graph-update bookkeeping is excluded.  A query
-    hitting its time limit is flagged and the remaining queries still run.
+    hitting its time limit is flagged, also one that spent it before any
+    insert, and the remaining queries still run.
     """
     labels: dict[int, object] = {}
     if label_pool is not None:
@@ -477,4 +478,5 @@ def run_stream(initial: Sequence[tuple[int, int, int]],
                 live = [c for c in live if not c.timed_out]
     return [{"query": ctx.q.name, "matches": ctx.match_count,
              "matches_dedup": ctx.dedup_count, "elapsed_ms": ctx.elapsed_ms,
-             "timed_out": ctx.timed_out} for ctx in contexts]
+             "timed_out": ctx.timed_out or ctx.elapsed_ms > ctx.time_limit_ms}
+            for ctx in contexts]

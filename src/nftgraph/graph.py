@@ -179,6 +179,7 @@ class TemporalGraph:
 class SimpleDigraph:
     """Deduplicated directed view: distinct ordered address pairs.
 
+    The `out` and `in_` adjacency sets are the one record of the pairs.
     `nodes` may include isolated vertices (e.g. nodes whose only links were
     Null-incident and got filtered); metrics that average over |V| rely on
     that.
@@ -186,29 +187,31 @@ class SimpleDigraph:
 
     def __init__(self, nodes: Iterable[int], pairs: Iterable[tuple[int, int]]):
         self.nodes: set[int] = set(nodes)
-        self.pairs: set[tuple[int, int]] = set()
         self.out: dict[int, set[int]] = {}
         self.in_: dict[int, set[int]] = {}
+        self.num_edges = 0
         for u, v in pairs:
             self.add_pair(u, v)
 
     def add_pair(self, u: int, v: int) -> bool:
-        if (u, v) in self.pairs:
+        succ = self.out.setdefault(u, set())
+        if v in succ:
             return False
-        self.pairs.add((u, v))
+        succ.add(v)
+        self.in_.setdefault(v, set()).add(u)
         self.nodes.add(u)
         self.nodes.add(v)
-        self.out.setdefault(u, set()).add(v)
-        self.in_.setdefault(v, set()).add(u)
+        self.num_edges += 1
         return True
+
+    @property
+    def pairs(self) -> set[tuple[int, int]]:
+        """A new set of the (u, v) pairs, built from `out` on every read."""
+        return {(u, v) for u, succ in self.out.items() for v in succ}
 
     @property
     def num_nodes(self) -> int:
         return len(self.nodes)
-
-    @property
-    def num_edges(self) -> int:
-        return len(self.pairs)
 
     def degree(self, u: int) -> int:
         """Pair-count degree: out-pairs plus in-pairs."""
@@ -231,16 +234,14 @@ def simple_view(g: TemporalGraph, cutoff: int | None = None, *,
     first seen by the cutoff (minus Null when excluded), even if all of a
     node's pairs were filtered out.
     """
-    pairs = {(u, v) for u, v, _ts in g.edges(
+    # node ids follow first appearance, so n_first is nondecreasing
+    seen = g.num_nodes if cutoff is None else bisect_right(g.n_first, cutoff)
+    view = SimpleDigraph(range(seen), ((u, v) for u, v, _ts in g.edges(
         cutoff, include_null=include_null,
-        include_self_loops=include_self_loops)}
-    if cutoff is None:
-        nodes = set(range(g.num_nodes))
-    else:
-        nodes = {i for i, f in enumerate(g.n_first) if f <= cutoff}
-    if not include_null and g.null_id is not None:
-        nodes.discard(g.null_id)
-    return SimpleDigraph(nodes, pairs)
+        include_self_loops=include_self_loops)))
+    if not include_null:
+        view.nodes.discard(g.null_id)
+    return view
 
 
 def peel_degree_one(view: SimpleDigraph) -> SimpleDigraph:
@@ -250,7 +251,6 @@ def peel_degree_one(view: SimpleDigraph) -> SimpleDigraph:
     incident pair are dropped too.  Callers iterate for repeated peeling.
     """
     doomed = {u for u in view.nodes if len(view.undirected_neighbors(u)) == 1}
-    pairs = [(u, v) for (u, v) in view.pairs
-             if u not in doomed and v not in doomed]
-    nodes = {u for p in pairs for u in p}
-    return SimpleDigraph(nodes, pairs)
+    return SimpleDigraph((), ((u, v) for u, succ in view.out.items()
+                              if u not in doomed
+                              for v in succ if v not in doomed))

@@ -110,12 +110,16 @@ class IngestStats:
         return dict(self.__dict__)
 
 
-def _norm_hex(value, nbytes: int, what: str) -> str:
+def _hex_string(value, what: str) -> str:
+    """`value` stripped, lowercased and 0x-prefixed; it must be a string."""
     if not isinstance(value, str):
         raise MalformedRecord(f"{what} not a string")
     v = value.strip().lower()
-    if not v.startswith("0x"):
-        v = "0x" + v
+    return v if v.startswith("0x") else "0x" + v
+
+
+def _norm_hex(value, nbytes: int, what: str) -> str:
+    v = _hex_string(value, what)
     if len(v) != 2 + 2 * nbytes:
         raise MalformedRecord(f"{what} length")
     if not _HEX_RE.match(v):
@@ -126,11 +130,7 @@ def _norm_hex(value, nbytes: int, what: str) -> str:
 def _norm_data(value) -> str:
     if value is None:
         return "0x"
-    if not isinstance(value, str):
-        raise MalformedRecord("data not a string")
-    v = value.strip().lower()
-    if not v.startswith("0x"):
-        v = "0x" + v
+    v = _hex_string(value, "data")
     if len(v) % 2 != 0 or not _HEX_RE.match(v):
         raise MalformedRecord("data not hex")
     return v
@@ -325,12 +325,8 @@ def normalize_stream(
             events.append(outcome)
 
     bad_contracts = set(arity_by_contract)
-    survivors = []
-    for ev in events:
-        if ev.contract in bad_contracts:
-            stats.skipped_non_conforming += 1
-        else:
-            survivors.append(ev)
+    survivors = [ev for ev in events if ev.contract not in bad_contracts]
+    stats.skipped_non_conforming += len(events) - len(survivors)
     survivors.sort(key=attrgetter("timestamp", "block_number", "log_index"))
     stats.transfers_emitted = len(survivors)
 

@@ -37,11 +37,13 @@ def assortativity(view: SimpleDigraph) -> float | None:
         return None
     degree = view.degree
     s_kk = s_sum = s_sq = 0
-    for u, v in view.pairs:
-        ki, kj = degree(u), degree(v)
-        s_kk += ki * kj
-        s_sum += ki + kj
-        s_sq += ki * ki + kj * kj
+    for u, succ in view.out.items():
+        ki = degree(u)
+        for v in succ:
+            kj = degree(v)
+            s_kk += ki * kj
+            s_sum += ki + kj
+            s_sq += ki * ki + kj * kj
     num = 4 * m * s_kk - s_sum * s_sum
     den = 2 * m * s_sq - s_sum * s_sum
     if den == 0:
@@ -61,7 +63,9 @@ def reciprocity(view: SimpleDigraph) -> float:
     """Share of pairs whose reverse is a pair too; 0.0 without pairs."""
     if view.num_edges == 0:
         return 0.0
-    mutual = sum(1 for (u, v) in view.pairs if (v, u) in view.pairs)
+    out = view.out
+    mutual = sum(1 for u, succ in out.items() for v in succ
+                 if u in out.get(v, ()))
     return mutual / view.num_edges
 
 
@@ -96,27 +100,30 @@ def degree_histogram(view: SimpleDigraph) -> dict[int, int]:
 _CHUNK = 1024
 
 
-def _distance_counts(adj: dict[int, set[int]], sources: list[int]) -> list[int]:
-    """counts[d] = ordered (source, target) pairs at distance d >= 1.
+def _distance_counts(view: SimpleDigraph, sources: list[int],
+                     max_depth: int) -> list[int]:
+    """counts[d] = ordered (source, target) pairs at undirected distance
+    1 <= d <= max_depth.
 
     Bit-parallel BFS: source i of a chunk owns bit 1 << i, so one level
-    ORs each frontier vertex's mask into its neighbours and counts the
-    newly set bits.  `sources` must be distinct keys of `adj`.
+    ORs each frontier vertex's mask into its out- and in-neighbours (a
+    self-loop or a mutual pair ORs bits already set) and counts the
+    newly set bits.  `sources` must be distinct nodes of `view`.
     """
     counts = [0]
     for start in range(0, len(sources), _CHUNK):
         frontier = {s: 1 << i
                     for i, s in enumerate(sources[start:start + _CHUNK])}
         seen = dict(frontier)
-        # a shortest path has at most len(adj) - 1 edges
-        for d in range(1, len(adj)):
+        for d in range(1, max_depth + 1):
             if not frontier:
                 break
             nxt: dict[int, int] = {}
             get = nxt.get
-            for u, bits in frontier.items():
-                for w in adj[u]:
-                    nxt[w] = get(w, 0) | bits
+            for adj in (view.out, view.in_):
+                for u, bits in frontier.items():
+                    for w in adj.get(u, ()):
+                        nxt[w] = get(w, 0) | bits
             frontier = {}
             reached = 0
             for w, bits in nxt.items():
@@ -145,18 +152,18 @@ def effective_diameter(view: SimpleDigraph, *, exact_threshold: int = 10000,
     linearly interpolated at 0.9 (g(0) = 0, so a complete graph yields 0.9).
     None when no node reaches another.
     """
-    adj = {}
-    for u in view.nodes:
-        nbrs = view.undirected_neighbors(u)
-        if nbrs:
-            adj[u] = nbrs
-    sources = sorted(adj)
-    if not sources:
+    degree, out = view.degree, view.out
+    # the nodes with a neighbour other than themselves
+    linked = sorted(u for u in view.nodes
+                    if degree(u) > 2 * (u in out.get(u, ())))
+    if not linked:
         return None
-    if len(view.nodes) > exact_threshold and len(sources) > sample_sources:
+    sources = linked
+    if len(view.nodes) > exact_threshold and len(linked) > sample_sources:
         rng = random.Random(seed)
-        sources = rng.sample(sources, sample_sources)
-    counts = _distance_counts(adj, sources)
+        sources = rng.sample(linked, sample_sources)
+    # a shortest path visits each linked node at most once
+    counts = _distance_counts(view, sources, len(linked) - 1)
     total = sum(counts)
     cum = 0
     g_prev = 0.0

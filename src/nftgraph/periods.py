@@ -9,7 +9,10 @@ from __future__ import annotations
 from datetime import date, datetime, timedelta, timezone
 from typing import Iterable, Iterator, NamedTuple
 
-GRANULARITIES = ("day", "week", "month", "quarter", "half", "year")
+# months per period, and the label format of (year, 1-based index in the year)
+_MONTHLY = {"month": (1, "{}-{:02d}"), "quarter": (3, "{}-Q{}"),
+            "half": (6, "{}-H{}"), "year": (12, "{}")}
+GRANULARITIES = ("day", "week", *_MONTHLY)
 
 _UTC = timezone.utc
 
@@ -28,15 +31,10 @@ def period_start_date(granularity: str, ts: int) -> date:
         return d
     if granularity == "week":
         return d - timedelta(days=d.weekday())
-    if granularity == "month":
-        return d.replace(day=1)
-    if granularity == "quarter":
-        return date(d.year, 3 * ((d.month - 1) // 3) + 1, 1)
-    if granularity == "half":
-        return date(d.year, 1 if d.month <= 6 else 7, 1)
-    if granularity == "year":
-        return date(d.year, 1, 1)
-    raise ValueError(f"unknown granularity {granularity!r}")
+    if granularity not in _MONTHLY:
+        raise ValueError(f"unknown granularity {granularity!r}")
+    months = _MONTHLY[granularity][0]
+    return date(d.year, (d.month - 1) // months * months + 1, 1)
 
 
 def _next_start(granularity: str, start: date) -> date:
@@ -44,8 +42,7 @@ def _next_start(granularity: str, start: date) -> date:
         return start + timedelta(days=1)
     if granularity == "week":
         return start + timedelta(days=7)
-    months = {"month": 1, "quarter": 3, "half": 6, "year": 12}[granularity]
-    m = start.month - 1 + months
+    m = start.month - 1 + _MONTHLY[granularity][0]
     return date(start.year + m // 12, m % 12 + 1, 1)
 
 
@@ -55,13 +52,8 @@ def period_label(granularity: str, start: date) -> str:
     if granularity == "week":
         y, w, _ = start.isocalendar()
         return f"{y}-W{w:02d}"
-    if granularity == "month":
-        return f"{start.year}-{start.month:02d}"
-    if granularity == "quarter":
-        return f"{start.year}-Q{(start.month - 1) // 3 + 1}"
-    if granularity == "half":
-        return f"{start.year}-H{1 if start.month <= 6 else 2}"
-    return str(start.year)
+    months, label = _MONTHLY[granularity]
+    return label.format(start.year, (start.month - 1) // months + 1)
 
 
 class Period(NamedTuple):

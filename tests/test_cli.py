@@ -679,6 +679,23 @@ def test_csm_query_over_automorphism_cap_exits_2(data_dir, tmp_path,
     assert not out.exists()
 
 
+def test_csm_budget_spent_on_automorphisms_exits_3(data_dir, tmp_path,
+                                                    capsys):
+    # 8! automorphisms outlast a 20 ms budget; the stream is empty, so no
+    # insert is left to notice the spent budget
+    qfile = tmp_path / "star8.txt"
+    qfile.write_text("".join(f"v {i} *\n" for i in range(9))
+                     + "".join(f"e 0 {i}\n" for i in range(1, 9)))
+    out = tmp_path / "csm.csv"
+    rc = main(["csm", "--input", str(data_dir / "planted.csv"),
+               "--initial-until", "9999999999", "--queries", str(qfile),
+               "--time-limit-ms", "20", "--output", str(out)])
+    assert rc == 3
+    with open(out) as fh:
+        (row,) = list(csv.DictReader(fh))
+    assert row["query"] == "star8" and row["timed_out"] == "1"
+
+
 def test_export_ml_and_eval_cli(data_dir, tmp_path, capsys):
     out = tmp_path / "ml"
     rc = main(["export-ml", "--input", str(data_dir / "planted.csv"),

@@ -1,6 +1,8 @@
+import ast
 import os
 import random
 import tempfile
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -10,7 +12,8 @@ import oracles
 from conftest import addr, graph_of, make_events, random_events
 from nftgraph import cache
 from nftgraph.errors import DataError, NegativeAge, UnknownNode, UnsortedInput
-from nftgraph.graph import TemporalGraph, peel_degree_one, simple_view
+from nftgraph.graph import (SimpleDigraph, TemporalGraph, peel_degree_one,
+                            simple_view)
 from nftgraph.ingest import NULL_ADDRESS, write_transfers
 
 
@@ -181,6 +184,68 @@ def test_peel_single_pass_semantics():
     peeled = peel_degree_one(simple_view(g))
     ids = {g.addr_id(addr(1)), g.addr_id(addr(2))}
     assert peeled.nodes == ids
+
+
+@settings(deadline=None)
+@given(st.lists(st.integers(0, 5)),
+       st.lists(st.tuples(st.integers(0, 6), st.integers(0, 6)), max_size=40))
+def test_simple_digraph_has_set_semantics(nodes, pairs):
+    view, want = SimpleDigraph(nodes, ()), set()
+    for u, v in pairs:                  # duplicates and self-loops included
+        assert view.add_pair(u, v) == ((u, v) not in want)
+        want.add((u, v))
+    assert view.num_edges == len(set(pairs))
+    assert view.pairs == want and view.pairs is not view.pairs
+    assert view.nodes == set(nodes) | {w for p in want for w in p}
+    for w in range(7):
+        assert view.degree(w) == sum((u == w) + (v == w) for u, v in want)
+    built = SimpleDigraph(nodes, pairs)
+    assert (built.nodes, built.pairs, built.num_edges) == (
+        view.nodes, want, len(want))
+
+
+@settings(deadline=None, max_examples=50)
+@given(st.randoms(use_true_random=False))
+def test_simple_view_node_set_is_first_seen_by_cutoff(rnd):
+    g = TemporalGraph.build(random_events(rnd, max_nodes=12, max_edges=30,
+                                          with_null=True, ts_range=(100, 140)))
+    times = sorted(set(g.e_ts))
+    # before the first edge, at each edge time and between edge times
+    for cutoff in (None, times[0] - 1, *times, *(t + 1 for t in times)):
+        for include_null in (True, False):
+            view = simple_view(g, cutoff, include_null=include_null)
+            want = {i for i, f in enumerate(g.n_first)
+                    if (cutoff is None or f <= cutoff)
+                    and (include_null or i != g.null_id)}
+            assert view.nodes == want
+            assert view.pairs == {(u, v) for u, v, _ts in g.edges(
+                cutoff, include_null=include_null)}
+
+
+SRC = Path(cache.__file__).parent
+
+
+def _pairs_reads(path: Path):
+    """Yield the line of every read of an attribute named `pairs`."""
+    for node in ast.walk(ast.parse(path.read_text(), str(path))):
+        if (isinstance(node, ast.Attribute) and node.attr == "pairs"
+                and isinstance(node.ctx, ast.Load)):
+            yield node.lineno
+
+
+def test_no_module_reads_the_rebuilt_pair_set():
+    # SimpleDigraph.pairs builds a new set on every read
+    offenders = [f"{p.name}:{line}" for p in sorted(SRC.glob("*.py"))
+                 for line in _pairs_reads(p)]
+    assert offenders == []
+
+
+def test_pairs_guard_sees_attribute_reads(tmp_path):
+    sample = tmp_path / "sample.py"
+    sample.write_text(
+        "pairs = 1\nv.pairs\nfor p in view.pairs: pass\n"
+        "x = f(g).pairs\nv.pairs = set()\nv.pair\n")
+    assert list(_pairs_reads(sample)) == [2, 3, 4]
 
 
 def test_summary_and_digest_stability():

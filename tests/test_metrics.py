@@ -154,13 +154,16 @@ def test_sampled_diameter_close_to_exact():
 
 
 def _kernel_call(monkeypatch, view, **kw):
-    """Run effective_diameter; return the (adj, sources, counts) of its one
+    """Run effective_diameter; return the undirected adjacency of the view
+    (nodes with a neighbour only) and the (sources, counts) of its one
     distance-count kernel call."""
     calls = []
     kernel = metrics._distance_counts
 
-    def spy(adj, sources):
-        counts = kernel(adj, sources)
+    def spy(v, sources, max_depth):
+        counts = kernel(v, sources, max_depth)
+        adj = {u: nbrs for u in v.nodes
+               if (nbrs := v.undirected_neighbors(u))}
         calls.append((adj, list(sources), counts))
         return counts
 

@@ -33,6 +33,11 @@ def test_labels():
     assert period_label("quarter", date(2021, 4, 1)) == "2021-Q2"
     assert period_label("half", date(2021, 7, 1)) == "2021-H2"
     assert period_label("year", date(2021, 1, 1)) == "2021"
+    for m in range(1, 13):
+        assert [period_label(g, period_start_date(g, ts(2021, m, 15)))
+                for g in ("month", "quarter", "half", "year")] == [
+            f"2021-{m:02d}", f"2021-Q{(m + 2) // 3}", f"2021-H{(m + 5) // 6}",
+            "2021"]
 
 
 def test_unknown_granularity():
