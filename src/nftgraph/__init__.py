@@ -5,7 +5,7 @@ graph, measure it, hunt for wash-trading signals, run continuous subgraph
 matching over insertion streams and export temporal-GNN benchmark inputs.
 """
 
-from .graph import SimpleDigraph, TemporalGraph, peel_degree_one, simple_view
+from .graph import SimpleDigraph, TemporalGraph, simple_view
 from .ingest import (NULL_ADDRESS, TRANSFER_TOPIC, IngestStats, TransferEvent,
                      normalize_stream, read_transfers, write_transfers)
 
@@ -19,7 +19,6 @@ __all__ = [
     "TemporalGraph",
     "TransferEvent",
     "normalize_stream",
-    "peel_degree_one",
     "read_transfers",
     "simple_view",
     "write_transfers",

@@ -5,8 +5,8 @@ a built graph can be dumped to a compact binary file and loaded back much
 faster.  The format is a private convenience, not an interchange format:
 files are regeneratable from the normalized CSV at any time and carry a
 version number so stale caches are rejected rather than misread.  Loading
-checks the crc32, column lengths and edge time order; the TemporalGraph
-constructor then checks the ids and derives the node columns.
+checks the crc32 and column lengths; the TemporalGraph constructor then
+checks the ids and the edge time order and derives the node columns.
 
 Layout (all integers little-endian):
     magic   4 bytes  b"LGLB"
@@ -132,7 +132,5 @@ def load(path: str) -> TemporalGraph:
             raise CacheFormatError("checksum mismatch")
     if any(len(c) != len(e_src) for c in (e_dst, e_ts, e_contract, e_token)):
         raise CacheFormatError("inconsistent section lengths")
-    if e_ts != sorted(e_ts):
-        raise CacheFormatError("e_ts is not in time order")
     return TemporalGraph(addresses, contracts,
                          e_src, e_dst, e_ts, e_contract, e_token)

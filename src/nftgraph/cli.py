@@ -66,13 +66,10 @@ def _round_floats(obj):
     return obj
 
 
-def _config_echo(args, *skip: str) -> dict:
-    hidden = {"func", "report", "output", "out_dir", *skip}
-    return {k: v for k, v in sorted(vars(args).items()) if k not in hidden}
-
-
 def _make_report(args, inputs: list[str], body: dict) -> dict:
-    report = {"config": _config_echo(args),
+    hidden = {"func", "report", "output", "out_dir"}
+    report = {"config": {k: v for k, v in sorted(vars(args).items())
+                         if k not in hidden},
               "inputs": {p: _sha256(p) for p in inputs}}
     report.update(body)
     return _round_floats(report)
@@ -276,16 +273,21 @@ def cmd_export_ml(args) -> int:
             print(f"nftgraph: --negatives-snapshot {idx} is outside "
                   f"[0, {len(snaps)})", file=sys.stderr)
             return EXIT_USAGE
+    # every snapshot's negatives are drawn before the first file is
+    # written, so a snapshot with too few nodes leaves no partial export
+    negatives = {idx: mlbench.sample_negatives(snaps, idx, k=args.negatives_k,
+                                               seed=args.seed)
+                 for idx in args.negatives_snapshot or []}
+    os.makedirs(args.out_dir, exist_ok=True)
+    for idx in list(negatives):
+        write_csv(os.path.join(args.out_dir, f"negatives_{idx:04d}.csv"),
+                  ["src", "dst"] + [f"neg_{i}" for i in range(args.negatives_k)],
+                  [[u, v] + negs
+                   for (u, v), negs in sorted(negatives.pop(idx).items())])
     roles = mlbench.export_features(
         g, snaps, args.out_dir, granularity=args.granularity,
         exclude_null=exclude_null, task=args.task, split_mode=args.split_mode,
         seed=args.seed, earlystop_fraction=args.earlystop_fraction)
-    for idx in args.negatives_snapshot or []:
-        negatives = mlbench.sample_negatives(snaps, idx, k=args.negatives_k,
-                                             seed=args.seed)
-        write_csv(os.path.join(args.out_dir, f"negatives_{idx:04d}.csv"),
-                  ["src", "dst"] + [f"neg_{i}" for i in range(args.negatives_k)],
-                  [[u, v] + negs for (u, v), negs in sorted(negatives.items())])
     body = {
         "snapshots": len(snaps),
         "roles": roles,
@@ -378,7 +380,7 @@ def build_parser() -> _Parser:
     p.add_argument("--input", required=True)
     p.add_argument("--initial-until", type=int, required=True,
                    help="edges at or before this timestamp form the initial graph")
-    p.add_argument("--queries", nargs="*", default=None,
+    p.add_argument("--queries", nargs="+", default=None,
                    help="pattern files (default: built-in patterns p1..p5)")
     p.add_argument("--window", type=int, default=None)
     p.add_argument("--time-limit-ms", type=float, default=3.6e6)

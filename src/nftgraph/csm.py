@@ -237,20 +237,6 @@ def _search(g: SimpleDigraph, labels: dict[int, object], steps: list[Step],
         used.discard(u)
 
 
-def match_static(data: SimpleDigraph, q: QueryGraph,
-                 labels: dict[int, object] | None = None
-                 ) -> list[tuple[int, ...]]:
-    """All injective direction- and label-preserving embeddings of q, as
-    sorted mappings (query vertex index -> data vertex).
-
-    Serves as the brute-force reference for the incremental path.
-    """
-    found: list[tuple[int, ...]] = []
-    _search(data, labels or {}, _compile(q, []), [None] * q.num_vertices,
-            set(), found)
-    return sorted(found)
-
-
 class _Automorphisms(list):
     """`_search`'s collector for `query_automorphisms`.
 

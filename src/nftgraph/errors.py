@@ -10,20 +10,10 @@ class DataError(NftGraphError):
 
 
 class MalformedRecord(DataError):
-    def __init__(self, reason: str):
-        super().__init__(reason)
-        self.reason = reason
+    pass
 
 
 class UnsortedInput(DataError):
-    pass
-
-
-class UnknownNode(DataError):
-    pass
-
-
-class NegativeAge(DataError):
     pass
 
 

@@ -18,7 +18,7 @@ from bisect import bisect_right
 from itertools import islice
 from typing import Iterable, Iterator
 
-from .errors import DataError, NegativeAge, UnknownNode, UnsortedInput
+from .errors import DataError, UnsortedInput
 from .ingest import NULL_ADDRESS, read_transfers
 from .periods import Period, iter_periods
 
@@ -35,15 +35,14 @@ class TemporalGraph:
         node first appears as the dst of an edge from Null).  Raises
         DataError for an id out of range, node ids out of first-appearance
         order (src before dst), a node without an edge, or a string listed
-        twice.
+        twice, and UnsortedInput for a timestamp that regresses.
         """
         self.addresses, self.contracts = addresses, contracts
-        self._addr_ids = {a: i for i, a in enumerate(addresses)}
-        self._contract_ids = {c: i for i, c in enumerate(contracts)}
-        if (len(self._addr_ids) != len(addresses)
-                or len(self._contract_ids) != len(contracts)):
+        addr_ids = {a: i for i, a in enumerate(addresses)}
+        if (len(addr_ids) != len(addresses)
+                or len(set(contracts)) != len(contracts)):
             raise DataError("an address or contract is listed twice")
-        self.null_id = self._addr_ids.get(NULL_ADDRESS)
+        self.null_id = addr_ids.get(NULL_ADDRESS)
         # parallel edge arrays, sorted by (timestamp, block, log_index)
         self.e_src, self.e_dst, self.e_ts = e_src, e_dst, e_ts
         self.e_contract, self.e_token = e_contract, e_token
@@ -56,8 +55,14 @@ class TemporalGraph:
         self.n_last = n_last = [0] * n
         self.n_txc = n_txc = [0] * n
         self.n_mint = n_mint = [False] * n
-        null, seen = self.null_id, 0
+        null, seen, prev = self.null_id, 0, e_ts[0] if e_ts else 0
         for u, v, ts in zip(e_src, e_dst, e_ts):
+            if ts < prev:
+                k = next(k for k in range(1, len(e_ts))
+                         if e_ts[k] < e_ts[k - 1])
+                raise UnsortedInput(f"e_ts regresses at edge {k}: "
+                                    f"{e_ts[k]} after {e_ts[k - 1]}")
+            prev = ts
             if u >= seen:
                 if u != seen:
                     raise DataError(f"node {u} appears before node {seen}")
@@ -80,18 +85,12 @@ class TemporalGraph:
     def build(cls, source) -> "TemporalGraph":
         """Build from a normalized CSV, given as a path or an open text
         stream, or from TransferEvents (rows in NORMALIZED_HEADER order).
-
-        Raises UnsortedInput if timestamps regress.
         """
         if isinstance(source, (str, os.PathLike)) or hasattr(source, "read"):
             source = read_transfers(source)
         addr_ids, contract_ids = {}, {}
         e_src, e_dst, e_ts, e_contract, e_token = [], [], [], [], []
-        prev_ts = None
-        for ts, _, tx_hash, _, contract, src, dst, token in source:
-            if prev_ts is not None and ts < prev_ts:
-                raise UnsortedInput(f"timestamp regressed at {tx_hash}")
-            prev_ts = ts
+        for ts, _, _, _, contract, src, dst, token in source:
             e_src.append(addr_ids.setdefault(src, len(addr_ids)))
             e_dst.append(addr_ids.setdefault(dst, len(addr_ids)))
             e_ts.append(ts)
@@ -111,29 +110,14 @@ class TemporalGraph:
     def num_edges(self) -> int:
         return len(self.e_src)
 
-    def addr_id(self, address: str) -> int:
-        try:
-            return self._addr_ids[address]
-        except KeyError:
-            raise UnknownNode(address) from None
-
-    def node_age(self, address: str, t: int) -> int:
-        """Age of a node at time t: t minus its first-seen timestamp."""
-        i = self.addr_id(address)
-        if t < self.n_first[i]:
-            raise NegativeAge(f"{address} first seen after t")
-        return t - self.n_first[i]
-
-    def edge_count_until(self, t: int) -> int:
-        return bisect_right(self.e_ts, t)
-
     def edges(self, until: int | None = None, *, include_null: bool = True,
               include_self_loops: bool = True) -> Iterator[tuple[int, int, int]]:
         """(src, dst, ts) of the edges with timestamp <= until, in time order.
 
         The one place where Null-incident edges and self-loops are dropped.
         """
-        end = self.num_edges if until is None else self.edge_count_until(until)
+        end = (self.num_edges if until is None
+               else bisect_right(self.e_ts, until))
         edges = islice(zip(self.e_src, self.e_dst, self.e_ts), end)
         null = None if include_null else self.null_id
         if null is None and include_self_loops:
@@ -146,18 +130,6 @@ class TemporalGraph:
         if not self.e_ts:
             return []
         return list(iter_periods(granularity, self.e_ts[0], self.e_ts[-1]))
-
-    def token_owner_at(self, contract: str, token_id: int, t: int | None = None):
-        """Current owner address of a token at cutoff t, or None if unseen."""
-        cid = self._contract_ids.get(contract)
-        if cid is None:
-            return None
-        end = self.num_edges if t is None else self.edge_count_until(t)
-        owner = None
-        for k in range(end):
-            if self.e_contract[k] == cid and self.e_token[k] == token_id:
-                owner = self.e_dst[k]
-        return None if owner is None else self.addresses[owner]
 
     def summary(self) -> dict:
         tokens = len({(c, t) for c, t in zip(self.e_contract, self.e_token)})
@@ -242,15 +214,3 @@ def simple_view(g: TemporalGraph, cutoff: int | None = None, *,
     if not include_null:
         view.nodes.discard(g.null_id)
     return view
-
-
-def peel_degree_one(view: SimpleDigraph) -> SimpleDigraph:
-    """Remove nodes with exactly one undirected neighbor, once.
-
-    Degrees are evaluated on the input view; nodes left without any
-    incident pair are dropped too.  Callers iterate for repeated peeling.
-    """
-    doomed = {u for u in view.nodes if len(view.undirected_neighbors(u)) == 1}
-    return SimpleDigraph((), ((u, v) for u, succ in view.out.items()
-                              if u not in doomed
-                              for v in succ if v not in doomed))

@@ -76,14 +76,6 @@ class TransferEvent(NamedTuple):
     to_addr: str
     token_id: int
 
-    @property
-    def is_mint(self) -> bool:
-        return self.from_addr == NULL_ADDRESS
-
-    @property
-    def is_burn(self) -> bool:
-        return self.to_addr == NULL_ADDRESS
-
 
 class SkipReason(Enum):
     WRONG_TOPIC = "wrong_topic"

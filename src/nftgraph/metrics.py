@@ -4,8 +4,8 @@ View-level metrics (assortativity, density, reciprocity, clustering,
 effective diameter, degree histogram) take a SimpleDigraph and return the
 value the report records, also on a degenerate view: None where the
 metric is undefined, 0.0 where it is empty.  Stream-level measurements
-(growth, mutual-edge intervals, active periods, holder statistics, hub
-correlation, TEA/TET) take the TemporalGraph plus a calendar granularity;
+(growth, mutual-edge intervals, active periods, holder statistics,
+TEA/TET) take the TemporalGraph plus a calendar granularity;
 per-period series are lists of (label, row).  Everything here is a pure
 function of immutable inputs.
 """
@@ -13,10 +13,9 @@ function of immutable inputs.
 from __future__ import annotations
 
 import random
-import statistics
 from collections import Counter
 
-from .graph import SimpleDigraph, TemporalGraph, simple_view
+from .graph import SimpleDigraph, TemporalGraph
 from .periods import tag_periods
 
 DAY = 86400
@@ -289,18 +288,16 @@ def active_periods(g: TemporalGraph):
     return dict(hist), avg_tx
 
 
-def holder_stats(g: TemporalGraph, t: int | None = None, top_k: int = 10):
-    """Replay the token ledger to cutoff t.
+def holder_stats(g: TemporalGraph, top_k: int = 10):
+    """Replay the token ledger.
 
-    An account holds a token iff it received the token's latest transfer at
-    or before t.  Returns (address -> (token_count, collection_count),
-    top-k table sorted by token count).  The Null address is included: what
-    it "holds" are destroyed tokens.
+    An account holds a token iff it received the token's latest transfer.
+    Returns (address -> (token_count, collection_count), top-k table
+    sorted by token count).  The Null address is included: what it
+    "holds" are destroyed tokens.
     """
-    end = g.num_edges if t is None else g.edge_count_until(t)
-    owner: dict[tuple[int, int], int] = {}
-    for k in range(end):
-        owner[(g.e_contract[k], g.e_token[k])] = g.e_dst[k]
+    owner = {(cid, tok): dst
+             for cid, tok, dst in zip(g.e_contract, g.e_token, g.e_dst)}
     tokens: Counter = Counter()
     colls: dict[int, set[int]] = {}
     for (cid, _tok), who in owner.items():
@@ -310,46 +307,6 @@ def holder_stats(g: TemporalGraph, t: int | None = None, top_k: int = 10):
     top = sorted(stats.items(), key=lambda kv: (-kv[1][0], -kv[1][1], kv[0]))
     table = [(addr, tc, cc) for addr, (tc, cc) in top[:top_k]]
     return stats, table
-
-
-def hub_correlation(g: TemporalGraph, granularity: str, period: int | str, *,
-                    include_null: bool = False) -> float | None:
-    """Pearson correlation between degree at the end of a period and the
-    number of distinct new-node connections gained in the next period.
-
-    None without a following period, below two nodes or at zero
-    variance; an unknown period label or index is a ValueError.
-    """
-    periods = g.periods(granularity)
-    p = period
-    if isinstance(period, str):
-        labels = [q.label for q in periods]
-        p = labels.index(period) if period in labels else -1
-    if not 0 <= p < len(periods):
-        raise ValueError(f"no period {period!r}")
-    if p + 1 == len(periods):
-        return None
-    cutoff = periods[p].end_ts - 1
-    view = simple_view(g, cutoff, include_null=include_null)
-    nxt = periods[p + 1]
-
-    gains: dict[int, set[int]] = {}
-    for u, v, ts in g.edges(nxt.end_ts - 1, include_null=include_null):
-        if ts < nxt.start_ts:
-            continue
-        if u in view.nodes and nxt.start_ts <= g.n_first[v] < nxt.end_ts:
-            gains.setdefault(u, set()).add(v)
-        if v in view.nodes and nxt.start_ts <= g.n_first[u] < nxt.end_ts:
-            gains.setdefault(v, set()).add(u)
-
-    xs, ys = [], []
-    for node in sorted(view.nodes):
-        xs.append(view.degree(node))
-        ys.append(len(gains.get(node, ())))
-    try:
-        return statistics.correlation(xs, ys)
-    except statistics.StatisticsError:     # below two nodes, zero variance
-        return None
 
 
 def tea_tet(g: TemporalGraph, granularity: str, split_time: int, *,

@@ -125,15 +125,14 @@ def sample_negatives(snapshots: list[Snapshot], index: int, k: int = 100,
     return out
 
 
-def trader_labels(g: TemporalGraph, *,
-                  include_null: bool = False) -> dict[str, str]:
+def trader_labels(g: TemporalGraph) -> dict[str, str]:
     """Trader class by address, in node-id order, from each node's maximum
     gap between consecutive transactions.
 
     <= 1 day: daily; <= 7 days: weekly; <= 30 days: monthly; <= 365 days:
-    yearly; otherwise remaining.  Nodes with fewer than two transactions
-    are filtered out.  Thresholds are right-closed: a gap of exactly
-    86,400 s is still a daily trader.
+    yearly; otherwise remaining.  The Null address and nodes with fewer
+    than two transactions are filtered out.  Thresholds are right-closed:
+    a gap of exactly 86,400 s is still a daily trader.
     """
     last = list(g.n_first)
     gap = [0] * g.num_nodes          # longest gap between transactions
@@ -149,9 +148,8 @@ def trader_labels(g: TemporalGraph, *,
             last[v] = ts
     labels = {}
     for node, max_gap in enumerate(gap):
-        if not include_null and node == g.null_id:
-            continue
-        if g.n_txc[node] < 2:        # a self-loop is one transaction
+        # a self-loop is one transaction
+        if node == g.null_id or g.n_txc[node] < 2:
             continue
         cls = "remaining"
         for name, limit in _THRESHOLDS:

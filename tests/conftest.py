@@ -17,6 +17,11 @@ def addr(n: int) -> str:
     return f"0x{n + 1:040x}"
 
 
+def addr_id(g: TemporalGraph, address: str) -> int:
+    """The node id of an address in g."""
+    return g.addresses.index(address)
+
+
 def make_events(triples, contract=CONTRACT, token=1):
     """(ts, src, dst) triples -> sorted TransferEvent list.
 

@@ -12,6 +12,7 @@ from __future__ import annotations
 import csv
 import io
 import json
+import math
 import random
 import re
 from collections import Counter, deque
@@ -248,6 +249,18 @@ def trader_labels(events, null=None):
     return out
 
 
+def token_owner_at(events, contract, token_id, t=None):
+    """The address that received a token's latest transfer at or before
+    t (any time if None), or None if it has none; `events` are
+    TransferEvents."""
+    owner = None
+    for e in events:
+        if ((e.contract, e.token_id) == (contract, token_id)
+                and (t is None or e.timestamp <= t)):
+            owner = e.to_addr
+    return owner
+
+
 def mutual_intervals(events, bucket=86400):
     firsts = {}
     for ts, u, v in events:
@@ -283,6 +296,48 @@ def tea_counts(events, period_of):
         out[p] = (new, len(pairs) - new)
         seen |= pairs
     return out
+
+
+def hub_correlation(events, periods, p, null=None):
+    """Pearson correlation, over the addresses seen by the end of period
+    p, between each one's pair-degree then and the number of distinct
+    addresses first seen in period p + 1 that it trades with in that
+    period.  Events touching `null` are left out, and so is `null`, but
+    first-seen times count every event.
+
+    None without a period p + 1, below two addresses or at zero
+    variance; an index outside `periods` is a ValueError.
+    """
+    if not 0 <= p < len(periods):
+        raise ValueError(f"no period {p}")
+    if p + 1 == len(periods):
+        return None
+    end, nxt = periods[p].end_ts, periods[p + 1]
+    first = {}
+    for ts, u, v in events:
+        first.setdefault(u, ts)
+        first.setdefault(v, ts)
+    kept = [(ts, u, v) for ts, u, v in events if null not in (u, v)]
+    nodes = [a for a, ts in first.items() if ts < end and a != null]
+    deg = _total_degree(nodes, {(u, v) for ts, u, v in kept if ts < end})
+    gained = {a: set() for a in nodes}
+    for ts, u, v in kept:
+        if nxt.start_ts <= ts < nxt.end_ts:
+            for a, b in ((u, v), (v, u)):
+                if a in gained and nxt.start_ts <= first[b] < nxt.end_ts:
+                    gained[a].add(b)
+    n = len(nodes)
+    if n < 2:
+        return None
+    xs = [deg[a] for a in nodes]
+    ys = [len(gained[a]) for a in nodes]
+    mx, my = Fraction(sum(xs), n), Fraction(sum(ys), n)
+    sxy = sum((x - mx) * (y - my) for x, y in zip(xs, ys))
+    sxx = sum((x - mx) ** 2 for x in xs)
+    syy = sum((y - my) ** 2 for y in ys)
+    if sxx == 0 or syy == 0:
+        return None
+    return float(sxy) / math.sqrt(sxx * syy)
 
 
 def period_index(periods, ts):

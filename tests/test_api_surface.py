@@ -1,20 +1,24 @@
-"""Every public API in src/nftgraph is used there or named by a test.
+"""Every public API in src/nftgraph is used there or named by the
+acceptance gate.
 
 A top-level function or class, or a method of a top-level class, whose
 name does not start with an underscore counts as public.  Uses are found
 by name only: a `Name` or `Attribute` anywhere in src/ (an import alone is
-no use), and in tests/ also an imported name or a string constant (for
-`getattr` and `monkeypatch`).  A public definition that nothing calls or
-tests should be deleted.
+no use), and in tests/test_acceptance.py, the ground-truth gate, also an
+imported name or a string constant.  Other tests do not count: a public
+definition that only they call is library surface nothing needs, and
+should be deleted or moved into the tests (tests/oracles.py for a
+reference implementation).
 """
 
 import ast
 from pathlib import Path
 
+import nftgraph
 from nftgraph import output
 
 SRC = Path(output.__file__).parent
-TESTS = Path(__file__).parent
+GATE = Path(__file__).parent / "test_acceptance.py"
 
 
 def _public_defs(tree: ast.Module):
@@ -46,23 +50,27 @@ def _names(tree: ast.Module, *, imports_and_strings: bool) -> set[str]:
     return names
 
 
-def unused_api(src: Path, tests: Path) -> list[str]:
+def unused_api(src: Path, gate: Path) -> list[str]:
     """`file:line name` of each public definition under `src` that no
-    module under `src` uses and no module under `tests` names."""
+    module under `src` uses and the `gate` module does not name."""
     modules = {p: ast.parse(p.read_text(), str(p))
                for p in sorted(src.glob("*.py"))}
-    used = set().union(*(_names(t, imports_and_strings=False)
-                         for t in modules.values()))
-    for p in sorted(tests.glob("*.py")):
-        used |= _names(ast.parse(p.read_text(), str(p)),
-                       imports_and_strings=True)
+    used = _names(ast.parse(gate.read_text(), str(gate)),
+                  imports_and_strings=True)
+    for tree in modules.values():
+        used |= _names(tree, imports_and_strings=False)
     return [f"{p.name}:{line} {name}" for p, tree in modules.items()
             for name, line in _public_defs(tree)
             if name.rpartition(".")[2] not in used]
 
 
 def test_every_public_api_is_used_or_tested():
-    assert unused_api(SRC, TESTS) == []
+    assert unused_api(SRC, GATE) == []
+
+
+def test_every_exported_name_resolves():
+    assert [name for name in nftgraph.__all__
+            if not hasattr(nftgraph, name)] == []
 
 
 def test_unused_api_guard_sees_dead_definitions(tmp_path):
@@ -84,11 +92,17 @@ def test_unused_api_guard_sees_dead_definitions(tmp_path):
         "    def __len__(self): return 0\n"
         "class Gone:\n"
         "    pass\n"
+        "def gated(): pass\n"
         "x = Kept().live() + used()\n")
     (tests / "test_mod.py").write_text(
         "from mod import tested\n"
         "def test_it():\n"
-        "    getattr(tested, 'looked_up')\n")
-    assert unused_api(src, tests) == [
-        "mod.py:5 dead", "mod.py:6 imported_only",
+        "    tested()\n")
+    gate = tests / "test_acceptance.py"
+    gate.write_text(
+        "from mod import gated\n"
+        "def test_gate():\n"
+        "    getattr(object(), 'looked_up')\n")
+    assert unused_api(src, gate) == [
+        "mod.py:4 tested", "mod.py:5 dead", "mod.py:6 imported_only",
         "mod.py:11 Kept.dead_method", "mod.py:13 Gone"]

@@ -33,12 +33,16 @@ def ledger_of(data_dir):
 
 # -- exit codes --------------------------------------------------------
 
-def test_usage_error_exits_1(capsys):
+def test_usage_error_exits_1(tmp_path, capsys):
     assert main(["frobnicate"]) == 1
     assert main(["metrics"]) == 1                      # missing required flags
     assert main(["metrics", "--input", "x", "--out-dir", "y",
                  "--granularity", "decade"]) == 1
-    capsys.readouterr()
+    out = tmp_path / "c.csv"
+    assert main(["csm", "--input", "p.csv", "--initial-until", "1600000000",
+                 "--queries", "--output", str(out)]) == 1  # no query file
+    assert "--queries" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_help_exits_0(capsys):
@@ -745,4 +749,16 @@ def test_export_ml_rejects_out_of_range_negatives_snapshot(
     err = capsys.readouterr().err
     assert err.count("\n") == 1 and "--negatives-snapshot" in err
     assert "[0, 2)" in err
+    assert not out.exists()
+
+
+def test_export_ml_without_enough_negatives_writes_nothing(data_dir, tmp_path,
+                                                           capsys):
+    out = tmp_path / "ml"
+    rc = main(["export-ml", "--input", str(data_dir / "planted.csv"),
+               "--out-dir", str(out), "--negatives-snapshot", "0",
+               "--negatives-k", "100000"])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err.startswith("nftgraph: snapshot ") and err.count("\n") == 1
     assert not out.exists()

@@ -8,14 +8,17 @@ import oracles
 from conftest import csm_context
 from nftgraph import csm
 from nftgraph.csm import (BUILTIN_PATTERNS, assign_labels, builtin_patterns,
-                          match_static, parse_query, run_stream)
+                          parse_query, run_stream)
 from nftgraph.errors import QueryError, TimeLimitExceeded
-from nftgraph.graph import SimpleDigraph
 
 
-def view_of(pairs, extra_nodes=()):
-    nodes = {u for p in pairs for u in p} | set(extra_nodes)
-    return SimpleDigraph(nodes, pairs)
+def stream_matches(pairs, q, labels=None):
+    """Every mapping reported while `pairs` are inserted one by one into
+    a context over an empty initial graph: all of q's embeddings in the
+    final graph, since each uses some inserted pair."""
+    _ctx, insert = csm_context(q, (), labels)
+    return sorted(m for t, (u, v) in enumerate(pairs)
+                  for m in insert(u, v, t))
 
 
 P1 = parse_query(BUILTIN_PATTERNS["p1"], "p1")
@@ -63,56 +66,53 @@ def test_builtin_patterns_valid():
     assert [p.name for p in pats] == ["p1", "p2", "p3", "p4", "p5"]
 
 
-# -- static matching ---------------------------------------------------
+# -- matching from an empty initial graph -----------------------------
 
 def test_static_cycle_counts():
-    v = view_of([(0, 1), (1, 2), (2, 0)])
-    found = match_static(v, P1)
+    found = stream_matches([(0, 1), (1, 2), (2, 0)], P1)
     assert len(found) == 3
     assert len(oracles.dedup_by_automorphism(3, P1.edges, found)) == 1
 
 
 def test_static_two_cycle_on_dag():
-    v = view_of([(0, 1), (1, 2), (0, 2)])
-    assert match_static(v, P2) == []
+    assert stream_matches([(0, 1), (1, 2), (0, 2)], P2) == []
 
 
 def test_static_single_edge_counts_pairs():
     q = parse_query("v 0 *; v 1 *; e 0 1")
-    v = view_of([(0, 1), (1, 2), (3, 4)])
-    assert len(match_static(v, q)) == 3
+    assert len(stream_matches([(0, 1), (1, 2), (3, 4)], q)) == 3
 
 
-def test_static_trivial_pattern_matches_every_vertex():
-    q = parse_query("v 0 *")
-    v = view_of([(0, 1)], extra_nodes=[5])
-    assert {m[0] for m in match_static(v, q)} == {0, 1, 5}
+def test_trivial_pattern_matches_no_insert():
+    # a pattern without edges uses no inserted pair, so it never matches
+    ctx, insert = csm_context(parse_query("v 0 *"))
+    assert ctx._plans == []
+    assert insert(0, 1, 1) == [] and insert(5, 5, 2) == []
+    assert (ctx.match_count, ctx.dedup_count, ctx.timed_out) == (0, 0, False)
 
 
 def test_static_respects_labels():
     q = parse_query("v 0 7; v 1 *; e 0 1")
-    v = view_of([(0, 1), (1, 0)])
-    found = match_static(v, q, labels={0: 7, 1: 3})
+    found = stream_matches([(0, 1), (1, 0)], q, labels={0: 7, 1: 3})
     assert found == [(0, 1)]
 
 
 def test_static_self_loop_query():
     q = parse_query("v 0 *; e 0 0")
-    v = view_of([(0, 0), (0, 1)])
-    assert match_static(v, q) == [(0,)]
+    assert stream_matches([(0, 0), (0, 1)], q) == [(0,)]
 
 
 def test_static_matches_oracle_on_random_graphs():
     rng = random.Random(31)
     for _ in range(15):
         n = rng.randint(3, 12)
-        pairs = {(rng.randrange(n), rng.randrange(n)) for _ in range(30)}
-        v = view_of(pairs, extra_nodes=range(n))
+        pairs = list(dict.fromkeys((rng.randrange(n), rng.randrange(n))
+                                   for _ in range(30)))
+        nodes = {w for pair in pairs for w in pair}
         for q in builtin_patterns():
-            got = match_static(v, q)
             want = sorted(oracles.enumerate_embeddings(
-                v.nodes, v.pairs, q.num_vertices, q.edges))
-            assert got == want
+                nodes, set(pairs), q.num_vertices, q.edges))
+            assert stream_matches(pairs, q) == want
 
 
 # -- incremental matching ----------------------------------------------

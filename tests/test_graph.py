@@ -9,11 +9,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
-from conftest import addr, graph_of, make_events, random_events
+from conftest import addr, addr_id, graph_of, make_events, random_events
 from nftgraph import cache
-from nftgraph.errors import DataError, NegativeAge, UnknownNode, UnsortedInput
-from nftgraph.graph import (SimpleDigraph, TemporalGraph, peel_degree_one,
-                            simple_view)
+from nftgraph.cli import main
+from nftgraph.errors import DataError, UnsortedInput
+from nftgraph.graph import SimpleDigraph, TemporalGraph, simple_view
 from nftgraph.ingest import NULL_ADDRESS, write_transfers
 
 
@@ -21,7 +21,7 @@ def test_build_interns_and_counts():
     g = graph_of([(100, NULL_ADDRESS, 0), (200, 0, 1), (300, 1, 0)])
     assert g.num_nodes == 3           # Null, a0, a1
     assert g.num_edges == 3
-    a0, a1 = g.addr_id(addr(0)), g.addr_id(addr(1))
+    a0, a1 = addr_id(g, addr(0)), addr_id(g, addr(1))
     assert g.n_first[a0] == 100 and g.n_last[a0] == 300
     assert g.n_txc[a0] == 3
     assert g.n_mint[a0]
@@ -30,7 +30,7 @@ def test_build_interns_and_counts():
 
 def test_self_loop_counts_once():
     g = graph_of([(100, 0, 0)])
-    assert g.n_txc[g.addr_id(addr(0))] == 1
+    assert g.n_txc[addr_id(g, addr(0))] == 1
 
 
 _ADDRESS = st.one_of(st.integers(0, 5), st.just(NULL_ADDRESS))
@@ -73,8 +73,16 @@ def test_constructor_rejects_bad_node_ids(addresses, e_src, e_dst, message):
 
 def test_unsorted_input_raises():
     events = make_events([(200, 0, 1)]) + make_events([(100, 1, 2)])
-    with pytest.raises(UnsortedInput):
+    with pytest.raises(UnsortedInput, match="edge 1: 100 after 200"):
         TemporalGraph.build(events)
+
+
+def test_constructor_rejects_regressed_timestamp():
+    with pytest.raises(UnsortedInput, match="e_ts regresses at edge 2: "
+                                            "150 after 300"):
+        TemporalGraph([addr(0), addr(1), addr(2)], ["0x" + "c0" * 20],
+                      [0, 1, 2], [1, 2, 0], [100, 300, 150, 400],
+                      [0, 0, 0], [1, 1, 1])
 
 
 def test_build_from_stream_equals_build_from_path(tmp_path):
@@ -87,28 +95,18 @@ def test_build_from_stream_equals_build_from_path(tmp_path):
     assert vars(TemporalGraph.build(p)) == vars(want)
 
 
-def test_edge_count_until_and_node_age():
-    g = graph_of([(100, 0, 1), (200, 1, 2), (300, 2, 0)])
-    assert g.edge_count_until(99) == 0
-    assert g.edge_count_until(200) == 2
-    assert g.node_age(addr(0), 250) == 150
-    with pytest.raises(NegativeAge):
-        g.node_age(addr(2), 150)
-    with pytest.raises(UnknownNode):
-        g.node_age("0x" + "ff" * 20, 500)
-
-
 def test_token_owner_replay():
-    g = graph_of([(100, 0, 1), (200, 1, 2), (300, 2, 0)])
-    assert g.token_owner_at(g.contracts[0], 1, 250) == addr(2)
-    assert g.token_owner_at(g.contracts[0], 1) == addr(0)
-    assert g.token_owner_at(g.contracts[0], 999) is None
-    assert g.token_owner_at("0x" + "ee" * 20, 1) is None
+    events = make_events([(100, 0, 1), (200, 1, 2), (300, 2, 0)])
+    contract = events[0].contract
+    assert oracles.token_owner_at(events, contract, 1, 250) == addr(2)
+    assert oracles.token_owner_at(events, contract, 1) == addr(0)
+    assert oracles.token_owner_at(events, contract, 999) is None
+    assert oracles.token_owner_at(events, "0x" + "ee" * 20, 1) is None
 
 
 def test_snapshot_view_prefix():
     g = graph_of([(100, 0, 1), (200, 1, 2), (300, 3, 4)])
-    assert g.edge_count_until(200) == 2
+    assert len(list(g.edges(200))) == 2
     assert simple_view(g, 200).num_nodes == 3
 
 
@@ -137,15 +135,15 @@ def test_edges_filter_matches_brute_force(seed):
 def test_simple_view_dedups_pairs():
     g = graph_of([(100, 0, 1), (200, 0, 1), (300, 1, 0)])
     v = simple_view(g)
-    assert v.pairs == {(g.addr_id(addr(0)), g.addr_id(addr(1))),
-                       (g.addr_id(addr(1)), g.addr_id(addr(0)))}
+    assert v.pairs == {(addr_id(g, addr(0)), addr_id(g, addr(1))),
+                       (addr_id(g, addr(1)), addr_id(g, addr(0)))}
 
 
 def test_simple_view_excluding_null_keeps_isolated_nodes():
     # a2's only link is a mint; dropping Null must keep a2 as an isolate
     g = graph_of([(100, NULL_ADDRESS, 2), (200, 0, 1)])
     v = simple_view(g, include_null=False)
-    assert g.addr_id(addr(2)) in v.nodes
+    assert addr_id(g, addr(2)) in v.nodes
     assert v.num_nodes == 3
     assert v.num_edges == 1
     # density denominator uses the full node set: 1 / (3*2)
@@ -163,27 +161,6 @@ def test_simple_view_cutoff_node_set():
     g = graph_of([(100, 0, 1), (200, 2, 3)])
     v = simple_view(g, cutoff=150)
     assert v.num_nodes == 2 and v.num_edges == 1
-
-
-def test_peel_star_empties():
-    g = graph_of([(100, 0, 1), (100, 0, 2), (100, 0, 3)])
-    peeled = peel_degree_one(simple_view(g))
-    assert peeled.num_nodes == 0 and peeled.num_edges == 0
-
-
-def test_peel_cycle_unchanged():
-    g = graph_of([(100, 0, 1), (200, 1, 2), (300, 2, 0)])
-    v = simple_view(g)
-    peeled = peel_degree_one(v)
-    assert peeled.pairs == v.pairs and peeled.nodes == v.nodes
-
-
-def test_peel_single_pass_semantics():
-    # path a-b-c-d: ends are degree-1, removed once; b-c survives this pass
-    g = graph_of([(100, 0, 1), (200, 1, 2), (300, 2, 3)])
-    peeled = peel_degree_one(simple_view(g))
-    ids = {g.addr_id(addr(1)), g.addr_id(addr(2))}
-    assert peeled.nodes == ids
 
 
 @settings(deadline=None)
@@ -356,6 +333,20 @@ def test_cache_rejects_column_of_wrong_length(tmp_path, column):
     cache.save(g, str(path))
     with pytest.raises(cache.CacheFormatError, match="section lengths"):
         cache.load(str(path))
+
+
+def test_cache_with_swapped_timestamps_exits_2(tmp_path, capsys):
+    g = graph_of([(100, 0, 1), (200, 1, 2), (300, 2, 0)])
+    g.e_ts[0], g.e_ts[2] = g.e_ts[2], g.e_ts[0]
+    path = tmp_path / "g.lglb"
+    cache.save(g, str(path))
+    with pytest.raises(UnsortedInput, match="edge 1: 200 after 300"):
+        cache.load(str(path))
+    out = tmp_path / "s.json"
+    assert main(["stats", "--input", str(path), "--report", str(out)]) == 2
+    assert capsys.readouterr().err == \
+        "nftgraph: e_ts regresses at edge 1: 200 after 300\n"
+    assert not out.exists()
 
 
 def test_cache_rejects_wrong_version(tmp_path):

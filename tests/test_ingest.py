@@ -113,15 +113,14 @@ def test_decode_conforming_transfer():
     ev = decode_transfer(_raw(transfer_topics(src, dst, 99)))
     assert ev.from_addr == src and ev.to_addr == dst
     assert ev.token_id == 99
-    assert not ev.is_mint and not ev.is_burn
 
 
 def test_decode_mint_and_burn_flags():
     dst = "0x" + "02" * 20
     mint = decode_transfer(_raw(transfer_topics(NULL_ADDRESS, dst, 1)))
-    assert mint.is_mint
+    assert (mint.from_addr, mint.to_addr) == (NULL_ADDRESS, dst)
     burn = decode_transfer(_raw(transfer_topics(dst, NULL_ADDRESS, 1)))
-    assert burn.is_burn
+    assert (burn.from_addr, burn.to_addr) == (dst, NULL_ADDRESS)
 
 
 def test_decode_three_topic_is_arity_skip():
@@ -196,7 +195,7 @@ def test_normalize_stream_golden(tmp_path):
     events = list(read_transfers(str(out1)))
     # sorted by timestamp: the mint (earlier) must come first
     assert [e.timestamp for e in events] == [1600000500, 1600000600]
-    assert events[0].is_mint
+    assert events[0].from_addr == NULL_ADDRESS
 
 
 def test_normalize_rejects_nothing_on_clean_file(tmp_path):
@@ -489,7 +488,7 @@ def _over_long_normalized_field(draw):
 
 def test_read_transfers_accepts_the_fuzz_seed_file():
     (event,) = read_transfers(io.StringIO(_NORM_TEXT, newline=""))
-    assert event.token_id == 7 and event.is_mint
+    assert event.token_id == 7 and event.from_addr == NULL_ADDRESS
 
 
 @pytest.mark.parametrize("files", [st.text(), _spliced_normalized(),

@@ -11,7 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
-from conftest import addr, graph_of, make_events, random_events
+from conftest import addr, addr_id, graph_of, make_events, random_events
 from nftgraph.errors import BadRecord, InsufficientNodes
 from nftgraph.graph import TemporalGraph
 from nftgraph.ingest import NULL_ADDRESS
@@ -215,10 +215,7 @@ def test_trader_null_excluded_by_default():
     t0 = ts(2021, 1, 1)
     g = graph_of([(t0, NULL_ADDRESS, 0), (t0 + 60, NULL_ADDRESS, 1),
                   (t0 + 120, 0, 1)])
-    labels = set(trader_labels(g))
-    assert NULL_ADDRESS not in labels
-    labels_with = set(trader_labels(g, include_null=True))
-    assert NULL_ADDRESS in labels_with
+    assert set(trader_labels(g)) == {addr(0), addr(1)}
 
 
 def test_trader_partition_complete():
@@ -239,8 +236,6 @@ def test_trader_labels_match_oracle(events):
     triples = _triples(events)
     assert list(trader_labels(g).items()) == \
         list(oracles.trader_labels(triples, NULL_ADDRESS).items())
-    assert list(trader_labels(g, include_null=True).items()) == \
-        list(oracles.trader_labels(triples).items())
 
 
 def test_trader_classes_need_no_csv_quoting():
@@ -276,7 +271,7 @@ def test_export_node_task_cumulative_degree(tmp_path):
                     exclude_null=True, task="node")
     with open(tmp_path / "snapshot_0001" / "nodes.csv") as fh:
         rows = {r["address_id"]: r for r in csv.DictReader(fh)}
-    a0 = str(g.addr_id(addr(0)))
+    a0 = str(addr_id(g, addr(0)))
     assert rows[a0]["degree"] == "2"      # cumulative over both days
     # the gap is exactly one day, and thresholds are right-closed
     assert rows[a0]["label"] == "daily"
@@ -316,7 +311,7 @@ def test_export_files_match_csv_writer_oracle(task, split_mode, events,
                                               exclude_null, seed):
     g = TemporalGraph.build(events)
     snaps = build_snapshots(g, "day", exclude_null=exclude_null)
-    label_of = {g.addr_id(a): c for a, c in
+    label_of = {addr_id(g, a): c for a, c in
                 oracles.trader_labels(_triples(events), NULL_ADDRESS).items()}
     want = oracles.export_csv_texts(snaps, label_of, task, split_mode, seed,
                                     0.3)
