@@ -44,10 +44,10 @@ RAW_CSV_COLUMNS = [
     "log_index", "address", "topics", "data",
 ]
 
-_HEX_RE = re.compile(r"0x[0-9a-f]*\Z")
-# A CSV line already in normalized form (decimal ints, lowercase 0x hex of
-# the right widths, no empty topic) parses to exactly what the general
-# path of parse_log_line yields, so one match replaces the field checks.
+# The one definition of a valid raw record (decimal ints, lowercase 0x hex
+# of the right widths, one to four topics).  Any other spelling (any case,
+# a missing 0x, padding, JSON ints as strings or integral floats, null
+# data) is normalized field by field and then matched against it.
 _CANONICAL_CSV = re.compile(
     r"([0-9]+),([0-9]+),(0x[0-9a-f]{64}),([0-9]+),(0x[0-9a-f]{40}),"
     r"(0x[0-9a-f]{64}(?:\|0x[0-9a-f]{64}){0,3}),(0x(?:[0-9a-f]{2})*)\Z")
@@ -110,36 +110,15 @@ def _hex_string(value, what: str) -> str:
     return v if v.startswith("0x") else "0x" + v
 
 
-def _norm_hex(value, nbytes: int, what: str) -> str:
-    v = _hex_string(value, what)
-    if len(v) != 2 + 2 * nbytes:
-        raise MalformedRecord(f"{what} length")
-    if not _HEX_RE.match(v):
-        raise MalformedRecord(f"{what} not hex")
-    return v
-
-
-def _norm_data(value) -> str:
-    if value is None:
-        return "0x"
-    v = _hex_string(value, "data")
-    if len(v) % 2 != 0 or not _HEX_RE.match(v):
-        raise MalformedRecord("data not hex")
-    return v
-
-
 def _norm_int(value, what: str) -> int:
     # int() would turn JSON true into 1 and truncate 10.9 to 10
     if isinstance(value, bool) or (
             isinstance(value, float) and not value.is_integer()):
         raise MalformedRecord(f"{what} not an integer")
     try:
-        n = int(value)
+        return int(value)
     except (TypeError, ValueError):
         raise MalformedRecord(f"{what} not numeric") from None
-    if n < 0:
-        raise MalformedRecord(f"{what} negative")
-    return n
 
 
 def _canonical_raw(m: re.Match, now: int | None) -> RawLog:
@@ -158,16 +137,18 @@ def _canonical_raw(m: re.Match, now: int | None) -> RawLog:
 
 
 def _as_canonical_csv(obj: dict, topics: list) -> str:
-    """A JSON log object as a raw CSV line, or "" if a topic is not a str.
+    """`obj`'s fields as a raw CSV line to match against `_CANONICAL_CSV`,
+    or "" if a topic is not a str or holds a `|`.
 
-    Only the line's match against `_CANONICAL_CSV` is trusted.  No text
-    of a JSON value but a str or an int (bool, float, null, list, object)
-    matches a field of the pattern, and a topic holding `|` changes the
-    topic count, which the caller checks.
+    Only the match is trusted: no text of a JSON value but a str or an
+    int matches a field of the pattern.  `parse_log_line` passes a JSON
+    object as read, then any line's normalized fields.
     """
     try:
         joined = "|".join(topics)
     except TypeError:
+        return ""
+    if joined.count("|") != len(topics) - 1:
         return ""
     return (f"{obj['block_number']},{obj['block_timestamp']},"
             f"{obj['transaction_hash']},{obj['log_index']},{obj['address']},"
@@ -177,8 +158,9 @@ def _as_canonical_csv(obj: dict, topics: list) -> str:
 def parse_log_line(line: str, *, now: int | None = None) -> RawLog:
     """Parse one raw JSONL or CSV line into a RawLog.
 
-    Raises MalformedRecord for missing keys, bad hex lengths, non-numeric
-    block fields or out-of-range timestamps.
+    Raises MalformedRecord for bad JSON or CSV, a missing key, a field
+    that does not normalize to `_CANONICAL_CSV` or an out-of-range
+    timestamp.
     """
     stripped = line.strip()
     m = _CANONICAL_CSV.match(stripped)
@@ -198,7 +180,7 @@ def parse_log_line(line: str, *, now: int | None = None) -> RawLog:
         if not isinstance(topics, list):
             raise MalformedRecord("topics not a list")
         m = _CANONICAL_CSV.match(_as_canonical_csv(obj, topics))
-        if m is not None and m.group(6).count("|") == len(topics) - 1:
+        if m is not None:
             return _canonical_raw(m, now)
     else:
         try:
@@ -210,21 +192,17 @@ def parse_log_line(line: str, *, now: int | None = None) -> RawLog:
         obj = dict(zip(RAW_CSV_COLUMNS, row))
         topics = [t for t in obj["topics"].split("|") if t]
 
-    if not 1 <= len(topics) <= 4:
-        raise MalformedRecord("topic count")
-    ts = _norm_int(obj["block_timestamp"], "block_timestamp")
-    upper = now if now is not None else int(time.time())
-    if ts < EARLIEST_TIMESTAMP or ts > upper:
-        raise MalformedRecord("timestamp out of range")
-    return RawLog(
-        block_number=_norm_int(obj["block_number"], "block_number"),
-        block_timestamp=ts,
-        tx_hash=_norm_hex(obj["transaction_hash"], 32, "tx_hash"),
-        log_index=_norm_int(obj["log_index"], "log_index"),
-        contract=_norm_hex(obj["address"], 20, "address"),
-        topics=tuple(_norm_hex(t, 32, "topic") for t in topics),
-        data=_norm_data(obj.get("data")),
-    )
+    norm = {k: _norm_int(obj[k], k)
+            for k in ("block_number", "block_timestamp", "log_index")}
+    norm.update((k, _hex_string(obj[k], k))
+                for k in ("transaction_hash", "address"))
+    data = obj["data"]
+    norm["data"] = "0x" if data is None else _hex_string(data, "data")
+    m = _CANONICAL_CSV.match(_as_canonical_csv(
+        norm, [_hex_string(t, "topic") for t in topics]))
+    if m is None:
+        raise MalformedRecord("field width or digits")
+    return _canonical_raw(m, now)
 
 
 def decode_transfer(raw: RawLog) -> TransferEvent | SkipReason:
@@ -255,7 +233,8 @@ def decode_transfer(raw: RawLog) -> TransferEvent | SkipReason:
 
 
 def _iter_raw_lines(path: str) -> Iterator[str]:
-    with open(path, "r", encoding="utf-8") as fh:
+    # utf-8-sig drops a leading byte-order mark
+    with open(path, "r", encoding="utf-8-sig") as fh:
         for line in fh:
             if not line.strip():
                 continue
@@ -292,15 +271,11 @@ def normalize_stream(
             stats.records_read += 1
             try:
                 raw = parse_log_line(line, now=wall)
-            except MalformedRecord:
-                stats.skipped_malformed += 1
-                continue
-            key = (raw.tx_hash, raw.log_index)
-            if key in seen:
-                stats.skipped_duplicate += 1
-                continue
-            seen.add(key)
-            try:
+                key = (raw.tx_hash, raw.log_index)
+                if key in seen:
+                    stats.skipped_duplicate += 1
+                    continue
+                seen.add(key)
                 outcome = decode_transfer(raw)
             except MalformedRecord:
                 stats.skipped_malformed += 1

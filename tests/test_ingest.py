@@ -1,11 +1,14 @@
+import ast
 import io
 import json
+from pathlib import Path
 
 import pytest
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import nftgraph
 from nftgraph.errors import MalformedRecord
 from nftgraph.ingest import (EARLIEST_TIMESTAMP, NORMALIZED_HEADER,
                              NULL_ADDRESS, RAW_CSV_COLUMNS, TRANSFER_TOPIC, RawLog, SkipReason,
@@ -246,10 +249,13 @@ def test_write_read_round_trip(tmp_path):
 
 
 def test_canonical_and_general_csv_parse_agree():
-    # the first line takes the one-regex path, the others the field checks
+    # the first line is matched as read, the others once normalized
     topics = transfer_topics("0x" + "01" * 20, "0x" + "0a" * 20, 7)
     canon = raw_csv_line(100, 1600000000, "0x" + "1f" * 32, 3,
                          GOOD_CONTRACT, topics, "0x00ff")
+    obj = {"block_number": 100, "block_timestamp": 1600000000,
+           "transaction_hash": "0x" + "1f" * 32, "log_index": 3,
+           "address": GOOD_CONTRACT, "topics": topics, "data": "0x00ff"}
     variants = [
         raw_csv_line(100, 1600000000, "0X" + "1F" * 32, 3,
                      GOOD_CONTRACT.upper(), [t.upper() for t in topics],
@@ -257,6 +263,17 @@ def test_canonical_and_general_csv_parse_agree():
         raw_csv_line(" 100", "1600000000 ", "1f" * 32, "+3",
                      GOOD_CONTRACT[2:], ["", *topics, ""], " 0x00ff"),
         '"100",1600000000,' + canon.split(",", 2)[2],
+        json.dumps(dict(obj, transaction_hash="0X" + "1F" * 32,
+                        address=GOOD_CONTRACT.upper(),
+                        topics=[t.upper() for t in topics], data="0x00FF")),
+        json.dumps(dict(obj, transaction_hash="1f" * 32,
+                        address=GOOD_CONTRACT[2:],
+                        topics=[t[2:] for t in topics], data="00ff")),
+        json.dumps(dict(obj, transaction_hash=" 0x" + "1f" * 32 + " ",
+                        address=" " + GOOD_CONTRACT,
+                        topics=[t + " " for t in topics], data=" 0x00ff ")),
+        json.dumps(dict(obj, block_number="100",
+                        block_timestamp=" 1600000000", log_index="+3")),
     ]
     expected = parse_log_line(canon, now=NOW)
     assert expected.topics == tuple(topics) and expected.data == "0x00ff"
@@ -265,8 +282,65 @@ def test_canonical_and_general_csv_parse_agree():
     with pytest.raises(MalformedRecord, match="timestamp out of range"):
         parse_log_line(canon, now=1600000000 - 1)
     bad = canon.replace("|" + topics[1], "|" + topics[1][:-1])
-    with pytest.raises(MalformedRecord, match="topic length"):
+    with pytest.raises(MalformedRecord, match="field width or digits"):
         parse_log_line(bad, now=NOW)
+
+
+SRC = Path(nftgraph.__file__).parent
+
+
+def _validator_uses(path: Path):
+    """Yield "RawLog" for each call of `RawLog` and "EARLIEST_TIMESTAMP"
+    for each read of that name."""
+    for node in ast.walk(ast.parse(path.read_text(), str(path))):
+        if (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+                and node.func.id == "RawLog"):
+            yield "RawLog"
+        elif (isinstance(node, (ast.Name, ast.Attribute))
+                and isinstance(node.ctx, ast.Load)
+                and "EARLIEST_TIMESTAMP" in (getattr(node, "id", None),
+                                             getattr(node, "attr", None))):
+            yield "EARLIEST_TIMESTAMP"
+
+
+def test_one_raw_record_validator():
+    # `_canonical_raw` alone builds a RawLog and checks the timestamp
+    # range, so every raw line passes the one `_CANONICAL_CSV` check
+    uses = [u for p in sorted(SRC.glob("*.py")) for u in _validator_uses(p)]
+    assert sorted(uses) == ["EARLIEST_TIMESTAMP", "RawLog"]
+
+
+def test_validator_guard_sees_calls_and_reads(tmp_path):
+    sample = tmp_path / "sample.py"
+    sample.write_text(
+        "EARLIEST_TIMESTAMP = 1\nRawLog(1)\nx < EARLIEST_TIMESTAMP\n"
+        "m.EARLIEST_TIMESTAMP\nclass RawLog: pass\nRawLogs(1)\n")
+    assert sorted(_validator_uses(sample)) == [
+        "EARLIEST_TIMESTAMP", "EARLIEST_TIMESTAMP", "RawLog"]
+
+
+def _as_json(line):
+    obj = dict(zip(RAW_CSV_COLUMNS, line.split(",")))
+    return json.dumps(dict(obj, topics=obj["topics"].split("|")))
+
+
+@pytest.mark.parametrize("fmt", ["csv", "jsonl"])
+def test_byte_order_mark_loses_no_record(tmp_path, fmt):
+    lines = golden_raw_lines()
+    if fmt == "csv":
+        lines = [",".join(RAW_CSV_COLUMNS), *lines]
+    else:
+        lines = [_as_json(line) for line in lines]
+    text = "\n".join(lines) + "\n"
+    results = []
+    for bom in ("", "\ufeff"):
+        raw = tmp_path / f"raw{len(bom)}.{fmt}"
+        raw.write_text(bom + text, encoding="utf-8")
+        out = tmp_path / f"norm{len(bom)}.csv"
+        stats, contracts = normalize_stream([str(raw)], str(out), now=NOW)
+        results.append((stats.as_dict(), contracts, out.read_bytes()))
+    assert results[0] == results[1]
+    assert results[0][0]["transfers_emitted"] == 2
 
 
 def test_write_transfers_quotes_like_csv_writer(tmp_path):
