@@ -7,8 +7,8 @@ repeatedly strengthens the signal rather than diluting it.
 
 from __future__ import annotations
 
+import math
 import statistics
-from collections import Counter
 
 from .graph import TemporalGraph
 
@@ -16,64 +16,47 @@ LOW_ACTIVITY = "LOW_ACTIVITY"
 HIGH_RATIO = "HIGH_RATIO"
 
 
-def _min_cross_gap(ts_a: list[int], ts_b: list[int]) -> int:
-    """Minimal |x - y| between two sorted timestamp lists."""
-    best = None
-    i = j = 0
-    while i < len(ts_a) and j < len(ts_b):
-        gap = abs(ts_a[i] - ts_b[j])
-        if best is None or gap < best:
-            best = gap
-        if ts_a[i] <= ts_b[j]:
-            i += 1
-        else:
-            j += 1
-    return best
-
-
 def simultaneous_bidirectional(g: TemporalGraph, threshold_seconds: int = 86400,
                                *, include_null: bool = False):
-    """((u, v), gap) for each pair of node ids u < v with opposing edges
-    whose minimal cross-direction interval `gap` is within the threshold.
-    Sorted by id pair."""
-    directions = {(u, v) for u, v, _ts in g.edges(
-        include_null=include_null, include_self_loops=False)}
-    bidir = {(u, v) for (u, v) in directions if u < v and (v, u) in directions}
-    if not bidir:
-        return []
-    ts_by_dir: dict[tuple[int, int], list[int]] = {}
-    for u, v, ts in g.edges():
-        if (min(u, v), max(u, v)) in bidir:
-            ts_by_dir.setdefault((u, v), []).append(ts)
-    out = []
-    for u, v in bidir:
-        gap = _min_cross_gap(ts_by_dir[(u, v)], ts_by_dir[(v, u)])
-        if gap <= threshold_seconds:
-            out.append(((u, v), gap))
-    out.sort()
-    return out
+    """((u, v), gap, trades) for each pair of node ids u < v with opposing
+    edges whose minimal cross-direction interval `gap` is within the
+    threshold; `trades` counts the pair's edges in both directions.
+    Sorted by id pair.
+
+    One walk in time order keeps, per pair, the last edge's timestamp and
+    source, the least gap so far and the edge count.  The two opposing
+    edges closest in time are adjacent in time order, so the least gap
+    between adjacent opposing edges is the minimal cross-direction one.
+    """
+    state: dict[tuple[int, int], list] = {}
+    for u, v, ts in g.edges(include_null=include_null,
+                            include_self_loops=False):
+        key = (u, v) if u < v else (v, u)
+        s = state.get(key)
+        if s is None:
+            state[key] = [ts, u, math.inf, 1]
+            continue
+        if s[1] != u and ts - s[0] < s[2]:
+            s[2] = ts - s[0]
+        s[0], s[1] = ts, u
+        s[3] += 1
+    return sorted((pair, gap, trades)
+                  for pair, (_ts, _src, gap, trades) in state.items()
+                  if gap <= threshold_seconds)
 
 
 def suspicious_pairs(g: TemporalGraph, candidates, min_tx: int = 5,
                      ratio: float = 0.8) -> list[dict]:
-    """Apply the two wallet-pair rules to simultaneous bidirectional pairs;
-    one `suspicious_pair` report row per flagged pair, sorted by the
-    endpoint addresses `a` and `b`.
+    """Apply the two wallet-pair rules to the rows of
+    `simultaneous_bidirectional`; one `suspicious_pair` report row per
+    flagged pair, sorted by the endpoint addresses `a` and `b`.
 
     LOW_ACTIVITY: either endpoint has fewer than `min_tx` incident edges.
     HIGH_RATIO: for either endpoint, the share of its edges that involve
     the other endpoint exceeds `ratio`.
     """
-    pair_counts: Counter = Counter()
-    wanted = {pair for pair, _gap in candidates}
-    for u, v, _ts in g.edges():
-        key = (min(u, v), max(u, v))
-        if key in wanted:
-            pair_counts[key] += 1
-
     flagged = []
-    for (ia, ib), gap in candidates:
-        between = pair_counts[(ia, ib)]
+    for (ia, ib), gap, between in candidates:
         ta, tb = g.n_txc[ia], g.n_txc[ib]
         ra = between / ta if ta else 0.0
         rb = between / tb if tb else 0.0

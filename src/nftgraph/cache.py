@@ -49,9 +49,21 @@ class _Checksummed:
 
 
 def _write_strings(f: _Checksummed, items: list[str]) -> None:
+    bad = next((s for s in items if "\n" in s), None)
+    if bad is not None:
+        raise CacheFormatError(f"cannot cache {bad!r}: it holds a newline")
     blob = "\n".join(items).encode()
     f.write(struct.pack("<II", len(items), len(blob)))
     f.write(blob)
+
+
+def _split(blob: str, count: int) -> list[str]:
+    """The `count` newline-separated entries of a table."""
+    items = blob.split("\n") if count or blob else []
+    if len(items) != count:
+        raise CacheFormatError(
+            f"a table holds {len(items)} entries, its header says {count}")
+    return items
 
 
 def _read_strings(f: _Checksummed) -> list[str]:
@@ -60,7 +72,7 @@ def _read_strings(f: _Checksummed) -> list[str]:
         blob = _take(f, nbytes).decode()
     except UnicodeDecodeError:
         raise CacheFormatError("a string table is not UTF-8") from None
-    return blob.split("\n") if count else []
+    return _split(blob, count)
 
 
 def _write_ints(f: _Checksummed, values) -> None:
@@ -81,8 +93,7 @@ def _read_ints(f: _Checksummed):
     if typecode == b"S":
         (nbytes,) = struct.unpack("<I", _take(f, 4))
         try:
-            blob = _take(f, nbytes).decode()
-            return [int(s) for s in blob.split("\n")] if count else []
+            return [int(s) for s in _split(_take(f, nbytes).decode(), count)]
         except ValueError:
             raise CacheFormatError("non-integer in a decimal column") from None
     if typecode != b"q":

@@ -160,9 +160,9 @@ def cmd_metrics(args) -> int:
         views[name]["pairs"] = view.num_edges
 
     body: dict = {"views": views}
-    os.makedirs(args.out_dir, exist_ok=True)
     growth = metrics_mod.growth_series(
         g, args.granularity, include_self_loops=not args.exclude_self_loops)
+    os.makedirs(args.out_dir, exist_ok=True)
     _growth_csvs(growth, args.out_dir)
     hist, cumulative = metrics_mod.mutual_edge_intervals(g)
     write_csv(os.path.join(args.out_dir, "fig2c_mutual_days.csv"),

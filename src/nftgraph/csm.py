@@ -59,14 +59,16 @@ def parse_query(text: str, name: str = "query") -> QueryGraph:
     """Parse the `v <id> <label|*>` / `e <src> <dst>` pattern format.
 
     Statements are separated by newlines or semicolons; `#` starts a
-    comment.  The pattern must be weakly connected (a single vertex with
-    no edges is accepted as the trivial pattern) and have at most 16
-    vertices and no duplicate directed edges.
+    comment that runs to the end of the line, past any `;`.  The pattern
+    must be weakly connected (a single vertex with no edges is accepted as
+    the trivial pattern) and have at most 16 vertices and no duplicate
+    directed edges.
     """
     labels: dict[int, object] = {}
     edges: list[tuple[int, int]] = []
-    for raw in text.replace(";", "\n").splitlines():
-        stmt = raw.split("#", 1)[0].strip()
+    stmts = [s.strip() for line in text.splitlines()
+             for s in line.split("#", 1)[0].split(";")]
+    for stmt in stmts:
         if not stmt:
             continue
         parts = stmt.split()

@@ -9,6 +9,8 @@ from __future__ import annotations
 from datetime import date, datetime, timedelta, timezone
 from typing import Iterable, Iterator, NamedTuple
 
+from .errors import DataError
+
 # months per period, and the label format of (year, 1-based index in the year)
 _MONTHLY = {"month": (1, "{}-{:02d}"), "quarter": (3, "{}-Q{}"),
             "half": (6, "{}-H{}"), "year": (12, "{}")}
@@ -63,9 +65,21 @@ class Period(NamedTuple):
 
 
 def iter_periods(granularity: str, first_ts: int, last_ts: int) -> Iterator[Period]:
-    """Contiguous calendar periods covering [first_ts, last_ts]."""
+    """Contiguous calendar periods covering [first_ts, last_ts].
+
+    A DataError names a timestamp whose period does not fit in the
+    calendar's years 1 to 9999; an unknown granularity is a ValueError.
+    """
     if last_ts < first_ts:
         return
+    if granularity not in GRANULARITIES:
+        raise ValueError(f"unknown granularity {granularity!r}")
+    for ts in (first_ts, last_ts):      # every period between fits too
+        try:
+            _next_start(granularity, period_start_date(granularity, ts))
+        except (ValueError, OverflowError, OSError):
+            raise DataError(f"timestamp {ts} has no {granularity} period "
+                            f"within the years 1 to 9999") from None
     start = period_start_date(granularity, first_ts)
     while True:
         nxt = _next_start(granularity, start)

@@ -12,9 +12,10 @@ def test_simultaneous_included_and_excluded():
                   (5000, 2, 3), (5000 + 2 * 86400, 3, 2)])
     out = simultaneous_bidirectional(g, 86400)
     assert len(out) == 1
-    (pair, gap), = out
+    (pair, gap, trades), = out
     assert {g.addresses[i] for i in pair} == {addr(0), addr(1)}
     assert gap == 60
+    assert trades == 2
 
 
 def test_simultaneous_ignores_null_and_self_loops():
@@ -26,23 +27,35 @@ def test_simultaneous_ignores_null_and_self_loops():
 
 def test_simultaneous_matches_quadratic_scan():
     rng = random.Random(17)
-    for _ in range(25):
-        events = random_events(rng, 12, 120)
-        g = TemporalGraph.build(events)
-        got = {frozenset(g.addresses[i] for i in pair): gap
-               for pair, gap in simultaneous_bidirectional(g, 50000)}
-        # brute force: all cross-direction |dt| minima per unordered pair
-        ts = {}
-        for e in events:
-            if e.from_addr != e.to_addr:
-                ts.setdefault((e.from_addr, e.to_addr), []).append(e.timestamp)
-        want = {}
-        for (u, v) in ts:
-            if u < v and (v, u) in ts:
-                gap = min(abs(a - b) for a in ts[(u, v)] for b in ts[(v, u)])
-                if gap <= 50000:
-                    want[frozenset((u, v))] = gap
-        assert got == want
+    # a narrow ts_range makes opposing edges share a timestamp (gap 0) and
+    # interleaves runs of one direction
+    for ts_range, with_null in [((1600000000, 1610000000), False),
+                                ((1600000000, 1610000000), True),
+                                ((1600000000, 1600000030), False),
+                                ((1600000000, 1600000030), True)]:
+        for _ in range(25):
+            events = random_events(rng, 12, 120, with_null=with_null,
+                                   ts_range=ts_range)
+            g = TemporalGraph.build(events)
+            got = {frozenset(g.addresses[i] for i in pair): (gap, trades)
+                   for pair, gap, trades in simultaneous_bidirectional(
+                       g, 50000, include_null=with_null)}
+            # brute force: all cross-direction |dt| minima per unordered
+            # pair, and the pair's edge count in both directions
+            ts = {}
+            for e in events:
+                if e.from_addr != e.to_addr:
+                    ts.setdefault((e.from_addr, e.to_addr), []).append(
+                        e.timestamp)
+            want = {}
+            for (u, v) in ts:
+                if u < v and (v, u) in ts:
+                    gap = min(abs(a - b) for a in ts[(u, v)]
+                              for b in ts[(v, u)])
+                    if gap <= 50000:
+                        want[frozenset((u, v))] = (
+                            gap, len(ts[(u, v)]) + len(ts[(v, u)]))
+            assert got == want
 
 
 def test_low_activity_rule():

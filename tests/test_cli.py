@@ -4,18 +4,23 @@ import io
 import json
 import os
 import re
+import struct
 import subprocess
 import sys
 import tempfile
+import zlib
 
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from conftest import make_events
+
 import nftgraph
 from nftgraph import cache
 from nftgraph.cli import main
 from nftgraph.fixture import write_fixture
+from nftgraph.ingest import write_transfers
 
 
 @pytest.fixture(scope="module")
@@ -304,6 +309,43 @@ def test_cache_with_non_utf8_address_exits_2(small_cache, tmp_path, capsys):
     assert main(["stats", "--input", str(bad), "--report", str(out)]) == 2
     assert capsys.readouterr().err == \
         "nftgraph: a string table is not UTF-8\n"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("where", ["contract", "address"])
+def test_build_of_string_with_newline_writes_no_cache(tmp_path, capsys,
+                                                      where):
+    """The cache's string tables are newline-separated, so such a string
+    would shift every later id."""
+    odd = "0xc\n0xd"
+    triples = [(1600000000, 0, 1), (1600000060, 1, 0)]
+    events = (make_events(triples, contract=odd) if where == "contract"
+              else make_events([(1600000000, odd, 1), *triples]))
+    norm = tmp_path / "odd.csv"
+    write_transfers(str(norm), events)
+    out = tmp_path / "odd.lglb"
+    capsys.readouterr()
+    assert main(["build", "--input", str(norm), "--output", str(out),
+                 "--report", str(tmp_path / "b.json")]) == 2
+    assert "newline" in _one_error_line(capsys)
+    assert os.listdir(tmp_path) == ["odd.csv"]      # nor a temporary file
+
+
+@pytest.mark.parametrize("delta", [-1, 1])
+def test_cache_with_wrong_string_count_exits_2(small_cache, tmp_path, capsys,
+                                               delta):
+    blob = bytearray(small_cache.read_bytes())
+    (count,) = struct.unpack_from("<I", blob, 6)     # after magic, version
+    struct.pack_into("<I", blob, 6, count + delta)
+    # a valid crc32 over every byte after the version, so only the count
+    # check can find the damage
+    struct.pack_into("<I", blob, len(blob) - 4, zlib.crc32(blob[6:-4]))
+    bad = tmp_path / "bad.lglb"
+    bad.write_bytes(blob)
+    out = tmp_path / "s.json"
+    capsys.readouterr()
+    assert main(["stats", "--input", str(bad), "--report", str(out)]) == 2
+    assert "entries" in _one_error_line(capsys)
     assert not out.exists()
 
 
@@ -762,3 +804,23 @@ def test_export_ml_without_enough_negatives_writes_nothing(data_dir, tmp_path,
     err = capsys.readouterr().err
     assert err.startswith("nftgraph: snapshot ") and err.count("\n") == 1
     assert not out.exists()
+
+
+@pytest.mark.parametrize("stamp,granularity", [
+    (10**12, "day"), (-10**14, "week"), (10**20, "month"),
+    (253402128000, "year")])          # in 9999; its year ends past it
+def test_timestamp_outside_calendar_exits_2(tmp_path, capsys, stamp,
+                                            granularity):
+    norm = tmp_path / "far.csv"
+    write_transfers(str(norm), make_events([(stamp, 0, 1), (stamp, 1, 2)]))
+    lglb = tmp_path / "far.lglb"
+    assert main(["build", "--input", str(norm), "--output", str(lglb),
+                 "--report", str(tmp_path / "b.json")]) == 0
+    out = tmp_path / "out"
+    for path in (norm, lglb):
+        for command in ("metrics", "export-ml"):
+            capsys.readouterr()
+            assert main([command, "--input", str(path), "--out-dir", str(out),
+                         "--granularity", granularity]) == 2
+            assert str(stamp) in _one_error_line(capsys)
+            assert not out.exists()

@@ -38,6 +38,11 @@ def test_parse_labels_and_comments():
     assert q.labels == (4, None)
 
 
+def test_parse_comment_hides_later_statements_on_its_line():
+    q = parse_query("v 0 *; v 1 *; e 0 1  # like p2; e 1 0")
+    assert q.edges == ((0, 1),)
+
+
 def test_parse_single_vertex_ok():
     q = parse_query("v 0 *")
     assert q.num_vertices == 1 and q.edges == ()

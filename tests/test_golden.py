@@ -61,6 +61,22 @@ def _write_loops_fixture() -> None:
     write_transfers("loops.csv", make_events(triples))
 
 
+def _write_eval_inputs() -> None:
+    """A link score file with 5 negatives a row, ties included, and a
+    node prediction file over three classes."""
+    rng = random.Random(11)
+    rows = ["positive_id,pos_score,neg_scores"]
+    for i in range(40):
+        scores = [rng.randrange(10) / 10 for _ in range(6)]
+        rows.append(f"e{i}," + ",".join(map(str, scores)))
+    Path("scores.csv").write_text("\n".join(rows) + "\n")
+    classes = ("daily", "weekly", "rare")
+    rows = ["node_id,true,predicted"]
+    for i in range(60):
+        rows.append(f"n{i},{rng.choice(classes)},{rng.choice(classes)}")
+    Path("preds.csv").write_text("\n".join(rows) + "\n")
+
+
 # CLI argv lists in run order; a callable item is resolved in the workdir
 RUNS = [
     ["fixture", "--profile", "planted", "--seed", "1", "--scale", "3000",
@@ -117,6 +133,10 @@ RUNS = [
      "--granularity", "day", "--task", "node", "--include-null",
      "--negatives-snapshot", "0", "--negatives-snapshot", "3",
      "--negatives-k", "5"],
+    ["eval", "--input", "scores.csv", "--task", "link", "--k", "5",
+     "--report", "eval_link.json"],
+    ["eval", "--input", "preds.csv", "--task", "node",
+     "--report", "eval_node.json"],
 ]
 
 
@@ -150,6 +170,7 @@ def _run_all(workdir: Path) -> dict[str, str]:
     os.chdir(workdir)
     try:
         _write_loops_fixture()
+        _write_eval_inputs()
         for argv in RUNS:
             argv = [a() if callable(a) else a for a in argv]
             assert main(argv) == 0, argv

@@ -43,6 +43,8 @@ def test_labels():
 def test_unknown_granularity():
     with pytest.raises(ValueError):
         period_start_date("fortnight", 0)
+    with pytest.raises(ValueError):             # not a DataError
+        list(iter_periods("fortnight", 0, 0))
 
 
 def test_iter_periods_contiguous():
