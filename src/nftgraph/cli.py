@@ -23,9 +23,9 @@ from . import fixture as fixture_mod
 from . import metrics as metrics_mod
 from . import mlbench
 from .errors import DataError, TimeLimitExceeded
-from .graph import TemporalGraph, simple_view
+from .graph import TemporalGraph, simple_view, summary_digest
 from .ingest import normalize_stream
-from .output import open_output, write_csv
+from .output import open_output, write_csv, write_rows
 from .periods import GRANULARITIES
 
 EXIT_OK = 0
@@ -108,7 +108,8 @@ def cmd_ingest(args) -> int:
 def cmd_build(args) -> int:
     g = TemporalGraph.build(args.input)
     cache_mod.save(g, args.output)
-    body = {"summary": g.summary(), "summary_digest": g.summary_digest(),
+    summary = g.summary()
+    body = {"summary": summary, "summary_digest": summary_digest(summary),
             "cache": args.output}
     _emit_json(_make_report(args, [args.input], body), args.report)
     return EXIT_OK
@@ -232,7 +233,7 @@ def cmd_csm(args) -> int:
     if args.queries:
         queries = []
         for path in args.queries:
-            with open(path, encoding="utf-8") as fh:
+            with open(path, encoding="utf-8-sig") as fh:
                 name = os.path.splitext(os.path.basename(path))[0]
                 queries.append(csm_mod.parse_query(fh.read(), name))
     else:
@@ -279,11 +280,13 @@ def cmd_export_ml(args) -> int:
                                                seed=args.seed)
                  for idx in args.negatives_snapshot or []}
     os.makedirs(args.out_dir, exist_ok=True)
+    k = args.negatives_k
+    header = ",".join(["src", "dst"] + [f"neg_{i}" for i in range(k)])
+    row = "%d,%d" + ",%d" * k + "\r\n"     # csv.writer's ints and CRLF
     for idx in list(negatives):
-        write_csv(os.path.join(args.out_dir, f"negatives_{idx:04d}.csv"),
-                  ["src", "dst"] + [f"neg_{i}" for i in range(args.negatives_k)],
-                  [[u, v] + negs
-                   for (u, v), negs in sorted(negatives.pop(idx).items())])
+        write_rows(os.path.join(args.out_dir, f"negatives_{idx:04d}.csv"),
+                   header, [row % (u, v, *negs) for (u, v), negs
+                            in sorted(negatives.pop(idx).items())])
     roles = mlbench.export_features(
         g, snaps, args.out_dir, granularity=args.granularity,
         exclude_null=exclude_null, task=args.task, split_mode=args.split_mode,

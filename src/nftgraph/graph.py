@@ -15,11 +15,12 @@ import hashlib
 import json
 import os
 from bisect import bisect_right
-from itertools import islice
+from collections import defaultdict
+from itertools import count, islice
 from typing import Iterable, Iterator
 
 from .errors import DataError, UnsortedInput
-from .ingest import NULL_ADDRESS, read_transfers
+from .ingest import NULL_ADDRESS, column_blocks, read_transfers
 from .periods import Period, iter_periods
 
 
@@ -85,18 +86,27 @@ class TemporalGraph:
     def build(cls, source) -> "TemporalGraph":
         """Build from a normalized CSV, given as a path or an open text
         stream, or from TransferEvents (rows in NORMALIZED_HEADER order).
+
+        Works a column block at a time.  Ids are handed out in first
+        appearance order, a row's src before its dst, by a dict whose
+        missing keys take the next number.
         """
         if isinstance(source, (str, os.PathLike)) or hasattr(source, "read"):
-            source = read_transfers(source)
-        addr_ids, contract_ids = {}, {}
+            blocks = read_transfers(source)
+        else:
+            blocks = column_blocks(source)
+        addr_ids = defaultdict(count().__next__)
+        contract_ids = defaultdict(count().__next__)
         e_src, e_dst, e_ts, e_contract, e_token = [], [], [], [], []
-        for ts, _, _, _, contract, src, dst, token in source:
-            e_src.append(addr_ids.setdefault(src, len(addr_ids)))
-            e_dst.append(addr_ids.setdefault(dst, len(addr_ids)))
-            e_ts.append(ts)
-            e_contract.append(
-                contract_ids.setdefault(contract, len(contract_ids)))
-            e_token.append(token)
+        for ts, _, _, _, contract, src, dst, token in blocks:
+            ends = [None] * (2 * len(src))
+            ends[0::2], ends[1::2] = src, dst
+            ids = list(map(addr_ids.__getitem__, ends))
+            e_src += ids[0::2]
+            e_dst += ids[1::2]
+            e_ts += ts
+            e_contract += map(contract_ids.__getitem__, contract)
+            e_token += token
         return cls(list(addr_ids), list(contract_ids),
                    e_src, e_dst, e_ts, e_contract, e_token)
 
@@ -143,9 +153,11 @@ class TemporalGraph:
             "last_timestamp": self.e_ts[-1] if self.e_ts else None,
         }
 
-    def summary_digest(self) -> str:
-        return hashlib.sha256(
-            json.dumps(self.summary(), sort_keys=True).encode()).hexdigest()
+
+def summary_digest(summary: dict) -> str:
+    """sha256 of a `TemporalGraph.summary()` dict as sorted-key JSON."""
+    return hashlib.sha256(
+        json.dumps(summary, sort_keys=True).encode()).hexdigest()
 
 
 class SimpleDigraph:

@@ -18,6 +18,7 @@ import re
 import time
 from dataclasses import dataclass
 from enum import Enum
+from itertools import chain, islice, repeat
 from operator import attrgetter
 from typing import Iterable, Iterator, NamedTuple, Sequence
 
@@ -38,6 +39,13 @@ NORMALIZED_HEADER = [
     "timestamp", "block_number", "tx_hash", "log_index",
     "contract", "from", "to", "token_id",
 ]
+
+# `read_transfers` reads about this many characters of lines per block;
+# `column_blocks` puts this many rows in one
+_BLOCK_CHARS = 1 << 16
+_BLOCK_ROWS = 1024
+_HEADER_LINES = (",".join(NORMALIZED_HEADER) + "\n",
+                 ",".join(NORMALIZED_HEADER) + "\r\n")
 
 RAW_CSV_COLUMNS = [
     "block_number", "block_timestamp", "transaction_hash",
@@ -322,42 +330,102 @@ def write_transfers(path: str, events: Iterable[TransferEvent]) -> None:
                 w.writerow(e)
 
 
-def read_transfers(source) -> Iterator[TransferEvent]:
-    """Yield TransferEvents from a normalized CSV path or open text stream.
+def read_transfers(source) -> Iterator[tuple]:
+    """Yield column blocks from a normalized CSV path or open text stream.
 
-    The one normalized-CSV reader.  A missing header (an empty file), a
+    The one normalized-CSV reader.  A block holds the NORMALIZED_HEADER
+    columns of up to `_BLOCK_CHARS` characters of lines, with the four
+    int columns converted.  Plain lines are split on commas; from the
+    first block that `csv.reader` might read differently (a quote, a
+    line break other than one at the line's end, a blank line, a row
+    of the wrong width, a long line or an int that does not convert) the
+    rest goes through `csv.reader`.  A missing header (an empty file), a
     bad header, a row with the wrong column count or a non-numeric field
     is a MalformedRecord naming the line, and so is a row the csv module
-    rejects (a field longer than `csv.field_size_limit()`).
+    rejects (a field longer than `csv.field_size_limit()`).  A path is
+    read as utf-8-sig, so a leading byte-order mark is dropped.
     """
     if isinstance(source, (str, os.PathLike)):
-        fh = open(source, "r", encoding="utf-8", newline="")
-        close = True
+        with open(source, "r", encoding="utf-8-sig", newline="") as fh:
+            yield from _read_blocks(fh)
     else:
-        fh, close = source, False
-    reader = csv.reader(fh)
+        yield from _read_blocks(source)
+
+
+def column_blocks(rows: Iterable[Sequence]) -> Iterator[tuple]:
+    """The rows in chunks, each transposed into a tuple of columns: the
+    blocks of rows that are not split on commas."""
+    rows = iter(rows)
+    while chunk := list(islice(rows, _BLOCK_ROWS)):
+        yield tuple(zip(*chunk))
+
+
+def _read_blocks(fh) -> Iterator[tuple]:
+    """`read_transfers` of an open text stream."""
+    header = fh.readline()
+    if header not in _HEADER_LINES:
+        yield from column_blocks(_csv_rows(chain([header], fh), 0))
+        return
+    lines_read = 1
+    while lines := fh.readlines(_BLOCK_CHARS):
+        block = _split_plain(lines)
+        if block is None:
+            yield from column_blocks(_csv_rows(chain(lines, fh), lines_read))
+            return
+        lines_read += len(lines)
+        yield block
+
+
+def _split_plain(lines: list[str]) -> tuple | None:
+    """The column block of `lines` split on commas, or None unless that
+    is what `csv.reader` gives: no quote, no line past the field size
+    limit, 8 fields and one line break (LF or CRLF, at its end) per
+    line, and int columns that all convert."""
+    text = ",".join(lines)
+    if ('"' in text or text.count("\n") != len(lines)
+            or not all(map(str.endswith, lines, repeat("\n")))
+            or max(map(len, lines)) > csv.field_size_limit()):
+        return None
+    fields = text.split(",")
+    # with one LF per line, at its end, every line has 8 fields if and
+    # only if every 8th field holds an LF; a CR may only come right
+    # before an LF
+    ends = "".join(fields[7::8])
+    if (ends.count("\n") != len(lines)
+            or text.count("\r") != ends.count("\r\n")):
+        return None
     try:
-        header = next(reader, None)
-        if header != NORMALIZED_HEADER:
+        # int() strips the line break that ends each token_id field
+        return (list(map(int, fields[0::8])), list(map(int, fields[1::8])),
+                fields[2::8], list(map(int, fields[3::8])), fields[4::8],
+                fields[5::8], fields[6::8], list(map(int, fields[7::8])))
+    except ValueError:
+        return None
+
+
+def _csv_rows(lines: Iterable[str], lines_before: int) -> Iterator[tuple]:
+    """Rows of `lines` read by `csv.reader`, blank ones skipped, checked
+    and converted; a MalformedRecord counts the `lines_before` lines
+    read before `lines`.  With none, the first row is the header."""
+    reader = csv.reader(lines)
+    try:
+        if lines_before == 0 and next(reader, None) != NORMALIZED_HEADER:
             raise MalformedRecord("missing or bad normalized header")
         for row in reader:
             if not row:
                 continue
             if len(row) != len(NORMALIZED_HEADER):
-                raise MalformedRecord(
-                    f"bad normalized row at line {reader.line_num}")
+                raise MalformedRecord(f"bad normalized row at line "
+                                      f"{lines_before + reader.line_num}")
             ts, block, tx_hash, log_index, contract, src, dst, token = row
             try:
-                event = TransferEvent(int(ts), int(block), tx_hash,
-                                      int(log_index), contract, src, dst,
-                                      int(token))
+                row = (int(ts), int(block), tx_hash, int(log_index),
+                       contract, src, dst, int(token))
             except ValueError:
-                raise MalformedRecord(
-                    f"non-numeric field at line {reader.line_num}") from None
-            yield event
+                raise MalformedRecord(f"non-numeric field at line "
+                                      f"{lines_before + reader.line_num}"
+                                      ) from None
+            yield row
     except csv.Error as e:
-        raise MalformedRecord(
-            f"bad csv at line {reader.line_num}: {e}") from None
-    finally:
-        if close:
-            fh.close()
+        raise MalformedRecord(f"bad csv at line "
+                              f"{lines_before + reader.line_num}: {e}") from None

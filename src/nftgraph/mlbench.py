@@ -18,7 +18,7 @@ from typing import Iterator
 
 from .errors import BadRecord, InsufficientNodes
 from .graph import TemporalGraph
-from .output import open_output, write_csv
+from .output import open_output, write_csv, write_rows
 from .periods import tag_periods
 
 DAY = 86400
@@ -214,11 +214,11 @@ def export_features(g: TemporalGraph, snapshots: list[Snapshot], out_dir: str,
         else:
             edges = ["%d,%d,%d,%d\r\n" % (u, v, cnt, last)
                      for (u, v), (cnt, last) in pairs]
-        _write_rows(os.path.join(sd, "edges.csv"), header, edges)
-        _write_rows(os.path.join(sd, "nodes.csv"),
-                    "address_id,degree,label" if task == "node"
-                    else "address_id,feature",
-                    map(rows.__getitem__, order))
+        write_rows(os.path.join(sd, "edges.csv"), header, edges)
+        write_rows(os.path.join(sd, "nodes.csv"),
+                   "address_id,degree,label" if task == "node"
+                   else "address_id,feature",
+                   map(rows.__getitem__, order))
         manifest = {
             "granularity": granularity,
             "label": snap.label,
@@ -232,14 +232,6 @@ def export_features(g: TemporalGraph, snapshots: list[Snapshot], out_dir: str,
         with open_output(os.path.join(sd, "manifest.json")) as fh:
             json.dump(manifest, fh, indent=2, sort_keys=True)
     return roles
-
-
-def _write_rows(path: str, header: str, rows) -> None:
-    """Write a header and preformatted rows, each ending in CRLF as
-    csv.writer's rows do, through `open_output`."""
-    with open_output(path) as fh:
-        fh.write(header + "\r\n")
-        fh.writelines(rows)
 
 
 # ---------------------------------------------------------------------
@@ -257,7 +249,7 @@ def read_score_file(path: str, k: int | None = None) -> list[ScoreRecord]:
     """Score rows `positive_id,pos_score,neg_score...`; a NaN score, a
     non-numeric one or a row the csv module rejects is a BadRecord."""
     records = []
-    with open(path, encoding="utf-8", newline="") as fh:
+    with open(path, encoding="utf-8-sig", newline="") as fh:
         for row in _csv_rows(fh):
             if not row:
                 continue
@@ -320,7 +312,7 @@ def eval_classification(pairs: list[tuple[str, str]]) -> dict:
 
 def read_prediction_file(path: str) -> list[tuple[str, str]]:
     pairs = []
-    with open(path, encoding="utf-8", newline="") as fh:
+    with open(path, encoding="utf-8-sig", newline="") as fh:
         for row in _csv_rows(fh):
             if not row or row[0] in ("id", "node_id"):
                 continue

@@ -50,3 +50,11 @@ def write_csv(path: str | None, header, rows) -> None:
         w = csv.writer(fh)
         w.writerow(header)
         w.writerows(rows)
+
+
+def write_rows(path: str | None, header: str, rows) -> None:
+    """Write a header and preformatted rows, each ending in CRLF as
+    csv.writer's rows do, through `open_output`."""
+    with open_output(path) as fh:
+        fh.write(header + "\r\n")
+        fh.writelines(rows)

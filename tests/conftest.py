@@ -8,7 +8,7 @@ sys.path.insert(0, str(Path(__file__).parent))   # for `oracles`
 
 from nftgraph.csm import MatchContext
 from nftgraph.graph import SimpleDigraph, TemporalGraph
-from nftgraph.ingest import NULL_ADDRESS, TransferEvent
+from nftgraph.ingest import NULL_ADDRESS, TransferEvent, read_transfers
 
 CONTRACT = "0x" + "c0" * 20
 
@@ -36,6 +36,12 @@ def make_events(triples, contract=CONTRACT, token=1):
             to_addr=v if isinstance(v, str) else addr(v),
             token_id=token))
     return events
+
+
+def transfer_rows(source) -> list[TransferEvent]:
+    """`read_transfers(source)`'s column blocks flattened to rows."""
+    return [TransferEvent(*row) for block in read_transfers(source)
+            for row in zip(*block)]
 
 
 def graph_of(triples, **kw):

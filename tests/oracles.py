@@ -439,6 +439,36 @@ RAW_COLUMNS = ("block_number", "block_timestamp", "transaction_hash",
                "log_index", "address", "topics", "data")
 
 
+def read_transfers(fh):
+    """TransferEvents of a normalized CSV stream, one `csv.reader` row at
+    a time, with the library's MalformedRecord messages."""
+    from nftgraph.errors import MalformedRecord
+    from nftgraph.ingest import NORMALIZED_HEADER, TransferEvent
+    reader = csv.reader(fh)
+    try:
+        header = next(reader, None)
+        if header != NORMALIZED_HEADER:
+            raise MalformedRecord("missing or bad normalized header")
+        for row in reader:
+            if not row:
+                continue
+            if len(row) != len(NORMALIZED_HEADER):
+                raise MalformedRecord(
+                    f"bad normalized row at line {reader.line_num}")
+            ts, block, tx_hash, log_index, contract, src, dst, token = row
+            try:
+                event = TransferEvent(int(ts), int(block), tx_hash,
+                                      int(log_index), contract, src, dst,
+                                      int(token))
+            except ValueError:
+                raise MalformedRecord(
+                    f"non-numeric field at line {reader.line_num}") from None
+            yield event
+    except csv.Error as e:
+        raise MalformedRecord(
+            f"bad csv at line {reader.line_num}: {e}") from None
+
+
 class Malformed(Exception):
     pass
 

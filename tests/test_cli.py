@@ -170,6 +170,42 @@ def test_text_inputs_are_read_as_utf8_under_any_locale(data_dir, tmp_path):
         assert out.returncode == 0, out.stderr
 
 
+@pytest.mark.parametrize("case", ["stats", "eval_link", "eval_node", "csm"])
+def test_byte_order_mark_is_dropped_from_text_inputs(data_dir, tmp_path,
+                                                      case):
+    """An input starting with a UTF-8 byte-order mark gives the report of
+    the same input without one."""
+    planted = str(data_dir / "planted.csv")
+    text, argv = {
+        "stats": ((data_dir / "planted.csv").read_text(), ["stats"]),
+        "eval_link": ("positive_id,pos_score,neg_0\ne0,0.5,0.1\n",
+                      ["eval", "--task", "link"]),
+        "eval_node": ("node_id,true,predicted\nn1,daily,weekly\n",
+                      ["eval", "--task", "node"]),
+        "csm": ("v 0 *; v 1 *; v 2 *; e 0 1; e 1 2; e 2 0\n",
+                ["csm", "--input", planted, "--initial-until",
+                 str(ledger_of(data_dir)["csm_initial_until"])]),
+    }[case]
+    reports = []
+    for bom in ("", "\ufeff"):
+        d = tmp_path / f"bom{len(bom)}"
+        d.mkdir()
+        path, report = d / "tri.txt", d / "report.json"
+        path.write_text(bom + text, encoding="utf-8")
+        if case == "csm":
+            argv_bom = [*argv, "--queries", str(path),
+                        "--output", str(d / "csm.csv")]
+        else:
+            argv_bom = [argv[0], "--input", str(path), *argv[1:]]
+        assert main([*argv_bom, "--report", str(report)]) == 0
+        body = json.loads(report.read_text())
+        del body["config"], body["inputs"]
+        for result in body.get("results", []):
+            del result["elapsed_ms"]
+        reports.append(body)
+    assert reports[0] == reports[1]
+
+
 # -- pipeline ----------------------------------------------------------
 
 def test_fixture_and_ingest_cli(tmp_path, capsys):

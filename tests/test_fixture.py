@@ -1,9 +1,10 @@
 import statistics
 
+from conftest import transfer_rows
+
 from nftgraph.fixture import generate, write_fixture, write_raw_csv
 from nftgraph.graph import TemporalGraph, simple_view
-from nftgraph.ingest import (NORMALIZED_HEADER, normalize_stream,
-                             read_transfers)
+from nftgraph.ingest import NORMALIZED_HEADER, normalize_stream
 
 
 def test_scale_zero_header_only(tmp_path):
@@ -56,4 +57,4 @@ def test_raw_round_trip_through_ingest(tmp_path):
     assert stats.transfers_emitted == len(rows)
     assert stats.skipped_malformed == 0
     assert all(c["erc721"] for c in classes)
-    assert list(read_transfers(str(norm))) == list(rows)
+    assert transfer_rows(str(norm)) == list(rows)

@@ -13,7 +13,8 @@ from conftest import addr, addr_id, graph_of, make_events, random_events
 from nftgraph import cache
 from nftgraph.cli import main
 from nftgraph.errors import DataError, UnsortedInput
-from nftgraph.graph import SimpleDigraph, TemporalGraph, simple_view
+from nftgraph.graph import (SimpleDigraph, TemporalGraph, simple_view,
+                            summary_digest)
 from nftgraph.ingest import NULL_ADDRESS, write_transfers
 
 
@@ -86,13 +87,29 @@ def test_constructor_rejects_regressed_timestamp():
 
 
 def test_build_from_stream_equals_build_from_path(tmp_path):
+    """A small file, one of several read blocks, and one whose csv.reader
+    path starts mid-file at a quoted contract build the same graph from
+    a path, a stream, the rows and the per-row oracle reader."""
+    rng = random.Random(7)
+    small = random_events(rng, with_null=True)
+    many = make_events([(rng.randint(1600000000, 1610000000),
+                         rng.randrange(400), rng.randrange(400))
+                        for _ in range(2000)])
+    quoted = list(many)
+    quoted[1500] = quoted[1500]._replace(contract="0xc,0")
     p = tmp_path / "t.csv"
-    write_transfers(str(p), random_events(random.Random(7), with_null=True))
-    want = TemporalGraph.build(str(p))
-    assert want.num_edges > 0
-    with open(p, newline="") as fh:
-        assert vars(TemporalGraph.build(fh)) == vars(want)
-    assert vars(TemporalGraph.build(p)) == vars(want)
+    for events in (small, many, quoted):
+        write_transfers(str(p), events)
+        want = TemporalGraph.build(str(p))
+        assert want.num_edges == len(events)
+        with open(p, newline="") as fh:
+            assert vars(TemporalGraph.build(fh)) == vars(want)
+        with open(p, newline="") as fh:
+            assert vars(TemporalGraph.build(
+                list(oracles.read_transfers(fh)))) == vars(want)
+        assert vars(TemporalGraph.build(p)) == vars(want)
+        assert vars(TemporalGraph.build(events)) == vars(want)
+    assert "0xc,0" in want.contracts and '"' in p.read_text()
 
 
 def test_token_owner_replay():
@@ -229,7 +246,7 @@ def test_summary_and_digest_stability():
     g = graph_of([(100, NULL_ADDRESS, 0), (200, 0, 1)])
     s = g.summary()
     assert s["nodes"] == 3 and s["edges"] == 2 and s["mint_nodes"] == 1
-    assert g.summary_digest() == g.summary_digest()
+    assert summary_digest(s) == summary_digest(g.summary())
 
 
 def test_cache_round_trip(tmp_path):
@@ -245,7 +262,7 @@ def test_cache_round_trip(tmp_path):
     assert h.n_first == g.n_first and h.n_last == g.n_last
     assert h.n_txc == g.n_txc and h.n_mint == g.n_mint
     assert h.null_id == g.null_id
-    assert h.summary_digest() == g.summary_digest()
+    assert summary_digest(h.summary()) == summary_digest(g.summary())
 
 
 def test_cache_big_token_ids(tmp_path):

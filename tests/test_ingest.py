@@ -16,6 +16,7 @@ from nftgraph.ingest import (EARLIEST_TIMESTAMP, NORMALIZED_HEADER,
                              normalize_stream, parse_log_line, read_transfers,
                              write_transfers)
 import oracles
+from conftest import transfer_rows
 from oracles import keccak256
 
 NOW = 1700000000
@@ -195,7 +196,7 @@ def test_normalize_stream_golden(tmp_path):
     normalize_stream([str(raw)], str(out2), now=NOW)
     assert out1.read_bytes() == out2.read_bytes()
 
-    events = list(read_transfers(str(out1)))
+    events = transfer_rows(str(out1))
     # sorted by timestamp: the mint (earlier) must come first
     assert [e.timestamp for e in events] == [1600000500, 1600000600]
     assert events[0].from_addr == NULL_ADDRESS
@@ -245,7 +246,7 @@ def test_write_read_round_trip(tmp_path):
     events = make_events([(1600000000, 0, 1), (1600000100, 1, 2)])
     p = tmp_path / "t.csv"
     write_transfers(str(p), events)
-    assert list(read_transfers(str(p))) == events
+    assert transfer_rows(str(p)) == events
 
 
 def test_canonical_and_general_csv_parse_agree():
@@ -363,7 +364,7 @@ def test_write_transfers_quotes_like_csv_writer(tmp_path):
         w.writerow([e.timestamp, e.block_number, e.tx_hash, e.log_index,
                     e.contract, e.from_addr, e.to_addr, str(e.token_id)])
     assert p.read_bytes().decode() == want.getvalue()
-    assert list(read_transfers(str(p))) == events
+    assert transfer_rows(str(p)) == events
 
 
 def test_read_transfers_rejects_bad_header(tmp_path):
@@ -528,13 +529,28 @@ def test_json_fast_path_guards():
                           now=NOW).data == "0x"
 
 
-def _check_normalized(text):
-    """read_transfers yields TransferEvents or raises MalformedRecord."""
+def _read_or_error(read, text, newline):
+    """The rows `read` gives for `text` as a text stream with the given
+    `newline`, or the message of the MalformedRecord it raises."""
+    stream = io.TextIOWrapper(io.BytesIO(text.encode()), encoding="utf-8",
+                              newline=newline)
     try:
-        events = list(read_transfers(io.StringIO(text, newline="")))
-    except MalformedRecord:
-        return
-    assert all(isinstance(e, TransferEvent) for e in events)
+        return list(read(stream))
+    except MalformedRecord as e:
+        return str(e)
+
+
+def _check_normalized(text, newline=""):
+    """read_transfers gives the rows of the per-row csv.reader oracle,
+    or raises its MalformedRecord, line number included, from a stream
+    that ends lines as `newline` says."""
+    assert (_read_or_error(transfer_rows, text, newline)
+            == _read_or_error(oracles.read_transfers, text, newline))
+
+
+# the stream newline modes: "\n" and "\r\n" leave a lone CR, and "\r\n"
+# a lone LF, inside a line
+_NEWLINES = st.sampled_from(["", "\n", "\r\n", None])
 
 
 _NORM_FIELDS = ["1600000000", "100", "0x" + "1f" * 32, "3", GOOD_CONTRACT,
@@ -561,7 +577,7 @@ def _over_long_normalized_field(draw):
 
 
 def test_read_transfers_accepts_the_fuzz_seed_file():
-    (event,) = read_transfers(io.StringIO(_NORM_TEXT, newline=""))
+    (event,) = transfer_rows(io.StringIO(_NORM_TEXT, newline=""))
     assert event.token_id == 7 and event.from_addr == NULL_ADDRESS
 
 
@@ -571,4 +587,91 @@ def test_read_transfers_accepts_the_fuzz_seed_file():
 @settings(max_examples=300, deadline=None)
 @given(data=st.data())
 def test_fuzz_read_transfers_raises_only_malformed(files, data):
-    _check_normalized(data.draw(files))
+    _check_normalized(data.draw(files), data.draw(_NEWLINES))
+
+
+_PLAIN_ROW = ",".join(_NORM_FIELDS)
+_HEADER = ",".join(NORMALIZED_HEADER)
+
+# lines csv.reader may read differently from a split on commas
+_ODD_LINES = [
+    *(_PLAIN_ROW.replace(GOOD_CONTRACT, f'"{c}"') + "\n"
+      for c in ("a,b", 'q""q', "x\ny", "x\r\ny", "x\ry")),
+    "\n", "\r\n", _PLAIN_ROW + "\r",
+    _PLAIN_ROW.rsplit(",", 1)[0] + "\n", _PLAIN_ROW + ",9\n",
+    _PLAIN_ROW.replace("1600000000", "16OO000000") + "\n",
+    _PLAIN_ROW.replace("1600000000", "9" * 5000) + "\n",
+    _PLAIN_ROW.replace(GOOD_CONTRACT, "a" * 200000) + "\n",
+    _PLAIN_ROW.replace(GOOD_CONTRACT, 'a"b') + "\n",
+    _PLAIN_ROW.replace(GOOD_CONTRACT, "a\x00b\u2028c") + "\n",
+    _PLAIN_ROW.replace(",3,", ", 3 ,") + "\n",
+    *(_PLAIN_ROW.replace(GOOD_CONTRACT, c) + "\n" for c in ("x\ny", "x\ry")),
+    _PLAIN_ROW + "\r\r\n", _PLAIN_ROW + "\n ",
+]
+
+_BAD_HEADERS = ['"timestamp"' + _HEADER[9:] + "\n", _HEADER + "\r",
+                _HEADER, "a,b,c\n", "\n" + _HEADER + "\n", ""]
+
+
+def _plain_line(i: int, end: str) -> str:
+    """A valid row of about 217 characters, different for each i."""
+    fields = list(_NORM_FIELDS)
+    fields[0], fields[5], fields[7] = (str(1600000000 + i),
+                                       f"0x{i:040x}", str(i))
+    return ",".join(fields) + end
+
+
+@st.composite
+def _plain_blocks_then(draw, odd):
+    """Plain lines that fill one or more of read_transfers' 64 KiB
+    blocks, then `odd` text and a few more plain lines.  Some files
+    have a bad or quoted header instead; the final line break may be
+    missing."""
+    header = (draw(st.sampled_from(_BAD_HEADERS))
+              if draw(st.integers(0, 7)) == 0 else _HEADER + "\n")
+    end = draw(st.sampled_from(["\n", "\r\n"]))
+    head, tail = draw(st.integers(320, 1000)), draw(st.integers(0, 30))
+    text = (header + "".join(_plain_line(i, end) for i in range(head))
+            + draw(odd)
+            + "".join(_plain_line(i, end) for i in range(head, head + tail)))
+    return text.rstrip("\r\n") if draw(st.booleans()) else text
+
+
+@pytest.mark.parametrize("odd", [
+    st.lists(st.sampled_from(_ODD_LINES), min_size=1, max_size=3).map("".join),
+    st.text(), _spliced_normalized(), _over_long_normalized_field()],
+    ids=["odd_lines", "text", "spliced", "over_long"])
+@settings(max_examples=100, deadline=None)
+@given(data=st.data())
+def test_fuzz_read_transfers_equals_oracle_after_plain_blocks(odd, data):
+    _check_normalized(data.draw(_plain_blocks_then(odd)), data.draw(_NEWLINES))
+
+
+@pytest.mark.parametrize("newline", ["", "\n", "\r\n", None],
+                         ids=["universal", "lf", "crlf", "translated"])
+@pytest.mark.parametrize("odd", range(len(_ODD_LINES)))
+def test_read_transfers_equals_oracle_on_each_odd_line(odd, newline):
+    """One odd line after plain blocks, followed by more lines or last
+    and unterminated, so that each test of a plain block is needed."""
+    head = _HEADER + "\r\n" + "".join(_plain_line(i, "\r\n")
+                                      for i in range(400))
+    _check_normalized(head + _ODD_LINES[odd] + _plain_line(400, "\r\n"),
+                      newline)
+    _check_normalized(head + _ODD_LINES[odd].rstrip("\r\n"), newline)
+
+
+def test_read_transfers_names_the_line_after_plain_blocks(tmp_path):
+    """Lines split as plain blocks count towards the line that csv.reader
+    names, and a quoted line break counts as a line."""
+    lines = [_HEADER + "\r\n", *(_plain_line(i, "\r\n") for i in range(1000))]
+    lines[701] = _PLAIN_ROW.replace(GOOD_CONTRACT, '"x\r\ny"') + "\r\n"
+    p = tmp_path / "n.csv"
+    p.write_text("".join(lines), newline="")
+    rows = transfer_rows(str(p))
+    assert len(rows) == 1000 and rows[700].contract == "x\r\ny"
+    assert rows[999][:2] == (1600000999, 100) and rows[999].token_id == 999
+    lines[901] = _PLAIN_ROW + ",9\r\n"       # line 903 of the file
+    p.write_text("".join(lines), newline="")
+    with pytest.raises(MalformedRecord,
+                       match="^bad normalized row at line 903$"):
+        transfer_rows(str(p))

@@ -189,18 +189,35 @@ def test_failed_export_leaves_each_file_whole(tmp_path, disk_full):
     assert any(data != node[rel] for rel, data in after.items())
 
 
-def _write_opens(path: Path):
-    """Yield the line of every open() call whose mode may write."""
+def _open_calls(path: Path):
+    """Yield every open() call and its mode argument (None if absent)."""
     for node in ast.walk(ast.parse(path.read_text(), str(path))):
-        if not (isinstance(node, ast.Call)
+        if (isinstance(node, ast.Call)
                 and getattr(node.func, "id", getattr(node.func, "attr", None))
                 == "open"):
+            yield node, node.args[1] if len(node.args) > 1 else next(
+                (kw.value for kw in node.keywords if kw.arg == "mode"), None)
+
+
+def _write_opens(path: Path):
+    """Yield the line of every open() call whose mode may write."""
+    for node, mode in _open_calls(path):
+        if mode is not None and (not isinstance(mode, ast.Constant)
+                                 or set(mode.value) & set("wax+")):
+            yield node.lineno
+
+
+def _text_reads_keeping_bom(path: Path):
+    """Yield the line of every open() call that reads text with an
+    encoding other than utf-8-sig, which would keep a byte-order mark."""
+    for node, mode in _open_calls(path):
+        if mode is not None and (not isinstance(mode, ast.Constant)
+                                 or set(mode.value) & set("waxb+")):
             continue
-        mode = node.args[1] if len(node.args) > 1 else next(
-            (kw.value for kw in node.keywords if kw.arg == "mode"), None)
-        if mode is None:
-            continue
-        if not isinstance(mode, ast.Constant) or set(mode.value) & set("wax+"):
+        encoding = node.args[3] if len(node.args) > 3 else next(
+            (kw.value for kw in node.keywords if kw.arg == "encoding"), None)
+        if not (isinstance(encoding, ast.Constant)
+                and encoding.value == "utf-8-sig"):
             yield node.lineno
 
 
@@ -216,3 +233,22 @@ def test_write_guard_sees_write_modes(tmp_path):
         "open(p)\nopen(p, 'rb')\nopen(p, 'w')\nopen(p, mode='a')\n"
         "io.open(p, 'x')\nopen(p, m)\nopen(p, 'r+b')\n")
     assert list(_write_opens(sample)) == [3, 4, 5, 6, 7]
+
+
+def test_every_text_input_is_read_as_utf8_sig():
+    offenders = [f"{p.name}:{line}" for p in sorted(SRC.glob("*.py"))
+                 for line in _text_reads_keeping_bom(p)]
+    assert offenders == []
+
+
+def test_text_read_guard_sees_other_encodings(tmp_path):
+    sample = tmp_path / "sample.py"
+    sample.write_text(
+        "open(p)\nopen(p, encoding='utf-8')\n"
+        "open(p, 'r', encoding='utf-8-sig')\n"
+        "open(p, encoding='utf-8-sig', newline='')\n"
+        "open(p, 'rb')\nopen(p, 'w', encoding='utf-8')\nopen(p, m)\n"
+        "io.open(p, mode='rt', encoding='latin-1')\n"
+        "open(p, 'r', -1, 'utf-8')\nopen(p, 'r', -1, 'utf-8-sig')\n"
+        "open(p, encoding=enc)\n")
+    assert list(_text_reads_keeping_bom(sample)) == [1, 2, 8, 9, 11]
