@@ -607,6 +607,7 @@ _ODD_LINES = [
     _PLAIN_ROW.replace(",3,", ", 3 ,") + "\n",
     *(_PLAIN_ROW.replace(GOOD_CONTRACT, c) + "\n" for c in ("x\ny", "x\ry")),
     _PLAIN_ROW + "\r\r\n", _PLAIN_ROW + "\n ",
+    _PLAIN_ROW + "," + _PLAIN_ROW + "\n",
 ]
 
 _BAD_HEADERS = ['"timestamp"' + _HEADER[9:] + "\n", _HEADER + "\r",
@@ -623,7 +624,7 @@ def _plain_line(i: int, end: str) -> str:
 
 @st.composite
 def _plain_blocks_then(draw, odd):
-    """Plain lines that fill one or more of read_transfers' 64 KiB
+    """Plain lines that fill one or more of read_transfers' 16 KiB
     blocks, then `odd` text and a few more plain lines.  Some files
     have a bad or quoted header instead; the final line break may be
     missing."""
