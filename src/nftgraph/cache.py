@@ -31,10 +31,6 @@ MAGIC = b"LGLB"
 VERSION = 2
 
 
-class CacheFormatError(DataError):
-    """Cache file is corrupt or from an incompatible version."""
-
-
 class _Checksummed:
     """A cache file plus the crc32 of the payload bytes moved through
     `write` and `_take`; `left` bounds what reads may take, so a damaged
@@ -51,7 +47,7 @@ class _Checksummed:
 def _write_strings(f: _Checksummed, items: list[str]) -> None:
     bad = next((s for s in items if "\n" in s), None)
     if bad is not None:
-        raise CacheFormatError(f"cannot cache {bad!r}: it holds a newline")
+        raise DataError(f"cannot cache {bad!r}: it holds a newline")
     blob = "\n".join(items).encode()
     f.write(struct.pack("<II", len(items), len(blob)))
     f.write(blob)
@@ -61,7 +57,7 @@ def _split(blob: str, count: int) -> list[str]:
     """The `count` newline-separated entries of a table."""
     items = blob.split("\n") if count or blob else []
     if len(items) != count:
-        raise CacheFormatError(
+        raise DataError(
             f"a table holds {len(items)} entries, its header says {count}")
     return items
 
@@ -71,7 +67,7 @@ def _read_strings(f: _Checksummed) -> list[str]:
     try:
         blob = _take(f, nbytes).decode()
     except UnicodeDecodeError:
-        raise CacheFormatError("a string table is not UTF-8") from None
+        raise DataError("a string table is not UTF-8") from None
     return _split(blob, count)
 
 
@@ -95,9 +91,9 @@ def _read_ints(f: _Checksummed):
         try:
             return [int(s) for s in _split(_take(f, nbytes).decode(), count)]
         except ValueError:
-            raise CacheFormatError("non-integer in a decimal column") from None
+            raise DataError("non-integer in a decimal column") from None
     if typecode != b"q":
-        raise CacheFormatError(f"unknown column type {typecode!r}")
+        raise DataError(f"unknown column type {typecode!r}")
     a = array("q")
     a.frombytes(_take(f, count * a.itemsize))
     return a
@@ -105,7 +101,7 @@ def _read_ints(f: _Checksummed):
 
 def _take(f: _Checksummed, n: int) -> bytes:
     if n > f.left:
-        raise CacheFormatError("truncated cache file")
+        raise DataError("truncated cache file")
     data = f.fh.read(n)
     f.left -= n
     f.crc = zlib.crc32(data, f.crc)
@@ -127,10 +123,10 @@ def load(path: str) -> TemporalGraph:
     with open(path, "rb") as fh:
         f = _Checksummed(fh, os.fstat(fh.fileno()).st_size - 4)  # - crc32
         if _take(f, 4) != MAGIC:
-            raise CacheFormatError(f"{path} is not a graph cache")
+            raise DataError(f"{path} is not a graph cache")
         (version,) = struct.unpack("<H", _take(f, 2))
         if version != VERSION:
-            raise CacheFormatError(
+            raise DataError(
                 f"cache version {version}, expected {VERSION}; regenerate")
         f.crc = 0                           # the crc32 covers what follows
         addresses = _read_strings(f)
@@ -138,10 +134,8 @@ def load(path: str) -> TemporalGraph:
         e_src, e_dst, e_ts, e_contract, e_token = (
             list(_read_ints(f)) for _ in range(5))
         if f.left:
-            raise CacheFormatError("trailing bytes after cache payload")
+            raise DataError("trailing bytes after cache payload")
         if fh.read(4) != struct.pack("<I", f.crc):
-            raise CacheFormatError("checksum mismatch")
-    if any(len(c) != len(e_src) for c in (e_dst, e_ts, e_contract, e_token)):
-        raise CacheFormatError("inconsistent section lengths")
+            raise DataError("checksum mismatch")
     return TemporalGraph(addresses, contracts,
                          e_src, e_dst, e_ts, e_contract, e_token)

@@ -15,6 +15,7 @@ import hashlib
 import json
 import os
 import sys
+from collections import Counter
 
 from . import anomaly as anomaly_mod
 from . import cache as cache_mod
@@ -212,11 +213,12 @@ def cmd_anomaly(args) -> int:
 
 
 def _drop_top_hubs(edges, k: int):
-    degree: dict[int, set[tuple[int, int]]] = {}
-    for u, v, _ts in edges:
-        degree.setdefault(u, set()).add((u, v))
-        degree.setdefault(v, set()).add((u, v))
-    hubs = set(sorted(degree, key=lambda n: (-len(degree[n]), n))[:k])
+    degree: Counter = Counter()         # distinct pairs at each node
+    for u, v in {(u, v) for u, v, _ts in edges}:
+        degree[u] += 1
+        if u != v:
+            degree[v] += 1
+    hubs = set(sorted(degree, key=lambda n: (-degree[n], n))[:k])
     return [(u, v, ts) for u, v, ts in edges
             if u not in hubs and v not in hubs], sorted(hubs)
 

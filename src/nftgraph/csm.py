@@ -26,7 +26,7 @@ from itertools import chain
 from operator import itemgetter
 from typing import Callable, Iterable, Sequence
 
-from .errors import QueryError, TimeLimitExceeded
+from .errors import DataError, TimeLimitExceeded
 from .graph import SimpleDigraph
 
 MAX_QUERY_VERTICES = 16
@@ -76,48 +76,43 @@ def parse_query(text: str, name: str = "query") -> QueryGraph:
             try:
                 vid = int(parts[1])
             except ValueError:
-                raise QueryError(f"bad vertex id {parts[1]!r}") from None
+                raise DataError(f"bad vertex id {parts[1]!r}") from None
             if vid in labels:
-                raise QueryError(f"duplicate vertex {vid}")
+                raise DataError(f"duplicate vertex {vid}")
             try:
                 labels[vid] = WILDCARD if parts[2] == "*" else int(parts[2])
             except ValueError:
-                raise QueryError(f"bad label {parts[2]!r}") from None
+                raise DataError(f"bad label {parts[2]!r}") from None
         elif parts[0] == "e" and len(parts) == 3:
             try:
                 x, y = int(parts[1]), int(parts[2])
             except ValueError:
-                raise QueryError("bad edge endpoints") from None
+                raise DataError("bad edge endpoints") from None
             if (x, y) in edges:
-                raise QueryError(f"duplicate edge {x}->{y}")
+                raise DataError(f"duplicate edge {x}->{y}")
             edges.append((x, y))
         else:
-            raise QueryError(f"unparseable statement {stmt!r}")
+            raise DataError(f"unparseable statement {stmt!r}")
     if not labels:
-        raise QueryError("query has no vertices")
+        raise DataError("query has no vertices")
     n = len(labels)
     if sorted(labels) != list(range(n)):
-        raise QueryError("vertex ids must be 0..n-1")
+        raise DataError("vertex ids must be 0..n-1")
     if n > MAX_QUERY_VERTICES:
-        raise QueryError(f"more than {MAX_QUERY_VERTICES} vertices")
+        raise DataError(f"more than {MAX_QUERY_VERTICES} vertices")
     for x, y in edges:
         if x not in labels or y not in labels:
-            raise QueryError(f"edge references unknown vertex {x}->{y}")
-    if n > 1:
-        seen = {0}
-        frontier = [0]
-        undirected = [set() for _ in range(n)]
-        for x, y in edges:
-            undirected[x].add(y)
-            undirected[y].add(x)
-        while frontier:
-            u = frontier.pop()
-            for w in undirected[u]:
-                if w not in seen:
-                    seen.add(w)
-                    frontier.append(w)
-        if len(seen) != n:
-            raise QueryError("query is disconnected")
+            raise DataError(f"edge references unknown vertex {x}->{y}")
+    shape = SimpleDigraph(range(n), edges)
+    seen = {0}
+    frontier = [0]
+    while frontier:
+        for w in shape.undirected_neighbors(frontier.pop()):
+            if w not in seen:
+                seen.add(w)
+                frontier.append(w)
+    if len(seen) != n:
+        raise DataError("query is disconnected")
     return QueryGraph(name=name,
                       labels=tuple(labels[i] for i in range(n)),
                       edges=tuple(edges))
@@ -244,7 +239,7 @@ class _Automorphisms(list):
 
     The search lets a wildcard vertex take any label, but a true
     automorphism must carry each label onto an identical label, so only
-    those are kept.  Raises QueryError at the first one past
+    those are kept.  Raises DataError at the first one past
     MAX_AUTOMORPHISMS.
     """
 
@@ -256,8 +251,8 @@ class _Automorphisms(list):
         labels = self.q.labels
         if all(labels[v] == labels[w] for v, w in enumerate(m)):
             if len(self) == MAX_AUTOMORPHISMS:
-                raise QueryError(f"query {self.q.name!r} has more than "
-                                 f"{MAX_AUTOMORPHISMS} automorphisms")
+                raise DataError(f"query {self.q.name!r} has more than "
+                                f"{MAX_AUTOMORPHISMS} automorphisms")
             super().append(m)
 
 
@@ -266,7 +261,7 @@ def query_automorphisms(q: QueryGraph,
     """All label/direction preserving self-embeddings of the query.
 
     Raises TimeLimitExceeded at the first search node past `deadline`, and
-    QueryError if there are more than MAX_AUTOMORPHISMS.
+    DataError if there are more than MAX_AUTOMORPHISMS.
     """
     n = q.num_vertices
     found = _Automorphisms(q)
@@ -293,11 +288,11 @@ class MatchContext:
     insert) and `labels` (vertex -> label), and adds each new pair to
     them before calling `insert_edge`; the context only reads them.
     `elapsed_ms` counts the query's automorphism enumeration here and the
-    match enumeration of every insert, all against `time_limit_ms`.  If
-    the automorphisms are not all found within the budget, the context
-    gets no search plans: its first insert finds nothing and sets
-    `timed_out`, like an insert cut mid-search.  A query with more than
-    MAX_AUTOMORPHISMS automorphisms raises QueryError.
+    match enumeration of every insert, all against `time_limit_ms`;
+    `timed_out` says the budget is spent, from construction on.  If the
+    automorphisms are not all found within the budget, the context gets
+    no search plans.  A query with more than MAX_AUTOMORPHISMS
+    automorphisms raises DataError.
     """
 
     def __init__(self, q: QueryGraph, graph: SimpleDigraph,
@@ -313,7 +308,6 @@ class MatchContext:
         self.time_limit_ms = time_limit_ms
         self.match_count = 0
         self.dedup_canon: set[tuple[int, ...]] = set()
-        self.timed_out = False
         try:
             self.autos = query_automorphisms(q, t0 + time_limit_ms / 1000.0)
         except TimeLimitExceeded:
@@ -336,6 +330,7 @@ class MatchContext:
                                     q.num_vertices, checks,
                                     _compile(q, seeds)))
         self.elapsed_ms = (time.perf_counter() - t0) * 1000.0
+        self.timed_out = self.elapsed_ms > time_limit_ms
 
     def _classes(self, found: list[tuple[int, ...]], deadline: float
                  ) -> dict[tuple[int, ...], list[tuple[int, ...]]]:
@@ -410,8 +405,7 @@ class MatchContext:
             self.match_count += len(matches)
             self.dedup_canon.update(classes)
         self.elapsed_ms += (time.perf_counter() - t0) * 1000.0
-        if self.elapsed_ms > self.time_limit_ms:
-            self.timed_out = True
+        self.timed_out = self.elapsed_ms > self.time_limit_ms
         return matches
 
     @property
@@ -438,8 +432,8 @@ def run_stream(initial: Sequence[tuple[int, int, int]],
     `{"query", "matches", "matches_dedup", "elapsed_ms", "timed_out"}` row
     per query.  Elapsed time covers each query's automorphism enumeration
     and match enumeration; graph-update bookkeeping is excluded.  A query
-    hitting its time limit is flagged, also one that spent it before any
-    insert, and the remaining queries still run.
+    hitting its time limit is flagged and searched no further, and the
+    remaining queries still run.
     """
     labels: dict[int, object] = {}
     if label_pool is not None:
@@ -453,7 +447,7 @@ def run_stream(initial: Sequence[tuple[int, int, int]],
             pair_ts[u, v] = ts
     contexts = [MatchContext(q, graph, pair_ts, labels, window=window,
                              time_limit_ms=time_limit_ms) for q in queries]
-    live = contexts
+    live = [ctx for ctx in contexts if not ctx.timed_out]
     for u, v, ts in stream:
         if not live:
             break
@@ -466,5 +460,5 @@ def run_stream(initial: Sequence[tuple[int, int, int]],
                 live = [c for c in live if not c.timed_out]
     return [{"query": ctx.q.name, "matches": ctx.match_count,
              "matches_dedup": ctx.dedup_count, "elapsed_ms": ctx.elapsed_ms,
-             "timed_out": ctx.timed_out or ctx.elapsed_ms > ctx.time_limit_ms}
+             "timed_out": ctx.timed_out}
             for ctx in contexts]

@@ -19,7 +19,7 @@ from collections import defaultdict
 from itertools import count, islice
 from typing import Iterable, Iterator
 
-from .errors import DataError, UnsortedInput
+from .errors import DataError
 from .ingest import NULL_ADDRESS, column_blocks, read_transfers
 from .periods import Period, iter_periods
 
@@ -34,10 +34,15 @@ class TemporalGraph:
 
         Derives the node records (a self-loop is one transaction; a mint
         node first appears as the dst of an edge from Null).  Raises
-        DataError for an id out of range, node ids out of first-appearance
-        order (src before dst), a node without an edge, or a string listed
-        twice, and UnsortedInput for a timestamp that regresses.
+        DataError for edge columns of unequal length, an id out of range,
+        node ids out of first-appearance order (src before dst), a node
+        without an edge, a string listed twice or a timestamp that
+        regresses.
         """
+        lengths = [len(c) for c in (e_src, e_dst, e_ts, e_contract, e_token)]
+        if len(set(lengths)) > 1:
+            raise DataError("edge columns e_src, e_dst, e_ts, e_contract, "
+                            f"e_token differ in length: {lengths}")
         self.addresses, self.contracts = addresses, contracts
         addr_ids = {a: i for i, a in enumerate(addresses)}
         if (len(addr_ids) != len(addresses)
@@ -61,8 +66,8 @@ class TemporalGraph:
             if ts < prev:
                 k = next(k for k in range(1, len(e_ts))
                          if e_ts[k] < e_ts[k - 1])
-                raise UnsortedInput(f"e_ts regresses at edge {k}: "
-                                    f"{e_ts[k]} after {e_ts[k - 1]}")
+                raise DataError(f"e_ts regresses at edge {k}: "
+                                f"{e_ts[k]} after {e_ts[k - 1]}")
             prev = ts
             if u >= seen:
                 if u != seen:

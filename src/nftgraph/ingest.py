@@ -16,6 +16,7 @@ import json
 import os
 import re
 import time
+from collections import Counter
 from dataclasses import dataclass
 from enum import Enum
 from itertools import chain, islice, repeat
@@ -273,8 +274,8 @@ def normalize_stream(
     wall = now if now is not None else int(time.time())
     seen: set[tuple[str, int]] = set()
     events: list[TransferEvent] = []
-    arity_by_contract: dict[str, int] = {}
-    transfer_counts: dict[str, int] = {}
+    log_counts: Counter = Counter()     # Transfer logs per contract
+    bad_contracts: set[str] = set()
 
     for path in inputs:
         for line in _iter_raw_lines(path):
@@ -290,27 +291,24 @@ def normalize_stream(
             except MalformedRecord:
                 stats.skipped_malformed += 1
                 continue
-            if isinstance(outcome, SkipReason):
-                if outcome is SkipReason.WRONG_TOPIC:
-                    stats.skipped_wrong_topic += 1
-                else:
-                    stats.skipped_non_conforming += 1
-                    arity_by_contract[raw.contract] = (
-                        arity_by_contract.get(raw.contract, 0) + 1)
+            if outcome is SkipReason.WRONG_TOPIC:
+                stats.skipped_wrong_topic += 1
                 continue
-            transfer_counts[raw.contract] = transfer_counts.get(raw.contract, 0) + 1
-            events.append(outcome)
+            log_counts[raw.contract] += 1
+            if outcome is SkipReason.ARITY:
+                stats.skipped_non_conforming += 1
+                bad_contracts.add(raw.contract)
+            else:
+                events.append(outcome)
 
-    bad_contracts = set(arity_by_contract)
     survivors = [ev for ev in events if ev.contract not in bad_contracts]
     stats.skipped_non_conforming += len(events) - len(survivors)
     survivors.sort(key=attrgetter("timestamp", "block_number", "log_index"))
     stats.transfers_emitted = len(survivors)
 
     contracts = [{"contract": c, "erc721": c not in bad_contracts,
-                  "log_count": (transfer_counts.get(c, 0)
-                                + arity_by_contract.get(c, 0))}
-                 for c in sorted(set(transfer_counts) | bad_contracts)]
+                  "log_count": log_counts[c]}
+                 for c in sorted(log_counts)]
     write_transfers(output, survivors)
     return stats, contracts
 

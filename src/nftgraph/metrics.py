@@ -298,12 +298,11 @@ def holder_stats(g: TemporalGraph, top_k: int = 10):
     """
     owner = {(cid, tok): dst
              for cid, tok, dst in zip(g.e_contract, g.e_token, g.e_dst)}
-    tokens: Counter = Counter()
-    colls: dict[int, set[int]] = {}
+    held: dict[int, list[int]] = {}     # holder -> contract of each token
     for (cid, _tok), who in owner.items():
-        tokens[who] += 1
-        colls.setdefault(who, set()).add(cid)
-    stats = {g.addresses[i]: (tokens[i], len(colls[i])) for i in tokens}
+        held.setdefault(who, []).append(cid)
+    stats = {g.addresses[i]: (len(cids), len(set(cids)))
+             for i, cids in held.items()}
     top = sorted(stats.items(), key=lambda kv: (-kv[1][0], -kv[1][1], kv[0]))
     table = [(addr, tc, cc) for addr, (tc, cc) in top[:top_k]]
     return stats, table
@@ -319,29 +318,25 @@ def tea_tet(g: TemporalGraph, granularity: str, split_time: int, *,
     both relative to split_time (train: ts <= split_time).
     """
     periods = g.periods(granularity)
-    first_period: dict[tuple[int, int], int] = {}
-    in_period: list[set[tuple[int, int]]] = [set() for _ in periods]
-    has_train: set[tuple[int, int]] = set()
-    has_test: set[tuple[int, int]] = set()
+    counts = [{"new": 0, "recurring": 0} for _ in periods]
+    seen: dict[tuple[int, int], list[int]] = {}  # [first, last, last period]
     for p, (u, v, ts) in tag_periods(periods,
                                      g.edges(include_null=include_null)):
-        pair = (u, v)
-        in_period[p].add(pair)
-        if pair not in first_period:
-            first_period[pair] = p
-        (has_train if ts <= split_time else has_test).add(pair)
-
-    tea = []
-    for p, period in enumerate(periods):
-        new = sum(1 for pair in in_period[p] if first_period[pair] == p)
-        rec = len(in_period[p]) - new
-        tea.append((period.label, {"new": new, "recurring": rec}))
-
+        rec = seen.get((u, v))
+        if rec is None:
+            seen[u, v] = [ts, ts, p]
+            counts[p]["new"] += 1
+            continue
+        if rec[2] != p:                 # its first edge in a later period
+            rec[2] = p
+            counts[p]["recurring"] += 1
+        rec[1] = ts
+    tea = [(period.label, row) for period, row in zip(periods, counts)]
     tet: dict[tuple[int, int], str] = {}
-    for pair in first_period:
-        if pair in has_train and pair in has_test:
+    for pair, (first, last, _p) in seen.items():
+        if first <= split_time < last:
             tet[pair] = "both"
-        elif pair in has_train:
+        elif last <= split_time:
             tet[pair] = "train_only"
         else:
             tet[pair] = "test_only"

@@ -16,7 +16,7 @@ from collections import Counter
 from dataclasses import dataclass
 from typing import Iterator
 
-from .errors import BadRecord, InsufficientNodes
+from .errors import DataError
 from .graph import TemporalGraph
 from .output import open_output, write_csv, write_rows
 from .periods import tag_periods
@@ -108,7 +108,7 @@ def sample_negatives(snapshots: list[Snapshot], index: int, k: int = 100,
     for u, v in sorted(snap.pair_stats):
         banned = positives_by_src[u]
         if n - len(banned & eligible_set) < k:
-            raise InsufficientNodes(
+            raise DataError(
                 f"snapshot {snap.label}: need {k} negatives for ({u},{v})")
         chosen: list[int] = []
         used: set[int] = set()
@@ -247,7 +247,7 @@ class ScoreRecord:
 
 def read_score_file(path: str, k: int | None = None) -> list[ScoreRecord]:
     """Score rows `positive_id,pos_score,neg_score...`; a NaN score, a
-    non-numeric one or a row the csv module rejects is a BadRecord."""
+    non-numeric one or a row the csv module rejects is a DataError."""
     records = []
     with open(path, encoding="utf-8-sig", newline="") as fh:
         for row in _csv_rows(fh):
@@ -256,16 +256,16 @@ def read_score_file(path: str, k: int | None = None) -> list[ScoreRecord]:
             if row[0] == "positive_id":
                 continue
             if len(row) < 3:
-                raise BadRecord(f"row for {row[0]!r} has no negatives")
+                raise DataError(f"row for {row[0]!r} has no negatives")
             try:
                 rec = ScoreRecord(positive_id=row[0], pos_score=float(row[1]),
                                   neg_scores=tuple(float(x) for x in row[2:]))
             except ValueError:
-                raise BadRecord(f"non-numeric score for {row[0]!r}") from None
+                raise DataError(f"non-numeric score for {row[0]!r}") from None
             if any(map(math.isnan, (rec.pos_score, *rec.neg_scores))):
-                raise BadRecord(f"NaN score for {row[0]!r}")
+                raise DataError(f"NaN score for {row[0]!r}")
             if k is not None and len(rec.neg_scores) != k:
-                raise BadRecord(
+                raise DataError(
                     f"{row[0]!r}: expected {k} negatives, got {len(rec.neg_scores)}")
             records.append(rec)
     return records
@@ -279,12 +279,12 @@ def eval_link_scores(records: list[ScoreRecord]) -> dict:
     position.  Both are averaged over positives.
     """
     if not records:
-        raise BadRecord("empty score file")
+        raise DataError("empty score file")
     auc_sum = rr_sum = 0.0
     for rec in records:
         k = len(rec.neg_scores)
         if k == 0:
-            raise BadRecord(f"{rec.positive_id!r} has no negatives")
+            raise DataError(f"{rec.positive_id!r} has no negatives")
         below = sum(1 for s in rec.neg_scores if s < rec.pos_score)
         ties = sum(1 for s in rec.neg_scores if s == rec.pos_score)
         above = k - below - ties
@@ -297,7 +297,7 @@ def eval_link_scores(records: list[ScoreRecord]) -> dict:
 def eval_classification(pairs: list[tuple[str, str]]) -> dict:
     """Accuracy and macro recall over (true, predicted) label pairs."""
     if not pairs:
-        raise BadRecord("empty prediction file")
+        raise DataError("empty prediction file")
     correct = sum(1 for t, p in pairs if t == p)
     per_class_total: Counter = Counter(t for t, _ in pairs)
     per_class_hit: Counter = Counter(t for t, p in pairs if t == p)
@@ -317,15 +317,15 @@ def read_prediction_file(path: str) -> list[tuple[str, str]]:
             if not row or row[0] in ("id", "node_id"):
                 continue
             if len(row) < 3:
-                raise BadRecord("prediction rows need id,true,predicted")
+                raise DataError("prediction rows need id,true,predicted")
             pairs.append((row[1], row[2]))
     return pairs
 
 
 def _csv_rows(fh) -> Iterator[list[str]]:
-    """`csv.reader(fh)` with its errors raised as BadRecord."""
+    """`csv.reader(fh)` with its errors raised as DataError."""
     reader = csv.reader(fh)
     try:
         yield from reader
     except csv.Error as e:
-        raise BadRecord(f"bad csv at line {reader.line_num}: {e}") from None
+        raise DataError(f"bad csv at line {reader.line_num}: {e}") from None

@@ -298,6 +298,23 @@ def tea_counts(events, period_of):
     return out
 
 
+def tet_classes(events, split, null):
+    """(src, dst) -> "train_only" / "test_only" / "both" for each distinct
+    pair of the (ts, src, dst) events without `null` as an endpoint (all
+    of them if None): train edges have ts <= split, test edges the rest."""
+    times = {}
+    for ts, u, v in events:
+        if null not in (u, v):
+            times.setdefault((u, v), []).append(ts)
+    out = {}
+    for pair, ts_list in times.items():
+        train = any(t <= split for t in ts_list)
+        test = any(t > split for t in ts_list)
+        out[pair] = ("both" if train and test
+                     else "train_only" if train else "test_only")
+    return out
+
+
 def hub_correlation(events, periods, p, null=None):
     """Pearson correlation, over the addresses seen by the end of period
     p, between each one's pair-degree then and the number of distinct

@@ -9,7 +9,7 @@ from conftest import csm_context
 from nftgraph import csm
 from nftgraph.csm import (BUILTIN_PATTERNS, assign_labels, builtin_patterns,
                           parse_query, run_stream)
-from nftgraph.errors import QueryError, TimeLimitExceeded
+from nftgraph.errors import DataError, TimeLimitExceeded
 
 
 def stream_matches(pairs, q, labels=None):
@@ -48,21 +48,24 @@ def test_parse_single_vertex_ok():
     assert q.num_vertices == 1 and q.edges == ()
 
 
-@pytest.mark.parametrize("text", [
-    "",
-    "v 0 *; v 2 *; e 0 2",                      # ids not 0..n-1
-    "v 0 *; v 1 *; e 0 1; e 0 1",               # duplicate edge
-    "v 0 *; v 0 *",                             # duplicate vertex
-    "v 0 *; v 1 *",                             # disconnected
-    "v 0 *; v 1 *; e 0 5",                      # unknown endpoint
-    "w 0 *",                                    # unknown statement
-    "v x *",                                    # bad id
-    "v 0 abc",                                  # bad label
+_BAD_QUERIES = {
+    "": "query has no vertices",
+    "v 0 *; v 2 *; e 0 2": "vertex ids must be 0..n-1",
+    "v 0 *; v 1 *; e 0 1; e 0 1": "duplicate edge 0->1",
+    "v 0 *; v 0 *": "duplicate vertex 0",
+    "v 0 *; v 1 *": "query is disconnected",
+    "v 0 *; v 1 *; e 0 5": "edge references unknown vertex 0->5",
+    "w 0 *": "unparseable statement 'w 0",
+    "v x *": "bad vertex id 'x'",
+    "v 0 abc": "bad label 'abc'",
     "; ".join(f"v {i} *" for i in range(17)) + "; "
-    + "; ".join(f"e {i} {i + 1}" for i in range(16)),   # too large
-])
+    + "; ".join(f"e {i} {i + 1}" for i in range(16)): "more than 16 vertices",
+}
+
+
+@pytest.mark.parametrize("text", list(_BAD_QUERIES))
 def test_parse_rejects(text):
-    with pytest.raises(QueryError):
+    with pytest.raises(DataError, match=_BAD_QUERIES[text]):
         parse_query(text)
 
 
@@ -156,10 +159,9 @@ def test_window_filter():
 
 def test_time_limit_flags_and_raises():
     ctx, insert = csm_context(P1, time_limit_ms=0.0)
-    insert(0, 1, 1)
     assert ctx.timed_out
     with pytest.raises(TimeLimitExceeded):
-        insert(1, 2, 2)
+        insert(0, 1, 1)
 
 
 def test_time_limit_bounds_automorphism_enumeration():
@@ -168,11 +170,9 @@ def test_time_limit_bounds_automorphism_enumeration():
                        + "; ".join(f"e 0 {i}" for i in range(1, 10)))
     ctx, insert = csm_context(star, time_limit_ms=50.0)
     assert ctx.autos == [] and ctx._plans == []
-    assert ctx.elapsed_ms > 50.0 and not ctx.timed_out
-    assert insert(0, 1, 1) == []
-    assert ctx.timed_out
+    assert ctx.elapsed_ms > 50.0 and ctx.timed_out
     with pytest.raises(TimeLimitExceeded):
-        insert(0, 2, 2)
+        insert(0, 1, 1)
 
 
 def test_time_limit_bounds_a_single_insert():
@@ -182,9 +182,10 @@ def test_time_limit_bounds_a_single_insert():
     _ctx, insert = csm_context(p3, complete)
     assert len(insert(0, 1, 2)) == 360
     ctx, insert = csm_context(p3, complete, time_limit_ms=0.0)
-    assert insert(0, 1, 2) == []
-    assert ctx.match_count == 0
     assert ctx.timed_out
+    with pytest.raises(TimeLimitExceeded):
+        insert(0, 1, 2)
+    assert ctx.match_count == 0
     # a context that has its plans, with the budget running out in the
     # search: the insert is abandoned
     ctx, insert = csm_context(p3, complete)
@@ -203,12 +204,12 @@ def out_star(leaves):
 
 def test_automorphism_count_is_capped(monkeypatch):
     assert len(csm_context(out_star(8))[0].autos) == 40320   # 8!
-    with pytest.raises(QueryError, match="star9"):
+    with pytest.raises(DataError, match="star9"):
         csm_context(out_star(9))                             # 9! = 362880
     monkeypatch.setattr(csm, "MAX_AUTOMORPHISMS", 24)
     assert len(csm_context(out_star(4))[0].autos) == 24      # 4!
     monkeypatch.setattr(csm, "MAX_AUTOMORPHISMS", 23)
-    with pytest.raises(QueryError, match="more than 23 automorphisms"):
+    with pytest.raises(DataError, match="more than 23 automorphisms"):
         csm_context(out_star(4))
 
 
@@ -359,7 +360,7 @@ def _random_query(rng):
                           *(f"e {x} {y}" for x, y in sorted(pairs))])
         try:
             return parse_query(text, "random")
-        except QueryError:              # disconnected
+        except DataError:               # disconnected
             continue
 
 
@@ -442,6 +443,28 @@ def test_run_stream_shares_one_graph_across_queries():
             assert not r["timed_out"]
 
 
+def _spend_budget_in_automorphisms(monkeypatch, name):
+    """Make query `name`'s automorphism enumeration use up its whole
+    budget: csm's clock jumps two hours and the enumeration gives up."""
+    real = csm.query_automorphisms
+
+    class Clock:                # csm's `time`, late once `name` is built
+        late = 0.0
+
+        @classmethod
+        def perf_counter(cls):
+            return time.perf_counter() + cls.late
+
+    def automorphisms(q, deadline=math.inf):
+        if q.name == name:
+            Clock.late += 3600.0 * 2
+            raise TimeLimitExceeded
+        return real(q, deadline)
+
+    monkeypatch.setattr(csm, "time", Clock)
+    monkeypatch.setattr(csm, "query_automorphisms", automorphisms)
+
+
 def test_run_stream_time_out_leaves_other_queries(monkeypatch):
     """A query that times out is flagged and searched no further (a later
     insert would raise), and every other row is unchanged."""
@@ -451,28 +474,42 @@ def test_run_stream_time_out_leaves_other_queries(monkeypatch):
     want = [{k: r[k] for k in keys}
             for r in run_stream(initial, stream, builtin_patterns())]
     assert any(r["matches"] for r in want)
-    real = csm.query_automorphisms
-
-    class Clock:                # csm's `time`, an hour late after p3
-        late = 0.0
-
-        @classmethod
-        def perf_counter(cls):
-            return time.perf_counter() + cls.late
-
-    def automorphisms(q, deadline=math.inf):
-        if q.name == "p3":      # its whole budget goes by
-            Clock.late += 3600.0 * 2
-            raise TimeLimitExceeded
-        return real(q, deadline)
-
-    monkeypatch.setattr(csm, "time", Clock)
-    monkeypatch.setattr(csm, "query_automorphisms", automorphisms)
+    _spend_budget_in_automorphisms(monkeypatch, "p3")
     got = [{k: r[k] for k in keys}
            for r in run_stream(initial, stream, builtin_patterns())]
     assert got[2] == {"query": "p3", "matches": 0, "matches_dedup": 0,
                       "timed_out": True}
     assert got[:2] + got[3:] == want[:2] + want[3:]
+
+
+def test_run_stream_never_searches_a_query_spent_at_construction(
+        monkeypatch):
+    """A query whose budget is spent by its automorphism enumeration is
+    timed out from construction on: no insert searches it, and the other
+    queries still search every new pair."""
+    initial = [(0, 1, 1), (1, 2, 2), (2, 3, 3)]
+    stream = [(2, 0, 4), (1, 0, 5), (3, 0, 6), (3, 0, 7)]
+    want = run_stream(initial, stream, builtin_patterns())
+    searched = []
+    real = csm.MatchContext.insert_edge
+
+    def insert_edge(ctx, u, v):
+        searched.append((ctx.q.name, u, v))
+        return real(ctx, u, v)
+
+    monkeypatch.setattr(csm.MatchContext, "insert_edge", insert_edge)
+    _spend_budget_in_automorphisms(monkeypatch, "p3")
+    got = run_stream(initial, stream, builtin_patterns())
+    assert searched == [(name, u, v) for u, v, _ts in stream[:3]
+                        for name in ("p1", "p2", "p4", "p5")]
+    assert [(r["query"], r["timed_out"]) for r in got] == [
+        ("p1", False), ("p2", False), ("p3", True), ("p4", False),
+        ("p5", False)]
+    assert got[2]["matches"] == got[2]["matches_dedup"] == 0
+    keys = ("query", "matches", "matches_dedup")
+    assert [[r[k] for k in keys] for r in got[:2] + got[3:]] == \
+        [[r[k] for k in keys] for r in want[:2] + want[3:]]
+    assert want[0]["matches"] and want[1]["matches"]
 
 
 def test_window_prunes_inside_the_search(monkeypatch):

@@ -1,6 +1,7 @@
 import ast
 import os
 import random
+import re
 import tempfile
 from pathlib import Path
 
@@ -12,7 +13,7 @@ import oracles
 from conftest import addr, addr_id, graph_of, make_events, random_events
 from nftgraph import cache
 from nftgraph.cli import main
-from nftgraph.errors import DataError, UnsortedInput
+from nftgraph.errors import DataError
 from nftgraph.graph import (SimpleDigraph, TemporalGraph, simple_view,
                             summary_digest)
 from nftgraph.ingest import NULL_ADDRESS, write_transfers
@@ -74,16 +75,29 @@ def test_constructor_rejects_bad_node_ids(addresses, e_src, e_dst, message):
 
 def test_unsorted_input_raises():
     events = make_events([(200, 0, 1)]) + make_events([(100, 1, 2)])
-    with pytest.raises(UnsortedInput, match="edge 1: 100 after 200"):
+    with pytest.raises(DataError, match="edge 1: 100 after 200"):
         TemporalGraph.build(events)
 
 
 def test_constructor_rejects_regressed_timestamp():
-    with pytest.raises(UnsortedInput, match="e_ts regresses at edge 2: "
-                                            "150 after 300"):
+    with pytest.raises(DataError, match="e_ts regresses at edge 2: "
+                                        "150 after 300"):
         TemporalGraph([addr(0), addr(1), addr(2)], ["0x" + "c0" * 20],
-                      [0, 1, 2], [1, 2, 0], [100, 300, 150, 400],
+                      [0, 1, 2], [1, 2, 0], [100, 300, 150],
                       [0, 0, 0], [1, 1, 1])
+
+
+@pytest.mark.parametrize("e_src,e_dst,e_ts,e_contract,e_token,lengths", [
+    ([0, 0], [1, 1], [5, 6, 1], [0, 0], [1, 2], "[2, 2, 3, 2, 2]"),
+    ([0], [1], [5], [0, 0, 0], [1, 2, 3], "[1, 1, 1, 3, 3]"),
+], ids=["long_e_ts", "long_token_columns"])
+def test_constructor_rejects_edge_columns_of_unequal_length(
+        e_src, e_dst, e_ts, e_contract, e_token, lengths):
+    with pytest.raises(DataError, match=re.escape(
+            "edge columns e_src, e_dst, e_ts, e_contract, e_token differ "
+            f"in length: {lengths}")):
+        TemporalGraph([addr(0), addr(1)], ["0x" + "c0" * 20],
+                      e_src, e_dst, e_ts, e_contract, e_token)
 
 
 def test_build_from_stream_equals_build_from_path(tmp_path):
@@ -282,14 +296,14 @@ def test_cache_rejects_non_integer_big_token_id(tmp_path):
     cache.save(g, str(path))
     blob = path.read_bytes()
     path.write_bytes(blob[:-7] + b"x" + blob[-6:])      # a digit of e_token
-    with pytest.raises(cache.CacheFormatError, match="non-integer"):
+    with pytest.raises(DataError, match="non-integer"):
         cache.load(str(path))
 
 
 def test_cache_rejects_garbage(tmp_path):
     p = tmp_path / "junk.bin"
     p.write_bytes(b"NOTACACHE")
-    with pytest.raises(cache.CacheFormatError):
+    with pytest.raises(DataError, match="is not a graph cache"):
         cache.load(str(p))
 
 
@@ -306,7 +320,7 @@ def test_cache_rejects_truncated_file(tmp_path):
     blob = path.read_bytes()
     for cut in (3, 10, len(blob) // 2, len(blob) - 1):
         path.write_bytes(blob[:cut])
-        with pytest.raises(cache.CacheFormatError, match="truncated"):
+        with pytest.raises(DataError, match="truncated"):
             cache.load(str(path))
 
 
@@ -314,7 +328,7 @@ def test_cache_rejects_trailing_bytes(tmp_path):
     path = tmp_path / "g.lglb"
     cache.save(graph_of([(100, 0, 1)]), str(path))
     path.write_bytes(path.read_bytes() + b"\x00")
-    with pytest.raises(cache.CacheFormatError, match="trailing"):
+    with pytest.raises(DataError, match="trailing"):
         cache.load(str(path))
 
 
@@ -324,7 +338,7 @@ def test_cache_rejects_changed_byte(tmp_path):
     blob = bytearray(path.read_bytes())
     blob[-5] ^= 1                       # the last byte of e_token
     path.write_bytes(bytes(blob))
-    with pytest.raises(cache.CacheFormatError, match="checksum mismatch"):
+    with pytest.raises(DataError, match="checksum mismatch"):
         cache.load(str(path))
 
 
@@ -338,7 +352,7 @@ def test_cache_rejects_unknown_column_type(tmp_path):
     assert blob[at:at + 1] == b"q"
     blob[at:at + 1] = b"z"
     path.write_bytes(bytes(blob))
-    with pytest.raises(cache.CacheFormatError, match="column type"):
+    with pytest.raises(DataError, match="column type"):
         cache.load(str(path))
 
 
@@ -348,7 +362,7 @@ def test_cache_rejects_column_of_wrong_length(tmp_path, column):
     getattr(g, column).pop()
     path = tmp_path / "g.lglb"
     cache.save(g, str(path))
-    with pytest.raises(cache.CacheFormatError, match="section lengths"):
+    with pytest.raises(DataError, match="edge columns .* differ in length"):
         cache.load(str(path))
 
 
@@ -357,7 +371,7 @@ def test_cache_with_swapped_timestamps_exits_2(tmp_path, capsys):
     g.e_ts[0], g.e_ts[2] = g.e_ts[2], g.e_ts[0]
     path = tmp_path / "g.lglb"
     cache.save(g, str(path))
-    with pytest.raises(UnsortedInput, match="edge 1: 200 after 300"):
+    with pytest.raises(DataError, match="edge 1: 200 after 300"):
         cache.load(str(path))
     out = tmp_path / "s.json"
     assert main(["stats", "--input", str(path), "--report", str(out)]) == 2
@@ -373,5 +387,5 @@ def test_cache_rejects_wrong_version(tmp_path):
     blob = bytearray(p.read_bytes())
     blob[4] = 99
     p.write_bytes(bytes(blob))
-    with pytest.raises(cache.CacheFormatError):
+    with pytest.raises(DataError, match="cache version 99, expected 2"):
         cache.load(str(p))

@@ -406,3 +406,28 @@ def test_tea_with_null_and_self_loops_matches_oracle(include_null):
                                       _label_of(g, granularity))
             got = {label: (d["new"], d["recurring"]) for label, d in tea}
             assert {k: v for k, v in got.items() if v != (0, 0)} == want
+
+
+@pytest.mark.parametrize("include_null", [True, False])
+def test_tet_classes_match_oracle(include_null):
+    """Repeated pairs, self-loops and Null edges, with the split before,
+    inside and after the span."""
+    rng = random.Random(43)
+    classes, loops = set(), 0
+    for _ in range(25):
+        events = random_events(rng, 6, 120, with_null=True,
+                               ts_range=(1600000000, 1600400000))
+        loops += sum(e.from_addr == e.to_addr for e in events)
+        g = TemporalGraph.build(events)
+        first, last = g.e_ts[0], g.e_ts[-1]
+        for split in (first - 1, first, rng.randint(first, last), last - 1,
+                      last):
+            _, tet = tea_tet(g, "day", split, include_null=include_null)
+            got = {(g.addresses[u], g.addresses[v]): c
+                   for (u, v), c in tet.items()}
+            want = oracles.tet_classes(
+                [(e.timestamp, e.from_addr, e.to_addr) for e in events],
+                split, None if include_null else NULL_ADDRESS)
+            assert got == want
+            classes.update(want.values())
+    assert classes == {"train_only", "test_only", "both"} and loops

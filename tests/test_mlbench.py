@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 
 import oracles
 from conftest import addr, addr_id, graph_of, make_events, random_events
-from nftgraph.errors import BadRecord, InsufficientNodes
+from nftgraph.errors import DataError
 from nftgraph.graph import TemporalGraph
 from nftgraph.ingest import NULL_ADDRESS
 from nftgraph.mlbench import (TRADER_CLASSES, ScoreRecord, build_snapshots,
@@ -149,7 +149,7 @@ def test_negatives_valid_and_deterministic():
 def test_negatives_insufficient_nodes():
     g = graph_of([(ts(2021, 1, 1), 0, 1)])
     series = build_snapshots(g, "day")
-    with pytest.raises(InsufficientNodes):
+    with pytest.raises(DataError, match="need 100 negatives for"):
         sample_negatives(series, 0, k=100)
 
 
@@ -186,7 +186,7 @@ def test_negatives_match_randrange_oracle(events, exclude_null, data):
     seed = data.draw(st.integers(0, 3))
     want = oracles.sample_negatives(snaps, index, k, seed)
     if want is None:
-        with pytest.raises(InsufficientNodes):
+        with pytest.raises(DataError, match=f"need {k} negatives for"):
             sample_negatives(snaps, index, k=k, seed=seed)
     else:
         assert sample_negatives(snaps, index, k=k, seed=seed) == want
@@ -376,11 +376,11 @@ def test_read_score_file_and_errors(tmp_path):
                  "e0,0.9,0.1,0.2\n")
     (rec,) = read_score_file(str(p), k=2)
     assert rec.neg_scores == (0.1, 0.2)
-    with pytest.raises(BadRecord):
+    with pytest.raises(DataError, match="'e0': expected 5 negatives, got 2"):
         read_score_file(str(p), k=5)
     bad = tmp_path / "bad.csv"
     bad.write_text("e0,abc,0.1\n")
-    with pytest.raises(BadRecord):
+    with pytest.raises(DataError, match="non-numeric score for 'e0'"):
         read_score_file(str(bad))
-    with pytest.raises(BadRecord):
+    with pytest.raises(DataError, match="empty score file"):
         eval_link_scores([])
