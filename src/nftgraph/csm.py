@@ -5,7 +5,8 @@ view (multi-edges collapse, re-inserting an existing pair is a no-op).
 Matches are reported incrementally: only embeddings that use a streamed
 edge are ever emitted, never those fully contained in the initial graph.
 Counts are distinct mappings by default; automorphism-deduplicated counts
-are tracked alongside.
+are tracked alongside.  A window is applied to the data graph
+(`StreamGraph`), never in the search.
 
 Symmetry breaking (Grochow and Kellis, RECOMB 2007): an insert searches
 from one representative per orbit of query edges under the query's
@@ -21,10 +22,11 @@ from __future__ import annotations
 import math
 import random
 import time
+from collections import deque
 from dataclasses import dataclass
 from itertools import chain
 from operator import itemgetter
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Iterable, Iterator, Sequence
 
 from .errors import DataError, TimeLimitExceeded
 from .graph import SimpleDigraph
@@ -153,16 +155,14 @@ def _matching_order(q: QueryGraph, seeds: Sequence[int]) -> list[int]:
     return order
 
 
-Step = tuple[int, object, tuple[int, ...], tuple[int, ...], bool,
-             tuple[tuple[int, int], ...]]
+Step = tuple[int, object, tuple[int, ...], tuple[int, ...], bool]
 
 
 def _compile(q: QueryGraph, seeds: Sequence[int]) -> list[Step]:
     """Search plan for the query vertices after `seeds` in matching order.
 
-    A step `(x, label, succ, pred, self_loop, placed)` places query vertex
-    x; `succ` / `pred` are the earlier-placed vertices x has edges to /
-    from, and `placed` is every query edge that placing x completes.
+    A step `(x, label, succ, pred, self_loop)` places query vertex x;
+    `succ` / `pred` are the earlier-placed vertices x has edges to / from.
     """
     order = _matching_order(q, seeds)
     edges = set(q.edges)
@@ -170,11 +170,7 @@ def _compile(q: QueryGraph, seeds: Sequence[int]) -> list[Step]:
     for i, x in enumerate(order[len(seeds):], len(seeds)):
         succ = tuple(y for y in order[:i] if (x, y) in edges)
         pred = tuple(y for y in order[:i] if (y, x) in edges)
-        self_loop = (x, x) in edges
-        placed = [(x, y) for y in succ] + [(y, x) for y in pred]
-        if self_loop:
-            placed.append((x, x))
-        steps.append((x, q.labels[x], succ, pred, self_loop, tuple(placed)))
+        steps.append((x, q.labels[x], succ, pred, (x, x) in edges))
     return steps
 
 
@@ -183,16 +179,13 @@ def _compile(q: QueryGraph, seeds: Sequence[int]) -> list[Step]:
 def _search(g: SimpleDigraph, labels: dict[int, object], steps: list[Step],
             assign: list[int | None], used: set[int],
             found: list[tuple[int, ...]], deadline: float = math.inf,
-            i: int = 0, span: tuple | None = None) -> None:
+            i: int = 0) -> None:
     """Extend the partial embedding `assign` through `steps[i:]`, appending
     each complete one to `found`.
 
     A vertex's candidates are the intersection of its placed neighbours'
     adjacency sets, which enforces every edge to earlier vertices; what is
-    left to check is the label, the self-loop and injectivity.  `span` is
-    None, or `(window, pair_ts, lo, hi)`: `lo` and `hi` are the least and
-    greatest timestamp of the data pairs placed so far, and a candidate
-    is cut once its own pairs widen that spread past `window`.  Raises
+    left to check is the label, the self-loop and injectivity.  Raises
     TimeLimitExceeded at the first search node past `deadline`.
     """
     if time.perf_counter() > deadline:
@@ -200,7 +193,7 @@ def _search(g: SimpleDigraph, labels: dict[int, object], steps: list[Step],
     if i == len(steps):
         found.append(tuple(assign))
         return
-    x, label, succ, pred, self_loop, placed = steps[i]
+    x, label, succ, pred, self_loop = steps[i]
     out, in_ = g.out, g.in_
     cands = None
     for y in succ:
@@ -209,28 +202,14 @@ def _search(g: SimpleDigraph, labels: dict[int, object], steps: list[Step],
     for y in pred:
         s = out.get(assign[y], _EMPTY)
         cands = s if cands is None else cands & s
-    if span is not None:
-        window, pair_ts, lo, hi = span
-    child = None
     for u in g.nodes if cands is None else cands:
         if (u in used
                 or (label is not WILDCARD and labels.get(u) != label)
                 or (self_loop and u not in out.get(u, _EMPTY))):
             continue
         assign[x] = u
-        if span is not None:
-            t_lo, t_hi = lo, hi
-            for a, b in placed:
-                t = pair_ts[assign[a], assign[b]]
-                if t < t_lo:
-                    t_lo = t
-                elif t > t_hi:
-                    t_hi = t
-            if t_hi - t_lo > window:
-                continue
-            child = (window, pair_ts, t_lo, t_hi)
         used.add(u)
-        _search(g, labels, steps, assign, used, found, deadline, i + 1, child)
+        _search(g, labels, steps, assign, used, found, deadline, i + 1)
         used.discard(u)
 
 
@@ -284,27 +263,23 @@ def _composers(autos: list[tuple[int, ...]]) -> list[Callable]:
 class MatchContext:
     """Incremental matching state for one query over a shared data graph.
 
-    The caller owns `graph`, `pair_ts` (pair -> timestamp of its first
-    insert) and `labels` (vertex -> label), and adds each new pair to
-    them before calling `insert_edge`; the context only reads them.
-    `elapsed_ms` counts the query's automorphism enumeration here and the
-    match enumeration of every insert, all against `time_limit_ms`;
-    `timed_out` says the budget is spent, from construction on.  If the
-    automorphisms are not all found within the budget, the context gets
-    no search plans.  A query with more than MAX_AUTOMORPHISMS
-    automorphisms raises DataError.
+    The caller owns `graph` and `labels` (vertex -> label), and adds each
+    new pair to the graph before calling `insert_edge`; the context only
+    reads them.  `elapsed_ms` counts the query's automorphism enumeration
+    here and the match enumeration of every insert, all against
+    `time_limit_ms`; `timed_out` says the budget is spent, from
+    construction on.  If the automorphisms are not all found within the
+    budget, the context gets no search plans.  A query with more than
+    MAX_AUTOMORPHISMS automorphisms raises DataError.
     """
 
     def __init__(self, q: QueryGraph, graph: SimpleDigraph,
-                 pair_ts: dict[tuple[int, int], int],
                  labels: dict[int, object] | None = None, *,
-                 window: int | None = None, time_limit_ms: float = 3.6e6):
+                 time_limit_ms: float = 3.6e6):
         t0 = time.perf_counter()
         self.q = q
         self.graph = graph
-        self.pair_ts = pair_ts
         self.labels = {} if labels is None else labels
-        self.window = window
         self.time_limit_ms = time_limit_ms
         self.match_count = 0
         self.dedup_canon: set[tuple[int, ...]] = set()
@@ -349,26 +324,19 @@ class MatchContext:
     def insert_edge(self, u: int, v: int) -> list[tuple[int, ...]]:
         """Return the sorted mappings (query vertex index -> data vertex)
         of the matches completed by the pair (u, v), which the caller has
-        just added to the graph and to `pair_ts`.
+        just added to the graph.
 
-        With a window, the search cuts a branch once the data pairs placed
-        so far span more than the window; every query edge is placed as
-        the seed, a seed check or a step's edge, so a complete mapping
-        meets the window.  The search stops at the first node past the
-        per-query budget; that insert is abandoned (it adds no matches)
-        and `timed_out` is set.  Raises TimeLimitExceeded on any insert
-        after the budget is spent (counters keep their partial values).
+        The search stops at the first node past the per-query budget;
+        that insert is abandoned (it adds no matches) and `timed_out` is
+        set.  Raises TimeLimitExceeded on any insert after the budget is
+        spent (counters keep their partial values).
         """
         if self.timed_out:
             raise TimeLimitExceeded(self.q.name)
         t0 = time.perf_counter()
         deadline = t0 + (self.time_limit_ms - self.elapsed_ms) / 1000.0
-        labels, out, pair_ts = self.labels, self.graph.out, self.pair_ts
-        window = self.window
+        labels, out = self.labels, self.graph.out
         loop = u == v
-        seed_span = None                # the new pair alone placed
-        if window is not None:
-            seed_span = (window, pair_ts, pair_ts[u, v], pair_ts[u, v])
         found: list[tuple[int, ...]] = []
         try:
             # seed x -> u, y -> v
@@ -382,20 +350,11 @@ class MatchContext:
                     continue
                 assign = [None] * n
                 assign[x], assign[y] = u, v
-                span = seed_span
-                if checks:
-                    if not all(assign[b] in out.get(assign[a], _EMPTY)
-                               for a, b in checks):
-                        continue
-                    if window is not None:
-                        ts = [pair_ts[u, v]]
-                        ts += [pair_ts[assign[a], assign[b]]
-                               for a, b in checks]
-                        if max(ts) - min(ts) > window:
-                            continue
-                        span = (window, pair_ts, min(ts), max(ts))
+                if checks and not all(assign[b] in out.get(assign[a], _EMPTY)
+                                      for a, b in checks):
+                    continue
                 _search(self.graph, labels, steps, assign, {u, v}, found,
-                        deadline, 0, span)
+                        deadline)
             classes = self._classes(found, deadline) if found else {}
         except TimeLimitExceeded:
             classes = {}
@@ -419,6 +378,45 @@ def assign_labels(vertices: Iterable[int], pool: int, seed: int) -> dict[int, in
     return {u: rng.randrange(pool) for u in vertices}
 
 
+class StreamGraph:
+    """An insertion stream's data graph, and the one place that applies a
+    window: the graph then keeps only the pairs first inserted at or after
+    the latest timestamp minus the window.  The stream is in time order,
+    so a match through the newest pair is within the window exactly when
+    the graph holds all its pairs.  An expired pair stays out: inserting
+    it again is a no-op.
+    """
+
+    def __init__(self, window: int | None = None):
+        if window is not None and window < 0:
+            raise ValueError(f"negative window {window}")
+        self.graph, self.window = SimpleDigraph((), ()), window
+        self.ts = -math.inf             # the latest timestamp
+        # with a window, (first-insert ts, u, v) of each pair, oldest first
+        self.by_age: deque[tuple[int, int, int]] = deque()
+        self.expired: set[tuple[int, int]] = set()
+
+    def new_pairs(self, edges: Iterable[tuple]) -> Iterator[tuple[int, int]]:
+        """Insert each `(u, v, ts)` of `edges` in turn, yielding `(u, v)`
+        if the pair is new once the graph is updated.  Raises DataError at
+        a timestamp below the one before it."""
+        graph, window = self.graph, self.window
+        add_pair, by_age, expired = graph.add_pair, self.by_age, self.expired
+        for u, v, ts in edges:
+            if ts < self.ts:
+                raise DataError(f"stream timestamp {ts} after {self.ts}")
+            self.ts = ts
+            while by_age and by_age[0][0] < ts - window:
+                _ts, a, b = by_age.popleft()
+                graph.remove_pair(a, b)
+                expired.add((a, b))
+            if (u, v) in expired or not add_pair(u, v):
+                continue
+            if window is not None:
+                by_age.append((ts, u, v))
+            yield u, v
+
+
 def run_stream(initial: Sequence[tuple[int, int, int]],
                stream: Sequence[tuple[int, int, int]],
                queries: Sequence[QueryGraph], *,
@@ -426,9 +424,10 @@ def run_stream(initial: Sequence[tuple[int, int, int]],
                label_pool: int | None = None, seed: int = 0) -> list[dict]:
     """Replay the insertion stream against every query.
 
-    One data graph is loaded with the initial pairs and then updated once
-    per stream edge; each new pair is searched by every query that has
-    not timed out, and a re-inserted pair is skipped.  Returns one
+    One `StreamGraph` is loaded with the initial pairs and then updated
+    once per stream edge; each new pair is searched by every query that
+    has not timed out, and a re-inserted or expired pair is skipped.  The
+    edges must come in time order (DataError otherwise).  Returns one
     `{"query", "matches", "matches_dedup", "elapsed_ms", "timed_out"}` row
     per query.  Elapsed time covers each query's automorphism enumeration
     and match enumeration; graph-update bookkeeping is excluded.  A query
@@ -440,20 +439,15 @@ def run_stream(initial: Sequence[tuple[int, int, int]],
         vertices = dict.fromkeys(w for u, v, _ts in chain(initial, stream)
                                  for w in (u, v))
         labels = assign_labels(vertices, label_pool, seed)
-    graph = SimpleDigraph((), ())
-    pair_ts: dict[tuple[int, int], int] = {}
-    for u, v, ts in initial:
-        if graph.add_pair(u, v):
-            pair_ts[u, v] = ts
-    contexts = [MatchContext(q, graph, pair_ts, labels, window=window,
+    data = StreamGraph(window)
+    for _pair in data.new_pairs(initial):
+        pass
+    contexts = [MatchContext(q, data.graph, labels,
                              time_limit_ms=time_limit_ms) for q in queries]
     live = [ctx for ctx in contexts if not ctx.timed_out]
-    for u, v, ts in stream:
+    for u, v in data.new_pairs(stream):
         if not live:
             break
-        if not graph.add_pair(u, v):
-            continue
-        pair_ts[u, v] = ts
         for ctx in live:
             ctx.insert_edge(u, v)
             if ctx.timed_out:   # the loop goes on over the old list

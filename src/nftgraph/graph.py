@@ -193,6 +193,12 @@ class SimpleDigraph:
         self.num_edges += 1
         return True
 
+    def remove_pair(self, u: int, v: int) -> None:
+        """Undo `add_pair` of the present pair (u, v); the nodes stay."""
+        self.out[u].remove(v)
+        self.in_[v].remove(u)
+        self.num_edges -= 1
+
     @property
     def pairs(self) -> set[tuple[int, int]]:
         """A new set of the (u, v) pairs, built from `out` on every read."""

@@ -213,9 +213,7 @@ def growth_series(g: TemporalGraph, granularity: str, *,
     """
     periods = g.periods(granularity)
     rows = [dict.fromkeys(_GROWTH_COUNTS, 0) for _ in periods]
-    node_period = []                # n_first is nondecreasing in node id
     for p, (i, _first) in tag_periods(periods, enumerate(g.n_first)):
-        node_period.append(p)
         if i != g.null_id:
             rows[p]["new_nodes"] += 1
             rows[p]["new_mint_nodes" if g.n_mint[i]
@@ -223,6 +221,7 @@ def growth_series(g: TemporalGraph, granularity: str, *,
 
     seen_pairs: set[tuple[int, int]] = set()
     mix = [[0, 0, 0] for _ in periods]  # new pairs by new endpoints 0-2
+    n_first, starts = g.n_first, [period.start_ts for period in periods]
     for p, (u, v, _ts) in tag_periods(periods, g.edges(
             include_null=False, include_self_loops=include_self_loops)):
         if (u, v) in seen_pairs:
@@ -234,7 +233,8 @@ def growth_series(g: TemporalGraph, granularity: str, *,
             row["new_self_loops"] += 1
         elif (v, u) in seen_pairs:
             row["new_bidirectional_edges"] += 1
-        mix[p][(node_period[u] == p) + (node_period[v] == p)] += 1
+        # an endpoint is new in p unless first seen before p's start
+        mix[p][(n_first[u] >= starts[p]) + (n_first[v] >= starts[p])] += 1
 
     for row, counts in zip(rows, mix):
         n = row["new_edges"]
@@ -319,21 +319,20 @@ def tea_tet(g: TemporalGraph, granularity: str, split_time: int, *,
     """
     periods = g.periods(granularity)
     counts = [{"new": 0, "recurring": 0} for _ in periods]
-    seen: dict[tuple[int, int], list[int]] = {}  # [first, last, last period]
+    seen: dict[tuple[int, int], list[int]] = {}  # [first ts, last ts]
     for p, (u, v, ts) in tag_periods(periods,
                                      g.edges(include_null=include_null)):
         rec = seen.get((u, v))
         if rec is None:
-            seen[u, v] = [ts, ts, p]
+            seen[u, v] = [ts, ts]
             counts[p]["new"] += 1
             continue
-        if rec[2] != p:                 # its first edge in a later period
-            rec[2] = p
+        if rec[1] < periods[p].start_ts:    # last seen in an earlier period
             counts[p]["recurring"] += 1
         rec[1] = ts
     tea = [(period.label, row) for period, row in zip(periods, counts)]
     tet: dict[tuple[int, int], str] = {}
-    for pair, (first, last, _p) in seen.items():
+    for pair, (first, last) in seen.items():
         if first <= split_time < last:
             tet[pair] = "both"
         elif last <= split_time:

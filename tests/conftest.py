@@ -6,8 +6,8 @@ import pytest
 
 sys.path.insert(0, str(Path(__file__).parent))   # for `oracles`
 
-from nftgraph.csm import MatchContext
-from nftgraph.graph import SimpleDigraph, TemporalGraph
+from nftgraph.csm import MatchContext, StreamGraph
+from nftgraph.graph import TemporalGraph
 from nftgraph.ingest import NULL_ADDRESS, TransferEvent, read_transfers
 
 CONTRACT = "0x" + "c0" * 20
@@ -48,24 +48,19 @@ def graph_of(triples, **kw):
     return TemporalGraph.build(make_events(triples, **kw))
 
 
-def csm_context(q, initial=(), labels=None, **kw):
-    """A MatchContext for q over its own data graph loaded with `initial`,
-    and an `insert(u, v, ts)` feeding it the way run_stream does: a new
-    pair is added to the graph and searched, a re-inserted one is []."""
-    graph, pair_ts = SimpleDigraph((), ()), {}
-
-    def add(u, v, ts):
-        if not graph.add_pair(u, v):
-            return False
-        pair_ts[u, v] = ts
-        return True
-
-    for u, v, ts in initial:
-        add(u, v, ts)
-    ctx = MatchContext(q, graph, pair_ts, labels, **kw)
+def csm_context(q, initial=(), labels=None, window=None, **kw):
+    """A MatchContext for q over its own StreamGraph loaded with
+    `initial`, and an `insert(u, v, ts)` feeding it the way run_stream
+    does: a new pair is added to the graph and searched, a re-inserted or
+    expired one is []."""
+    data = StreamGraph(window)
+    for _pair in data.new_pairs(initial):
+        pass
+    ctx = MatchContext(q, data.graph, labels, **kw)
 
     def insert(u, v, ts):
-        return ctx.insert_edge(u, v) if add(u, v, ts) else []
+        new = list(data.new_pairs([(u, v, ts)]))
+        return ctx.insert_edge(u, v) if new else []
     return ctx, insert
 
 

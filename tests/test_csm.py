@@ -7,8 +7,8 @@ import pytest
 import oracles
 from conftest import csm_context
 from nftgraph import csm
-from nftgraph.csm import (BUILTIN_PATTERNS, assign_labels, builtin_patterns,
-                          parse_query, run_stream)
+from nftgraph.csm import (BUILTIN_PATTERNS, StreamGraph, assign_labels,
+                          builtin_patterns, parse_query, run_stream)
 from nftgraph.errors import DataError, TimeLimitExceeded
 
 
@@ -147,14 +147,61 @@ def test_reinsert_existing_pair_is_noop():
     assert insert(0, 1, 99) == []
     assert insert(1, 0, 100) != []
     assert insert(1, 0, 101) == []
+    # a pair expired from a window stays out of the graph when re-inserted
+    ctx, insert = csm_context(P2, [(0, 1, 10)], window=50)
+    assert insert(5, 6, 100) == [] and ctx.graph.pairs == {(5, 6)}
+    assert insert(0, 1, 101) == [] and ctx.graph.pairs == {(5, 6)}
+    assert insert(1, 0, 102) == []
 
 
 def test_window_filter():
     initial = [(0, 1, 0), (1, 2, 1000)]
-    _ctx, insert = csm_context(P1, initial, window=1800)
+    ctx, insert = csm_context(P1, initial, window=1800)
     assert insert(2, 0, 3600) == []      # span 3600 > 1800
+    assert ctx.graph.pairs == {(2, 0)}
     _ctx, insert = csm_context(P1, initial, window=3600)
     assert len(insert(2, 0, 3600)) == 3
+
+
+def test_stream_graph_holds_the_pairs_inside_the_window():
+    """After each insert the graph holds exactly the pairs first inserted
+    at or after the latest timestamp minus the window, and a pair is
+    yielded only at its first insert; repeated timestamps and pairs,
+    self-loops and re-inserts after expiry included."""
+    rng = random.Random(149)
+    for window in (None, 0, 5, 30, 10**9):
+        for _ in range(20):
+            n = rng.randint(1, 6)
+            edges, t = [], 0
+            for _ in range(rng.randint(0, 60)):
+                t += rng.choice([0, 0, 1, 5, 20])
+                edges.append((rng.randrange(n), rng.randrange(n), t))
+            data, first = StreamGraph(window), {}
+            for u, v, t in edges:
+                new = (u, v) not in first
+                first.setdefault((u, v), t)
+                assert list(data.new_pairs([(u, v, t)])) == \
+                    ([(u, v)] if new else [])
+                want = {p for p, t0 in first.items()
+                        if window is None or t0 >= t - window}
+                assert data.graph.pairs == want
+                assert data.graph.num_edges == len(want)
+            # the same stream fed in one call ends in the same graph
+            whole = StreamGraph(window)
+            assert list(whole.new_pairs(edges)) == list(first)
+            assert whole.graph.pairs == data.graph.pairs
+    with pytest.raises(ValueError, match="negative window -1"):
+        StreamGraph(-1)
+
+
+@pytest.mark.parametrize("window", [None, 100])
+def test_run_stream_rejects_a_timestamp_going_down(window):
+    with pytest.raises(DataError, match="stream timestamp 15 after 20"):
+        run_stream([(0, 1, 10)], [(1, 2, 20), (2, 0, 15)],
+                   builtin_patterns(), window=window)
+    with pytest.raises(DataError, match="stream timestamp 5 after 10"):
+        run_stream([(0, 1, 10)], [(1, 2, 5)], builtin_patterns(),
+                   window=window)
 
 
 def test_time_limit_flags_and_raises():

@@ -212,6 +212,31 @@ def test_simple_digraph_has_set_semantics(nodes, pairs):
         view.nodes, want, len(want))
 
 
+@settings(deadline=None)
+@given(st.lists(st.tuples(st.booleans(), st.integers(0, 4),
+                          st.integers(0, 4)), max_size=60))
+def test_remove_pair_undoes_add_pair(ops):
+    """Adds and removes of pairs, self-loops included: `out`, `in_`,
+    `num_edges` and `pairs` always describe the same pair set, and a
+    removed pair's nodes stay."""
+    view, want, touched = SimpleDigraph((), ()), set(), set()
+    for remove, u, v in ops:
+        if remove and (u, v) in want:
+            view.remove_pair(u, v)
+            want.discard((u, v))
+        elif not remove:
+            assert view.add_pair(u, v) == ((u, v) not in want)
+            want.add((u, v))
+            touched |= {u, v}
+        assert view.pairs == want and view.num_edges == len(want)
+        assert view.nodes == touched
+        for w in range(5):
+            assert view.out.get(w, set()) == {b for a, b in want if a == w}
+            assert view.in_.get(w, set()) == {a for a, b in want if b == w}
+    with pytest.raises(KeyError):
+        view.remove_pair(5, 5)
+
+
 @settings(deadline=None, max_examples=50)
 @given(st.randoms(use_true_random=False))
 def test_simple_view_node_set_is_first_seen_by_cutoff(rnd):

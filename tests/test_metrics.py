@@ -398,14 +398,19 @@ def test_tea_with_null_and_self_loops_matches_oracle(include_null):
     rng = random.Random(41)
     for _ in range(25):
         events = random_events(rng, 8, 150, with_null=True)
-        g = TemporalGraph.build(events)
-        for granularity in ("day", "week"):
-            tea, _ = tea_tet(g, granularity, split_time=0,
-                             include_null=include_null)
-            want = oracles.tea_counts(_triples(events, include_null),
-                                      _label_of(g, granularity))
-            got = {label: (d["new"], d["recurring"]) for label, d in tea}
-            assert {k: v for k, v in got.items() if v != (0, 0)} == want
+        # the same edges moved to the start of their day, so that a pair's
+        # last edge falls on a period's first second
+        at_midnight = [e._replace(timestamp=e.timestamp - e.timestamp % 86400)
+                       for e in events]
+        for events in (events, at_midnight):
+            g = TemporalGraph.build(events)
+            for granularity in ("day", "week"):
+                tea, _ = tea_tet(g, granularity, split_time=0,
+                                 include_null=include_null)
+                want = oracles.tea_counts(_triples(events, include_null),
+                                          _label_of(g, granularity))
+                got = {label: (d["new"], d["recurring"]) for label, d in tea}
+                assert {k: v for k, v in got.items() if v != (0, 0)} == want
 
 
 @pytest.mark.parametrize("include_null", [True, False])
