@@ -20,7 +20,7 @@ from collections import Counter
 from dataclasses import dataclass
 from enum import Enum
 from itertools import chain, islice, repeat
-from operator import attrgetter
+from operator import itemgetter
 from typing import Iterable, Iterator, NamedTuple, Sequence
 
 from .errors import MalformedRecord
@@ -47,6 +47,7 @@ NORMALIZED_HEADER = [
 # 60k rows
 _BLOCK_CHARS = 1 << 14
 _BLOCK_ROWS = 64
+_WRITE_ROWS = 512
 _HEADER_LINES = (",".join(NORMALIZED_HEADER) + "\n",
                  ",".join(NORMALIZED_HEADER) + "\r\n")
 
@@ -132,19 +133,26 @@ def _norm_int(value, what: str) -> int:
         raise MalformedRecord(f"{what} not numeric") from None
 
 
-def _canonical_raw(m: re.Match, now: int | None) -> RawLog:
-    """The RawLog of a `_CANONICAL_CSV` match."""
+def _canonical_fields(m: re.Match, upper: int) -> tuple:
+    """The seven fields of a `_CANONICAL_CSV` match, block number,
+    timestamp and log index as ints; MalformedRecord for an int past the
+    interpreter's digit limit or a timestamp outside
+    [EARLIEST_TIMESTAMP, upper]."""
     block, ts, tx_hash, log_index, contract, topics, data = m.groups()
     try:
         block, ts, log_index = int(block), int(ts), int(log_index)
-    except ValueError:          # past the interpreter's int digit limit
+    except ValueError:
         raise MalformedRecord("integer field too long") from None
-    upper = now if now is not None else int(time.time())
     if ts < EARLIEST_TIMESTAMP or ts > upper:
         raise MalformedRecord("timestamp out of range")
-    return RawLog(block_number=block, block_timestamp=ts, tx_hash=tx_hash,
-                  log_index=log_index, contract=contract,
-                  topics=tuple(topics.split("|")), data=data)
+    return block, ts, tx_hash, log_index, contract, topics, data
+
+
+def _canonical_raw(m: re.Match, now: int | None) -> RawLog:
+    """The RawLog of a `_CANONICAL_CSV` match."""
+    *head, topics, data = _canonical_fields(
+        m, now if now is not None else int(time.time()))
+    return RawLog(*head, tuple(topics.split("|")), data)
 
 
 def _as_canonical_csv(obj: dict, topics: list) -> str:
@@ -166,6 +174,18 @@ def _as_canonical_csv(obj: dict, topics: list) -> str:
             f"{joined},{obj['data']}")
 
 
+def _json_topics(obj: dict) -> list:
+    """The topics of a parsed JSON line; MalformedRecord for a missing
+    key or topics that are not a list."""
+    missing = [k for k in RAW_CSV_COLUMNS if k not in obj]
+    if missing:
+        raise MalformedRecord(f"missing key {missing[0]}")
+    topics = obj["topics"]
+    if not isinstance(topics, list):
+        raise MalformedRecord("topics not a list")
+    return topics
+
+
 def parse_log_line(line: str, *, now: int | None = None) -> RawLog:
     """Parse one raw JSONL or CSV line into a RawLog.
 
@@ -184,12 +204,7 @@ def parse_log_line(line: str, *, now: int | None = None) -> RawLog:
             obj = json.loads(stripped)
         except (ValueError, RecursionError):    # JSONDecodeError included
             raise MalformedRecord("bad json") from None
-        missing = [k for k in RAW_CSV_COLUMNS if k not in obj]
-        if missing:
-            raise MalformedRecord(f"missing key {missing[0]}")
-        topics = obj["topics"]
-        if not isinstance(topics, list):
-            raise MalformedRecord("topics not a list")
+        topics = _json_topics(obj)
         m = _CANONICAL_CSV.match(_as_canonical_csv(obj, topics))
         if m is not None:
             return _canonical_raw(m, now)
@@ -216,6 +231,20 @@ def parse_log_line(line: str, *, now: int | None = None) -> RawLog:
     return _canonical_raw(m, now)
 
 
+def _transfer_fields(topics: Sequence[str]) -> tuple | SkipReason:
+    """(from_addr, to_addr, token_id) of a log's topics, or the reason to
+    skip it; MalformedRecord for a transfer from and to Null."""
+    if topics[0] != TRANSFER_TOPIC:
+        return SkipReason.WRONG_TOPIC
+    if len(topics) != 4:
+        return SkipReason.ARITY
+    from_addr = "0x" + topics[1][-40:]
+    to_addr = "0x" + topics[2][-40:]
+    if from_addr == NULL_ADDRESS and to_addr == NULL_ADDRESS:
+        raise MalformedRecord("null-to-null transfer")
+    return from_addr, to_addr, int(topics[3], 16)
+
+
 def decode_transfer(raw: RawLog) -> TransferEvent | SkipReason:
     """Decode a RawLog into a TransferEvent, or the reason to skip it.
 
@@ -223,36 +252,45 @@ def decode_transfer(raw: RawLog) -> TransferEvent | SkipReason:
     indexed from/to/tokenId.  The 3-topic variant is the ERC-20 shape
     (value lives in `data`) and marks the contract as non-conforming.
     """
-    if raw.topics[0] != TRANSFER_TOPIC:
-        return SkipReason.WRONG_TOPIC
-    if len(raw.topics) != 4:
-        return SkipReason.ARITY
-    from_addr = "0x" + raw.topics[1][-40:]
-    to_addr = "0x" + raw.topics[2][-40:]
-    if from_addr == NULL_ADDRESS and to_addr == NULL_ADDRESS:
-        raise MalformedRecord("null-to-null transfer")
-    return TransferEvent(
-        timestamp=raw.block_timestamp,
-        block_number=raw.block_number,
-        tx_hash=raw.tx_hash,
-        log_index=raw.log_index,
-        contract=raw.contract,
-        from_addr=from_addr,
-        to_addr=to_addr,
-        token_id=int(raw.topics[3], 16),
-    )
+    fields = _transfer_fields(raw.topics)
+    if isinstance(fields, SkipReason):
+        return fields
+    return TransferEvent(raw.block_timestamp, raw.block_number, raw.tx_hash,
+                         raw.log_index, raw.contract, *fields)
 
 
-def _iter_raw_lines(path: str) -> Iterator[str]:
-    # utf-8-sig drops a leading byte-order mark
-    with open(path, "r", encoding="utf-8-sig") as fh:
-        for line in fh:
-            if not line.strip():
-                continue
-            # Tolerate (and skip) a CSV header row.
-            if line.split(",", 1)[0].strip() == "block_number":
-                continue
-            yield line
+def _block_matches(lines: list[str]) -> list[re.Match | None]:
+    """The `_CANONICAL_CSV` match of each raw line, as `parse_log_line`
+    makes it for a canonical CSV line or a JSON object whose fields are
+    canonical, or None for a line that must go through `parse_log_line`.
+
+    The JSON lines of the block are parsed by one `json.loads` of their
+    join into an array, and only if that is what parsing each line
+    gives: each line holds one `{`, first, and one `}`, last, so every
+    brace is a line's own, and the array has one element per line.
+    Anything else (a brace inside a string, bad JSON, an int past the
+    digit limit) leaves the JSON lines to `parse_log_line`.
+    """
+    stripped = list(map(str.strip, lines))
+    matches = list(map(_CANONICAL_CSV.match, stripped))
+    at = [i for i, s in enumerate(stripped) if s.startswith("{")]
+    texts = [stripped[i] for i in at]
+    text = ",".join(texts)
+    if (not at or text.count("{") != len(at) or text.count("}") != len(at)
+            or not all(map(str.endswith, texts, repeat("}")))):
+        return matches
+    try:
+        objs = json.loads("[" + text + "]")
+    except (ValueError, RecursionError):
+        return matches
+    if len(objs) == len(at):
+        for i, obj in zip(at, objs):
+            try:
+                matches[i] = _CANONICAL_CSV.match(
+                    _as_canonical_csv(obj, _json_topics(obj)))
+            except MalformedRecord:
+                pass
+    return matches
 
 
 def normalize_stream(
@@ -273,37 +311,59 @@ def normalize_stream(
     stats = IngestStats()
     wall = now if now is not None else int(time.time())
     seen: set[tuple[str, int]] = set()
-    events: list[TransferEvent] = []
+    rows: list[tuple] = []      # normalized rows, TransferEvent fields
     log_counts: Counter = Counter()     # Transfer logs per contract
     bad_contracts: set[str] = set()
+    # one copy of each contract and address string, however many rows
+    # hold it
+    intern = {}.setdefault
 
     for path in inputs:
-        for line in _iter_raw_lines(path):
-            stats.records_read += 1
-            try:
-                raw = parse_log_line(line, now=wall)
-                key = (raw.tx_hash, raw.log_index)
-                if key in seen:
-                    stats.skipped_duplicate += 1
-                    continue
-                seen.add(key)
-                outcome = decode_transfer(raw)
-            except MalformedRecord:
-                stats.skipped_malformed += 1
-                continue
-            if outcome is SkipReason.WRONG_TOPIC:
-                stats.skipped_wrong_topic += 1
-                continue
-            log_counts[raw.contract] += 1
-            if outcome is SkipReason.ARITY:
-                stats.skipped_non_conforming += 1
-                bad_contracts.add(raw.contract)
-            else:
-                events.append(outcome)
+        # utf-8-sig drops a leading byte-order mark
+        with open(path, "r", encoding="utf-8-sig") as fh:
+            while lines := fh.readlines(_BLOCK_CHARS):
+                for line, m in zip(lines, _block_matches(lines)):
+                    if m is None and (
+                            not line.strip()
+                            or line.split(",", 1)[0].strip() == "block_number"):
+                        continue        # a blank line or a CSV header
+                    stats.records_read += 1
+                    try:
+                        if m is None:
+                            raw = parse_log_line(line, now=wall)
+                        (block, ts, tx_hash, log_index, contract, topics,
+                         _) = raw if m is None else _canonical_fields(m, wall)
+                        key = tx_hash, log_index
+                        if key in seen:
+                            stats.skipped_duplicate += 1
+                            continue
+                        seen.add(key)
+                        if m is None:
+                            outcome = decode_transfer(raw)
+                        else:
+                            outcome = _transfer_fields(topics.split("|"))
+                            if not isinstance(outcome, SkipReason):
+                                src, dst, token = outcome
+                                outcome = (ts, block, tx_hash, log_index,
+                                           intern(contract, contract),
+                                           intern(src, src), intern(dst, dst),
+                                           token)
+                    except MalformedRecord:
+                        stats.skipped_malformed += 1
+                        continue
+                    if outcome is SkipReason.WRONG_TOPIC:
+                        stats.skipped_wrong_topic += 1
+                        continue
+                    log_counts[contract] += 1
+                    if outcome is SkipReason.ARITY:
+                        stats.skipped_non_conforming += 1
+                        bad_contracts.add(contract)
+                    else:
+                        rows.append(outcome)
 
-    survivors = [ev for ev in events if ev.contract not in bad_contracts]
-    stats.skipped_non_conforming += len(events) - len(survivors)
-    survivors.sort(key=attrgetter("timestamp", "block_number", "log_index"))
+    survivors = [r for r in rows if r[4] not in bad_contracts]
+    stats.skipped_non_conforming += len(rows) - len(survivors)
+    survivors.sort(key=itemgetter(0, 1, 3))
     stats.transfers_emitted = len(survivors)
 
     contracts = [{"contract": c, "erc721": c not in bad_contracts,
@@ -314,20 +374,22 @@ def normalize_stream(
 
 
 def write_transfers(path: str, events: Iterable[TransferEvent]) -> None:
+    events = iter(events)
     with open_output(path) as fh:
         w = csv.writer(fh)
         w.writerow(NORMALIZED_HEADER)
-        write = fh.write
-        for e in events:
-            line = "%s,%s,%s,%s,%s,%s,%s,%s\r\n" % e
+        while chunk := list(islice(events, _WRITE_ROWS)):
+            n = len(chunk)
+            text = ("%s,%s,%s,%s,%s,%s,%s,%s\r\n" * n) % tuple(
+                chain.from_iterable(chunk))
             # csv.writer quotes a field only if it holds a delimiter, a
             # quote or a line break; hex strings and ints never do, and
             # formatting them directly is several times faster
-            if (line.count(",") == 7 and line.count("\n") == 1
-                    and line.count("\r") == 1 and '"' not in line):
-                write(line)
+            if (text.count(",") == 7 * n and text.count("\n") == n
+                    and text.count("\r") == n and '"' not in text):
+                fh.write(text)
             else:
-                w.writerow(e)
+                w.writerows(chunk)
 
 
 def read_transfers(source) -> Iterator[tuple]:

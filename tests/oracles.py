@@ -486,6 +486,59 @@ def read_transfers(fh):
             f"bad csv at line {reader.line_num}: {e}") from None
 
 
+def normalize_stream(inputs, now):
+    """(stats, contract rows, normalized CSV text) of raw log files read
+    one line at a time: each line through ingest.parse_log_line and
+    ingest.decode_transfer, the survivors written by csv.writer."""
+    from nftgraph.errors import MalformedRecord
+    from nftgraph.ingest import (NORMALIZED_HEADER, IngestStats, SkipReason,
+                                 decode_transfer, parse_log_line)
+    stats = IngestStats()
+    seen = set()
+    events = []
+    log_counts = Counter()
+    bad_contracts = set()
+    for path in inputs:
+        with open(path, "r", encoding="utf-8-sig") as fh:
+            for line in fh:
+                if (not line.strip()
+                        or line.split(",", 1)[0].strip() == "block_number"):
+                    continue
+                stats.records_read += 1
+                try:
+                    raw = parse_log_line(line, now=now)
+                    key = (raw.tx_hash, raw.log_index)
+                    if key in seen:
+                        stats.skipped_duplicate += 1
+                        continue
+                    seen.add(key)
+                    outcome = decode_transfer(raw)
+                except MalformedRecord:
+                    stats.skipped_malformed += 1
+                    continue
+                if outcome is SkipReason.WRONG_TOPIC:
+                    stats.skipped_wrong_topic += 1
+                    continue
+                log_counts[raw.contract] += 1
+                if outcome is SkipReason.ARITY:
+                    stats.skipped_non_conforming += 1
+                    bad_contracts.add(raw.contract)
+                else:
+                    events.append(outcome)
+    survivors = [ev for ev in events if ev.contract not in bad_contracts]
+    stats.skipped_non_conforming += len(events) - len(survivors)
+    survivors.sort(key=lambda ev: (ev.timestamp, ev.block_number,
+                                   ev.log_index))
+    stats.transfers_emitted = len(survivors)
+    contracts = [{"contract": c, "erc721": c not in bad_contracts,
+                  "log_count": log_counts[c]} for c in sorted(log_counts)]
+    out = io.StringIO(newline="")
+    w = csv.writer(out)
+    w.writerow(NORMALIZED_HEADER)
+    w.writerows(survivors)
+    return stats, contracts, out.getvalue()
+
+
 class Malformed(Exception):
     pass
 

@@ -1,6 +1,9 @@
 import ast
+import csv
 import io
 import json
+import random
+import tempfile
 from pathlib import Path
 
 import pytest
@@ -10,6 +13,7 @@ from hypothesis import strategies as st
 
 import nftgraph
 from nftgraph.errors import MalformedRecord
+import nftgraph.ingest as ingest
 from nftgraph.ingest import (EARLIEST_TIMESTAMP, NORMALIZED_HEADER,
                              NULL_ADDRESS, RAW_CSV_COLUMNS, TRANSFER_TOPIC, RawLog, SkipReason,
                              TransferEvent, decode_transfer,
@@ -367,6 +371,27 @@ def test_write_transfers_quotes_like_csv_writer(tmp_path):
     assert transfer_rows(str(p)) == events
 
 
+@pytest.mark.parametrize("field,value", [
+    ("contract", "a,b"), ("from_addr", 'q"q'), ("to_addr", "x\ny"),
+    ("tx_hash", "g\rh")], ids=["comma", "quote", "lf", "cr"])
+def test_write_transfers_quotes_a_row_after_plain_blocks(tmp_path, field,
+                                                         value):
+    """A row csv.writer quotes, after blocks of rows formatted directly,
+    is written as csv.writer writes it."""
+    events = [TransferEvent(1600000000 + i, 6, f"0x{i:064x}", 7,
+                            GOOD_CONTRACT, NULL_ADDRESS, "0x" + "02" * 20,
+                            10 ** 70 + i) for i in range(601)]
+    events[600] = events[600]._replace(**{field: value})
+    p = tmp_path / "t.csv"
+    write_transfers(str(p), events)
+    want = io.StringIO(newline="")
+    w = csv.writer(want)
+    w.writerow(NORMALIZED_HEADER)
+    w.writerows(events)
+    assert p.read_bytes() == want.getvalue().encode()
+    assert transfer_rows(str(p)) == events
+
+
 def test_read_transfers_rejects_bad_header(tmp_path):
     p = tmp_path / "bad.csv"
     p.write_text("a,b,c\n1,2,3\n")
@@ -676,3 +701,147 @@ def test_read_transfers_names_the_line_after_plain_blocks(tmp_path):
     with pytest.raises(MalformedRecord,
                        match="^bad normalized row at line 903$"):
         transfer_rows(str(p))
+
+
+# -- raw files read in line blocks ---------------------------------------
+
+_ADDRS = [NULL_ADDRESS, *(f"0x{k:040x}" for k in range(1, 6))]
+
+
+def _raw_obj(rnd, i):
+    """Raw log i: a transfer among a few addresses, with ties on the sort
+    key, or one of the logs that ingest skips."""
+    src, dst = rnd.sample(_ADDRS, 2)
+    obj = {"block_number": 100 + i % 3, "block_timestamp": 1600000000 + i % 7,
+           "transaction_hash": f"0x{i:064x}", "log_index": i % 2,
+           "address": GOOD_CONTRACT, "topics": transfer_topics(src, dst, i % 5),
+           "data": "0x"}
+    kind = rnd.randrange(12)
+    if kind == 0:
+        obj["topics"][0] = OTHER_TOPIC
+    elif kind == 1:         # the ERC-20 shape: its contract is dropped
+        obj.update(address=ERC20_CONTRACT, topics=obj["topics"][:3])
+    elif kind == 2:
+        obj["address"] = ERC20_CONTRACT
+    elif kind == 3:
+        obj["topics"] = transfer_topics(NULL_ADDRESS, NULL_ADDRESS, 1)
+    elif kind == 4:
+        obj["block_timestamp"] = rnd.choice([EARLIEST_TIMESTAMP - 1, NOW + 1])
+    return obj
+
+
+def _csv_of(obj):
+    return raw_csv_line(*(obj[k] for k in RAW_CSV_COLUMNS))
+
+
+def _raw_text(rnd, obj, p_json):
+    """`obj` as a canonical CSV or JSON line, or now and then as one
+    that only the field-by-field parse reads."""
+    if rnd.random() < p_json:
+        if rnd.random() < 0.1:
+            return json.dumps(dict(obj, address=obj["address"].upper()))
+        return json.dumps(obj)
+    return _csv_of(obj).upper() if rnd.random() < 0.1 else _csv_of(obj)
+
+
+@st.composite
+def _raw_files(draw):
+    """Two or three raw files, each spanning several of normalize_stream's
+    16 KiB blocks: CSV and JSON lines, canonical or not, with the logs
+    ingest skips, duplicates within a block, across blocks and across
+    files, headers, blank lines, a byte-order mark and lines drawn from
+    the fuzz strategies."""
+    rnd = random.Random(draw(st.integers(0, 2 ** 32 - 1)))
+    odd = st.one_of(_line_text, _spliced_csv(), _json_field_replaced(),
+                    _json_near_canonical(), _digit_run_field())
+    objs, files = [], []
+    for _ in range(draw(st.integers(2, 3))):
+        p_json = rnd.choice([0.0, 0.5, 1.0])
+        lines = []
+        for _ in range(rnd.randint(100, 180)):
+            r = rnd.random()
+            if r < 0.03:
+                lines.append(rnd.choice([",".join(RAW_CSV_COLUMNS),
+                                         " block_number ,x", "", "  \t"]))
+            elif r < 0.12 and objs:
+                pool = objs[-3:] if rnd.random() < 0.5 else objs
+                lines.append(_raw_text(rnd, rnd.choice(pool), p_json))
+            else:
+                objs.append(_raw_obj(rnd, len(objs)))
+                lines.append(_raw_text(rnd, objs[-1], p_json))
+        for line in draw(st.lists(odd, max_size=4)):
+            # a lone surrogate cannot be written as UTF-8
+            lines.insert(rnd.randrange(len(lines) + 1),
+                         line.encode(errors="replace").decode())
+        text = rnd.choice(["", "\ufeff"]) + rnd.choice(["\n", "\r\n"]).join(lines)
+        files.append(text + rnd.choice(["", "\n"]))
+    return files
+
+
+def _normalize_both(texts):
+    """normalize_stream's (stats, contract rows, output text) and the
+    per-line oracle's for raw files holding `texts`."""
+    with tempfile.TemporaryDirectory() as tmp:
+        paths = []
+        for k, text in enumerate(texts):
+            paths.append(str(Path(tmp, f"raw{k}")))
+            Path(paths[-1]).write_bytes(text.encode())
+        out = Path(tmp, "norm.csv")
+        stats, contracts = normalize_stream(paths, str(out), now=NOW)
+        got = stats, contracts, out.read_bytes().decode()
+        return got, oracles.normalize_stream(paths, NOW)
+
+
+@settings(max_examples=100, deadline=None)
+@given(texts=_raw_files())
+def test_fuzz_normalize_stream_equals_per_line_oracle(texts):
+    got, want = _normalize_both(texts)
+    assert got == want
+
+
+_JSON_A = json.dumps(_CANON_OBJ)
+_JSON_B = json.dumps(dict(_CANON_OBJ, log_index=4))
+
+
+@pytest.mark.parametrize("odd", [
+    ['{"a": [{}', '{}]}'],                  # one object split over two lines
+    [_JSON_A + " " + _JSON_B],              # two objects on a line
+    [_JSON_A + "," + _JSON_B, '{"a": [{}', '{}]}'],
+    ['{"a": "x}', '{", "b": 1}'],           # braces inside strings
+    ['{"a": "x}', '{", "b": 1}', _JSON_B + ', "s"'],
+    [json.dumps(dict(_CANON_OBJ, log_index=5, note="{}"))],
+], ids=["split", "two_on_a_line", "two_and_split", "brace_in_string",
+        "brace_in_string_and_trailing_value", "valid_with_braces_in_string"])
+def test_json_block_guard_equals_oracle(odd):
+    """Lines that one json.loads of the block's lines joined into an
+    array could read as other objects than each line's own are read as
+    each line alone reads."""
+    around = [json.dumps(dict(_CANON_OBJ, log_index=10 + k)) for k in range(6)]
+    got, want = _normalize_both(["\n".join(around[:3] + odd + around[3:])])
+    assert got == want
+
+
+def test_only_non_canonical_lines_reach_parse_log_line(tmp_path,
+                                                       monkeypatch):
+    """Canonical CSV lines and `json.dumps` objects, skipped ones
+    included, are read a block at a time: parse_log_line sees only the
+    other lines, and no header or blank line."""
+    rnd = random.Random(1)
+    objs = [_raw_obj(rnd, i) for i in range(300)]
+    lines = [json.dumps(o) if i > 200 or i > 100 and i % 2 else _csv_of(o)
+             for i, o in enumerate(objs)]
+    odd = [_csv_of(_raw_obj(rnd, 900)).upper(),
+           json.dumps(dict(_CANON_OBJ, address=GOOD_CONTRACT.upper())),
+           "1,2,3"]
+    for at, line in zip((50, 150, 250), odd):
+        lines.insert(at, line)
+    lines[100:100] = [",".join(RAW_CSV_COLUMNS), ""]
+    raw = tmp_path / "raw.txt"
+    raw.write_text("\n".join(lines) + "\n")
+    calls = []
+    parse = ingest.parse_log_line
+    monkeypatch.setattr(ingest, "parse_log_line", lambda line, **kw: (
+        calls.append(line.rstrip("\n")) or parse(line, **kw)))
+    stats, _ = normalize_stream([str(raw)], str(tmp_path / "n.csv"), now=NOW)
+    assert calls == odd
+    assert stats.records_read == 303 and stats.transfers_emitted > 150
