@@ -1,3 +1,4 @@
+import itertools
 import math
 import random
 import time
@@ -587,3 +588,123 @@ def test_window_prunes_inside_the_search(monkeypatch):
                 _check_against_oracle(initial, stream, q, {}, window)
     assert all(r["matches"] == 0 for r in rows)
     assert searched[9] * 5 < searched[None]
+
+
+class _CountingClock:
+    """csm's `time`: the real clock plus `late` seconds, counting reads."""
+    late = 0.0
+    reads = 0
+
+    @classmethod
+    def perf_counter(cls):
+        cls.reads += 1
+        return time.perf_counter() + cls.late
+
+
+def test_time_limit_bounds_the_orbit_expansion(monkeypatch):
+    """The clock jumps two hours once the search is done: the orbit
+    expansion checks the deadline at the first found mapping, so the
+    insert is abandoned, the counters stay and the query is timed out."""
+    initial = [(0, 1, 1), (1, 2, 2)]
+    _ctx, insert = csm_context(P1, initial)
+    assert len(insert(2, 0, 3)) == 3
+    clock = type("Clock", (_CountingClock,), {})
+    monkeypatch.setattr(csm, "time", clock)
+    ctx, insert = csm_context(P1, initial)
+    real = csm._search
+
+    def search(*args, **kwargs):
+        real(*args, **kwargs)
+        clock.late += 3600.0 * 2
+
+    monkeypatch.setattr(csm, "_search", search)
+    assert insert(2, 0, 3) == []
+    assert (ctx.match_count, ctx.dedup_count) == (0, 0)
+    assert ctx.timed_out and clock.late == 3600.0 * 2
+
+
+def test_degree_filter_prunes_before_the_search(monkeypatch):
+    """Every vertex of p1-p5 has an out-edge, so a new pair ending at a
+    vertex without out-pairs completes none of them: with every stream
+    pair ending at such a vertex, no insert calls `_search` or reads the
+    clock, and the counts are the oracle's."""
+    rng = random.Random(151)
+    initial = [(rng.randrange(6), rng.randrange(6), t) for t in range(40)]
+    stream = [(rng.randrange(6), 6 + rng.randrange(4), t)
+              for t in range(40, 70)]
+    assert any(u == v for u, v, _t in initial)
+    contexts = [csm_context(q, initial) for q in builtin_patterns()]
+    spent = [ctx.elapsed_ms for ctx, _insert in contexts]
+    clock = type("Clock", (_CountingClock,), {})
+    monkeypatch.setattr(csm, "time", clock)
+    calls = 0
+
+    def counted(*args, **kwargs):
+        nonlocal calls
+        calls += 1
+
+    monkeypatch.setattr(csm, "_search", counted)
+    for u, v, t in stream:
+        for _ctx, insert in contexts:
+            assert insert(u, v, t) == []
+    assert (calls, clock.reads) == (0, 0)
+    assert [ctx.elapsed_ms for ctx, _insert in contexts] == spent
+    monkeypatch.undo()
+    for q, (ctx, _insert) in zip(builtin_patterns(), contexts):
+        assert (ctx.match_count, ctx.dedup_count) == \
+            _check_against_oracle(initial, stream, q, {}, None) == (0, 0)
+
+
+@pytest.mark.parametrize("text, initial, pair", [
+    # vertex 1's in-edges are 0->1 and its self-loop
+    ("v 0 *; v 1 *; e 0 1; e 1 1", [(1, 2, 1), (1, 3, 2)], (0, 1)),
+    # vertex 0's out-edges are 0->1 and its self-loop
+    ("v 0 *; v 1 *; e 0 1; e 0 0", [(2, 0, 1), (3, 0, 2)], (0, 1)),
+])
+def test_degree_filter_counts_a_self_loop(monkeypatch, text, initial, pair):
+    """A self-loop counts in both degree bounds: a seed with one in- or
+    out-pair short of a looped query vertex is dropped before the clock
+    starts, and the same seed with its self-loop is searched."""
+    q = parse_query(text)
+    clock = type("Clock", (_CountingClock,), {})
+    monkeypatch.setattr(csm, "time", clock)
+    ctx, insert = csm_context(q, initial)
+    clock.reads = 0
+    assert insert(*pair, 3) == [] and clock.reads == 0
+    looped = initial + [(w, w, 0) for w in pair]
+    _ctx, insert = csm_context(q, sorted(looped, key=lambda e: e[2]))
+    assert insert(*pair, 3) == [pair]
+
+
+def test_counts_divide_by_the_seed_stabiliser():
+    """A plan seeded at (x, y) finds each class once per automorphism
+    fixing x and y: twice for p5 at 0->1 (2 and 3 swap), 7! times for an
+    8-leaf out-star.  The counters still give one per class and |Aut(q)|
+    mappings per class."""
+    p5 = parse_query(BUILTIN_PATTERNS["p5"], "p5")
+    ctx, insert = csm_context(p5, [(1, w, 1) for w in (2, 3, 4)]
+                              + [(w, 0, 2) for w in (2, 3, 4)])
+    assert [plan[-1] for _filter, plan in ctx._plans] == [2, 1, 1]
+    got = insert(0, 1, 3)
+    assert len(got) == 6
+    assert ctx.dedup_count == 3 == len(oracles.dedup_by_automorphism(
+        4, p5.edges, got))
+    assert ctx.match_count == len(ctx.autos) * ctx.dedup_count
+    rng = random.Random(157)
+    for _ in range(10):
+        initial, stream = _random_stream(rng, 8, 80)
+        ctx, insert = csm_context(p5, initial)
+        for u, v, t in stream:
+            insert(u, v, t)
+        assert (ctx.match_count, ctx.dedup_count) == \
+            _check_against_oracle(initial, stream, p5, {}, None)
+        assert ctx.match_count == len(ctx.autos) * ctx.dedup_count
+    # the oracle's canonical forms cost |Aut| per mapping, out of reach
+    # for 8! mappings; an out-star's classes are its vertex sets
+    star = out_star(8)
+    ctx, insert = csm_context(star, [(0, w, 1) for w in range(1, 8)])
+    assert [plan[-1] for _filter, plan in ctx._plans] == [5040]    # 7!
+    got = insert(0, 8, 2)
+    assert got == [(0, *p) for p in itertools.permutations(range(1, 9))]
+    assert ctx.dedup_count == 1 == len({frozenset(m) for m in got})
+    assert ctx.match_count == len(ctx.autos) * ctx.dedup_count == 40320
