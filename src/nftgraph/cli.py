@@ -224,6 +224,15 @@ def _drop_top_hubs(edges, k: int):
 
 
 def cmd_csm(args) -> int:
+    # the report names each query by its file's stem
+    stems: dict[str, str] = {}
+    for path in args.queries or ():
+        stem = os.path.splitext(os.path.basename(path))[0]
+        if stem in stems:
+            print(f"nftgraph: query files {stems[stem]} and {path} are both "
+                  f"named {stem!r} in the report", file=sys.stderr)
+            return EXIT_USAGE
+        stems[stem] = path
     g = _load_graph(args.input)
     edges = list(g.edges(include_null=args.include_null))
     dropped_hubs: list[int] = []
@@ -234,12 +243,21 @@ def cmd_csm(args) -> int:
 
     if args.queries:
         queries = []
-        for path in args.queries:
+        for stem, path in stems.items():
             with open(path, encoding="utf-8-sig") as fh:
-                name = os.path.splitext(os.path.basename(path))[0]
-                queries.append(csm_mod.parse_query(fh.read(), name))
+                queries.append(csm_mod.parse_query(fh.read(), stem))
     else:
         queries = csm_mod.builtin_patterns()
+    # data vertices get labels in [0, label_pool) only with a label pool
+    pool = range(args.label_pool or 0)
+    for q in queries:
+        for label in q.labels:
+            if label is not csm_mod.WILDCARD and label not in pool:
+                where = ("without --label-pool" if args.label_pool is None
+                         else f"outside [0, {args.label_pool}) of "
+                              f"--label-pool {args.label_pool}")
+                raise DataError(f"query {q.name!r} has vertex label {label} "
+                                f"{where}")
 
     results = csm_mod.run_stream(
         initial, stream, queries, window=args.window,

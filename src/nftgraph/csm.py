@@ -13,9 +13,9 @@ from one representative (x, y) per orbit of query edges under the
 query's automorphism group, so it finds each match class exactly
 |Stab(x, y)| times, once per automorphism fixing x and y (usually once),
 rather than |Aut(q)| times.  The counters grow from those sizes: found
-mappings / |Stab(x, y)| classes, each of |Aut(q)| mappings.  The
-mappings an insert returns are the orbits of the found ones, each orbit
-expanded once.
+mappings / |Stab(x, y)| classes, each of |Aut(q)| mappings.  An insert
+returns the mappings it found, not their orbits: each class it completes
+appears |Stab(x, y)| times.
 
 Degree filter (as in TurboFlux, SIGMOD 2018, and RapidFlow, VLDB 2022):
 an embedding maps a query vertex's out- and in-neighbours injectively
@@ -31,8 +31,7 @@ import time
 from collections import deque
 from dataclasses import dataclass
 from itertools import chain
-from operator import itemgetter
-from typing import Callable, Iterable, Iterator, Sequence
+from typing import Iterable, Iterator, Sequence
 
 from .errors import DataError, TimeLimitExceeded
 from .graph import SimpleDigraph
@@ -275,17 +274,6 @@ def query_automorphisms(q: QueryGraph,
     return sorted(found)
 
 
-def _composers(autos: list[tuple[int, ...]]) -> list[Callable]:
-    """One function per automorphism a, taking a mapping m to m∘a.
-
-    The identity is `tuple`, which returns a tuple unchanged; it is also
-    the only automorphism of a one-vertex query, for which `itemgetter`
-    would return a bare item.
-    """
-    return [tuple if a == tuple(range(len(a))) else itemgetter(*a)
-            for a in autos]
-
-
 class MatchContext:
     """Incremental matching state for one query over a shared data graph.
 
@@ -312,7 +300,6 @@ class MatchContext:
             self.autos = query_automorphisms(q, t0 + time_limit_ms / 1000.0)
         except TimeLimitExceeded:
             self.autos = []
-        self._composers = _composers(self.autos)
         # one plan per orbit of query edges, seeded at the orbit's least
         # edge (x, y).  Its seed filter: whether the seed is a self-loop,
         # the seeds' labels and their out- and in-degrees.  The rest: the
@@ -339,17 +326,20 @@ class MatchContext:
         self.timed_out = self.elapsed_ms > time_limit_ms
 
     def insert_edge(self, u: int, v: int) -> list[tuple[int, ...]]:
-        """Return the sorted mappings (query vertex index -> data vertex)
-        of the matches completed by the pair (u, v), which the caller has
-        just added to the graph.
+        """Return the mappings (query vertex index -> data vertex) that the
+        search found for the pair (u, v), which the caller has just added
+        to the graph, in no particular order.  Each class of matches the
+        pair completes appears |Stab(x, y)| times, as the members mapping
+        a plan's seed edge (x, y) onto (u, v); composed with `self.autos`
+        they give the rest of its orbit.
 
         Plans whose seeds fail the label or degree filter are dropped
         before the clock starts; if none is left, the insert costs no
-        budget.  The search stops at the first call past the per-query
-        budget, and so does the orbit expansion at the first found mapping
-        past it; that insert is abandoned (it adds no matches) and
-        `timed_out` is set.  Raises TimeLimitExceeded on any insert after
-        the budget is spent (counters keep their partial values).
+        budget.  The time limit is checked at every search call and once
+        when the insert's search ends: an insert past the per-query budget
+        is abandoned (it adds no matches) and `timed_out` is set.  Raises
+        TimeLimitExceeded on any insert after the budget is spent
+        (counters keep their partial values).
         """
         if self.timed_out:
             raise TimeLimitExceeded(self.q.name)
@@ -370,8 +360,7 @@ class MatchContext:
         t0 = time.perf_counter()
         deadline = t0 + (self.time_limit_ms - self.elapsed_ms) / 1000.0
         classes = 0
-        matches: list[tuple[int, ...]] = []
-        seen: set[tuple[int, ...]] = set()  # orbits found |Stab| > 1 times
+        found: list[tuple[int, ...]] = []
         try:
             # seed x -> u, y -> v
             for x, y, n, checks, steps, stab in plans:
@@ -380,27 +369,19 @@ class MatchContext:
                 if checks and not all(assign[b] in out.get(assign[a], _EMPTY)
                                       for a, b in checks):
                     continue
-                found: list[tuple[int, ...]] = []
+                before = len(found)
                 _search(graph, labels, steps, assign, {u, v}, found, deadline)
-                classes += len(found) // stab
-                for m in found:         # expand each class once
-                    if time.perf_counter() > deadline:
-                        raise TimeLimitExceeded
-                    if m not in seen:
-                        orbit = [c(m) for c in self._composers]
-                        matches += orbit
-                        if stab > 1:
-                            seen.update(orbit)
-        except TimeLimitExceeded:
-            classes = 0
-        self.elapsed_ms += (time.perf_counter() - t0) * 1000.0
-        self.timed_out = self.elapsed_ms > self.time_limit_ms
-        if not classes:
+                classes += (len(found) - before) // stab
+        except TimeLimitExceeded:       # then the reading below is late too
+            pass
+        now = time.perf_counter()
+        self.elapsed_ms += (now - t0) * 1000.0
+        self.timed_out = now > deadline
+        if self.timed_out:
             return []
         self.dedup_count += classes
         self.match_count += len(self.autos) * classes
-        matches.sort()
-        return matches
+        return found
 
 
 def assign_labels(vertices: Iterable[int], pool: int, seed: int) -> dict[int, int]:

@@ -48,11 +48,25 @@ def graph_of(triples, **kw):
     return TemporalGraph.build(make_events(triples, **kw))
 
 
+def expand_orbits(found, autos):
+    """The sorted mappings m∘a for each found mapping m and automorphism
+    a, each orbit expanded once however often `found` holds it."""
+    seen = set()
+    out = []
+    for m in found:
+        if m not in seen:
+            orbit = [tuple(map(m.__getitem__, a)) for a in autos]
+            seen.update(orbit)
+            out += orbit
+    return sorted(out)
+
+
 def csm_context(q, initial=(), labels=None, window=None, **kw):
     """A MatchContext for q over its own StreamGraph loaded with
     `initial`, and an `insert(u, v, ts)` feeding it the way run_stream
     does: a new pair is added to the graph and searched, a re-inserted or
-    expired one is []."""
+    expired one is [].  `insert` returns every mapping of the matches the
+    pair completes, sorted: the orbits of what `insert_edge` found."""
     data = StreamGraph(window)
     for _pair in data.new_pairs(initial):
         pass
@@ -60,7 +74,7 @@ def csm_context(q, initial=(), labels=None, window=None, **kw):
 
     def insert(u, v, ts):
         new = list(data.new_pairs([(u, v, ts)]))
-        return ctx.insert_edge(u, v) if new else []
+        return expand_orbits(ctx.insert_edge(u, v), ctx.autos) if new else []
     return ctx, insert
 
 

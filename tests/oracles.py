@@ -655,11 +655,16 @@ def enumerate_embeddings(nodes, pairs, q_n, q_edges, labels=None,
     return results
 
 
-def dedup_by_automorphism(q_n, q_edges, mappings, q_labels=None):
-    autos = [m for m in enumerate_embeddings(
+def automorphisms(q_n, q_edges, q_labels=None):
+    """The query's self-embeddings that keep every vertex's label."""
+    return [m for m in enumerate_embeddings(
         range(q_n), set(q_edges), q_n, q_edges)
         if q_labels is None
         or all(q_labels[i] == q_labels[m[i]] for i in range(q_n))]
+
+
+def dedup_by_automorphism(q_n, q_edges, mappings, q_labels=None):
+    autos = automorphisms(q_n, q_edges, q_labels)
     seen = set()
     out = []
     for m in mappings:

@@ -761,6 +761,55 @@ def test_csm_query_over_automorphism_cap_exits_2(data_dir, tmp_path,
     assert not out.exists()
 
 
+def test_csm_query_files_with_one_stem_exit_1(data_dir, tmp_path, capsys):
+    # the report names a query by its file's stem, so two would share a row
+    paths = [tmp_path / d / "q.txt" for d in ("a", "b")]
+    for path in paths:
+        path.parent.mkdir()
+        path.write_text("v 0 *; v 1 *; v 2 *; e 0 1; e 1 2; e 2 0\n")
+    out = tmp_path / "csm.csv"
+    capsys.readouterr()
+    rc = main(["csm", "--input", str(data_dir / "planted.csv"),
+               "--initial-until", str(ledger_of(data_dir)["csm_initial_until"]),
+               "--queries", *map(str, paths), "--output", str(out)])
+    assert rc == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.count("\n") == 1
+    assert all(str(path) in captured.err for path in paths)
+    assert not out.exists() and not (tmp_path / "csm.csv.meta.json").exists()
+
+
+@pytest.mark.parametrize("pool, text, label", [
+    (None, "v 0 1; v 1 0; e 0 1; e 1 0", "1"),
+    ("2", "v 0 *; v 1 2; e 0 1; e 1 0", "2"),
+    ("2", "v 0 0; v 1 -1; e 0 1; e 1 0", "-1"),
+])
+def test_csm_query_label_no_vertex_has_exits_2(data_dir, tmp_path, capsys,
+                                               pool, text, label):
+    """Data vertices get labels in [0, --label-pool) only with a label
+    pool, so a query label outside it could never match."""
+    qfile = tmp_path / "lab.q"
+    qfile.write_text(text + "\n")
+    out = tmp_path / "csm.csv"
+    argv = ["csm", "--input", str(data_dir / "planted.csv"),
+            "--initial-until", str(ledger_of(data_dir)["csm_initial_until"]),
+            "--queries", str(qfile), "--output", str(out)]
+    capsys.readouterr()
+    rc = main(argv + ([] if pool is None else ["--label-pool", pool]))
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err.startswith("nftgraph: ") and err.count("\n") == 1
+    assert "'lab'" in err and f"label {label} " in err
+    assert not out.exists()
+    # labels inside the pool are searched
+    qfile.write_text("v 0 1; v 1 0; e 0 1; e 1 0\n")
+    assert main(argv + ["--label-pool", "2"]) == 0
+    with open(out) as fh:
+        (row,) = list(csv.DictReader(fh))
+    assert row["query"] == "lab" and row["timed_out"] == "0"
+
+
 def test_csm_budget_spent_on_automorphisms_exits_3(data_dir, tmp_path,
                                                     capsys):
     # 8! automorphisms outlast a 20 ms budget; the stream is empty, so no

@@ -2,6 +2,7 @@ import itertools
 import math
 import random
 import time
+from collections import Counter
 
 import pytest
 
@@ -412,11 +413,10 @@ def _random_query(rng):
             continue
 
 
-def _check_against_oracle(initial, stream, q, labels, window):
-    """insert_edge's outputs, match_count and dedup_count equal the
-    brute-force embeddings that use a stream pair, each reported at the
-    insert that completes it, filtered by the window over each pair's
-    first-insert timestamp."""
+def _completed_by_insert(initial, stream, q, labels, window):
+    """The brute-force embeddings that use a stream pair, keyed by the
+    index in `initial + stream` of the insert that completes each,
+    filtered by the window over each pair's first-insert timestamp."""
     first: dict[tuple[int, int], tuple[int, int]] = {}   # pair -> (i, ts)
     for i, (u, v, t) in enumerate(initial + stream):
         first.setdefault((u, v), (i, t))
@@ -430,6 +430,15 @@ def _check_against_oracle(initial, stream, q, labels, window):
         if done >= len(initial) and (
                 window is None or max(ts) - min(ts) <= window):
             want.setdefault(done, []).append(m)
+    return want
+
+
+def _check_against_oracle(initial, stream, q, labels, window):
+    """The orbits of insert_edge's outputs, match_count and dedup_count
+    equal the brute-force embeddings that use a stream pair, each
+    reported at the insert that completes it, filtered by the window over
+    each pair's first-insert timestamp."""
+    want = _completed_by_insert(initial, stream, q, labels, window)
     ctx, insert = csm_context(q, initial, labels, window=window)
     for i, (u, v, t) in enumerate(stream, len(initial)):
         got = insert(u, v, t)
@@ -461,6 +470,52 @@ def test_symmetry_breaking_matches_oracle():
             (r,) = run_stream(edges[:cut], edges[cut:], [q], window=window,
                               label_pool=pool, seed=k)
             assert (r["matches"], r["matches_dedup"]) == counts
+
+
+def test_insert_edge_returns_each_class_once_per_seed_stabiliser():
+    """Collapsed to orbits under the query's automorphisms, what
+    insert_edge returns is exactly the classes the oracle completes at
+    that insert, each |Stab(x, y)| times, (x, y) being the query edge a
+    member of the class maps onto the new pair; every returned mapping
+    is one of the oracle's embeddings and uses the new pair."""
+    rng = random.Random(163)
+    queries = [parse_query(t) for t in SYMMETRIC_QUERIES]
+    queries += [_random_query(rng) for _ in range(40)]
+    for k, q in enumerate(queries):
+        autos = oracles.automorphisms(q.num_vertices, q.edges, q.labels)
+
+        def canon(m):
+            return min(tuple(map(m.__getitem__, a)) for a in autos)
+
+        def stab(m, pair):
+            (x, y), = [(x, y) for x, y in q.edges if (m[x], m[y]) == pair]
+            return sum(a[x] == x and a[y] == y for a in autos)
+
+        for window, pool in ((None, None), (30, None), (None, 2), (30, 2)):
+            n = rng.randint(3, 7)
+            total = rng.randint(10, 60)
+            cut = rng.randint(0, total)
+            edges = [(rng.randrange(n), rng.randrange(n), 10 * t)
+                     for t in range(total)]
+            labels = {}
+            if pool is not None:
+                labels = assign_labels(dict.fromkeys(
+                    w for u, v, _t in edges for w in (u, v)), pool, k)
+            initial, stream = edges[:cut], edges[cut:]
+            want = _completed_by_insert(initial, stream, q, labels, window)
+            data = StreamGraph(window)
+            for _pair in data.new_pairs(initial):
+                pass
+            ctx = csm.MatchContext(q, data.graph, labels)
+            assert sorted(ctx.autos) == sorted(autos)
+            for i, (u, v, t) in enumerate(stream, len(initial)):
+                if not list(data.new_pairs([(u, v, t)])):
+                    continue
+                got = ctx.insert_edge(u, v)
+                completed = want.get(i, [])
+                assert set(got) <= set(completed)
+                assert Counter(map(canon, got)) == \
+                    {canon(m): stab(m, (u, v)) for m in completed}
 
 
 def test_run_stream_shares_one_graph_across_queries():
@@ -602,9 +657,9 @@ class _CountingClock:
 
 
 def test_time_limit_bounds_the_orbit_expansion(monkeypatch):
-    """The clock jumps two hours once the search is done: the orbit
-    expansion checks the deadline at the first found mapping, so the
-    insert is abandoned, the counters stay and the query is timed out."""
+    """The clock jumps two hours once the search is done: the insert
+    checks the deadline once when its search ends, so it is abandoned,
+    the counters stay and the query is timed out."""
     initial = [(0, 1, 1), (1, 2, 2)]
     _ctx, insert = csm_context(P1, initial)
     assert len(insert(2, 0, 3)) == 3
