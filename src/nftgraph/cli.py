@@ -233,14 +233,8 @@ def cmd_csm(args) -> int:
                   f"named {stem!r} in the report", file=sys.stderr)
             return EXIT_USAGE
         stems[stem] = path
-    g = _load_graph(args.input)
-    edges = list(g.edges(include_null=args.include_null))
-    dropped_hubs: list[int] = []
-    if args.drop_top_hubs:
-        edges, dropped_hubs = _drop_top_hubs(edges, args.drop_top_hubs)
-    initial = [e for e in edges if e[2] <= args.initial_until]
-    stream = [e for e in edges if e[2] > args.initial_until]
-
+    # every query is read and checked before the graph is loaded, so a
+    # rejected one costs no load
     if args.queries:
         queries = []
         for stem, path in stems.items():
@@ -258,6 +252,14 @@ def cmd_csm(args) -> int:
                               f"--label-pool {args.label_pool}")
                 raise DataError(f"query {q.name!r} has vertex label {label} "
                                 f"{where}")
+
+    g = _load_graph(args.input)
+    edges = list(g.edges(include_null=args.include_null))
+    dropped_hubs: list[int] = []
+    if args.drop_top_hubs:
+        edges, dropped_hubs = _drop_top_hubs(edges, args.drop_top_hubs)
+    initial = [e for e in edges if e[2] <= args.initial_until]
+    stream = [e for e in edges if e[2] > args.initial_until]
 
     results = csm_mod.run_stream(
         initial, stream, queries, window=args.window,
@@ -305,8 +307,8 @@ def cmd_export_ml(args) -> int:
     row = "%d,%d" + ",%d" * k + "\r\n"     # csv.writer's ints and CRLF
     for idx in list(negatives):
         write_rows(os.path.join(args.out_dir, f"negatives_{idx:04d}.csv"),
-                   header, [row % (u, v, *negs) for (u, v), negs
-                            in sorted(negatives.pop(idx).items())])
+                   header, (row % (u, v, *negs) for (u, v), negs
+                            in sorted(negatives.pop(idx).items())))
     roles = mlbench.export_features(
         g, snaps, args.out_dir, granularity=args.granularity,
         exclude_null=exclude_null, task=args.task, split_mode=args.split_mode,

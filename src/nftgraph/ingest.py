@@ -24,7 +24,7 @@ from operator import itemgetter
 from typing import Iterable, Iterator, NamedTuple, Sequence
 
 from .errors import MalformedRecord
-from .output import open_output
+from .output import write_table
 
 NULL_ADDRESS = "0x" + "00" * 20
 
@@ -47,7 +47,6 @@ NORMALIZED_HEADER = [
 # 60k rows
 _BLOCK_CHARS = 1 << 14
 _BLOCK_ROWS = 64
-_WRITE_ROWS = 512
 _HEADER_LINES = (",".join(NORMALIZED_HEADER) + "\n",
                  ",".join(NORMALIZED_HEADER) + "\r\n")
 
@@ -374,22 +373,8 @@ def normalize_stream(
 
 
 def write_transfers(path: str, events: Iterable[TransferEvent]) -> None:
-    events = iter(events)
-    with open_output(path) as fh:
-        w = csv.writer(fh)
-        w.writerow(NORMALIZED_HEADER)
-        while chunk := list(islice(events, _WRITE_ROWS)):
-            n = len(chunk)
-            text = ("%s,%s,%s,%s,%s,%s,%s,%s\r\n" * n) % tuple(
-                chain.from_iterable(chunk))
-            # csv.writer quotes a field only if it holds a delimiter, a
-            # quote or a line break; hex strings and ints never do, and
-            # formatting them directly is several times faster
-            if (text.count(",") == 7 * n and text.count("\n") == n
-                    and text.count("\r") == n and '"' not in text):
-                fh.write(text)
-            else:
-                w.writerows(chunk)
+    """Write events as normalized CSV, whole or not at all."""
+    write_table(path, NORMALIZED_HEADER, events)
 
 
 def read_transfers(source) -> Iterator[tuple]:
@@ -444,9 +429,11 @@ def _split_plain(lines: list[str]) -> tuple | None:
     limit, 8 fields and one line break (LF or CRLF, at its end) per
     line, and int columns that all convert."""
     text = ",".join(lines)
+    limit = csv.field_size_limit()
+    # no line is longer than the block that holds it
     if ('"' in text or text.count("\n") != len(lines)
             or not all(map(str.endswith, lines, repeat("\n")))
-            or max(map(len, lines)) > csv.field_size_limit()):
+            or len(text) > limit and max(map(len, lines)) > limit):
         return None
     fields = text.split(",")
     # with one LF per line, at its end, and 8 fields per line on average,

@@ -18,7 +18,7 @@ from typing import Iterator
 
 from .errors import DataError
 from .graph import TemporalGraph
-from .output import open_output, write_csv, write_rows
+from .output import open_output, write_rows, write_table
 from .periods import tag_periods
 
 DAY = 86400
@@ -175,45 +175,47 @@ def export_features(g: TemporalGraph, snapshots: list[Snapshot], out_dir: str,
     seeded random `earlystop` fraction of each snapshot's edges.
     """
     roles = split_roles(split_mode, len(snapshots))
-    label_by_addr = trader_labels(g) if task == "node" else {}
     os.makedirs(out_dir, exist_ok=True)
-    write_csv(os.path.join(out_dir, "addresses.csv"),
-              ["address_id", "address"], enumerate(g.addresses))
+    write_table(os.path.join(out_dir, "addresses.csv"),
+                ["address_id", "address"], enumerate(g.addresses))
     # Every field written below is an int or a TRADER_CLASSES label, which
     # csv.writer never quotes, so rows are formatted here in its dialect.
     # A node's nodes.csv row is reformatted only when its degree changes.
+    if task == "node":
+        label_by_addr = trader_labels(g)
+        ends = {c: f",{c}\r\n" for c in ("", *TRADER_CLASSES)}
+        # each node's row ending: one of six shared strings
+        suffix = [ends[label_by_addr.get(a, "")] for a in g.addresses]
     degree = [0] * g.num_nodes       # pair-degree up to this snapshot
     rows = [""] * g.num_nodes        # each active node's nodes.csv row
     order: list[int] = []            # the active nodes, in id order
     for snap in snapshots:
+        stats = snap.pair_stats
         order += snap.new_nodes
         order.sort()                 # timsort merges the two sorted runs
         if task == "node":
             changed = set(snap.new_nodes)
-            for u, v in snap.pair_stats:
+            changed.update(*stats)
+            for u, v in stats:
                 degree[u] += 1
                 degree[v] += 1
-                changed.add(u)
-                changed.add(v)
             for w in changed:
-                rows[w] = "%d,%d,%s\r\n" % (
-                    w, degree[w], label_by_addr.get(g.addresses[w], ""))
+                rows[w] = "%d,%d%s" % (w, degree[w], suffix[w])
         else:
             for w in snap.new_nodes:
                 rows[w] = "%d,1\r\n" % w
         sd = os.path.join(out_dir, f"snapshot_{snap.index:04d}")
         os.makedirs(sd, exist_ok=True)
-        pairs = sorted(snap.pair_stats.items())
+        pairs = sorted(stats)        # distinct keys: the items' order
         header = "src,dst,tx_count,last_ts"
         if split_mode == "live_update":
             header += ",earlystop"
             rng = random.Random(f"{seed}:es:{snap.index}")
-            edges = ["%d,%d,%d,%d,%d\r\n" % (u, v, cnt, last,
+            edges = ["%d,%d,%d,%d,%d\r\n" % (*uv, *stats[uv],
                                              rng.random() < earlystop_fraction)
-                     for (u, v), (cnt, last) in pairs]
+                     for uv in pairs]
         else:
-            edges = ["%d,%d,%d,%d\r\n" % (u, v, cnt, last)
-                     for (u, v), (cnt, last) in pairs]
+            edges = ["%d,%d,%d,%d\r\n" % (uv + stats[uv]) for uv in pairs]
         write_rows(os.path.join(sd, "edges.csv"), header, edges)
         write_rows(os.path.join(sd, "nodes.csv"),
                    "address_id,degree,label" if task == "node"

@@ -3,6 +3,20 @@
 A file is written whole or not at all: the data goes to a temporary file
 in the target's directory and is moved over the target only when the
 writer finishes.  `None` or "-" means stdout.
+
+Two writers carry the large CSV files, each in chunks of at most
+`_CHUNK_ROWS` (512) rows, one `write` per chunk, so no file's text is
+ever held whole:
+
+- `write_rows` takes rows the caller has already formatted, each ending
+  in CRLF as csv.writer's rows do.
+- `write_table` takes rows of ints and strs with two or more fields and
+  writes what csv.writer writes.  A chunk whose rows all have the first
+  row's width is formatted with one `%`, and goes through csv.writer
+  instead when a field would need quoting or a row has another width.
+
+`write_csv` is csv.writer itself, for the small files whose rows may
+hold floats or None.
 """
 
 from __future__ import annotations
@@ -11,6 +25,12 @@ import csv
 import os
 import sys
 from contextlib import contextmanager
+from itertools import chain, islice
+
+# Bounded so that no file's text is held whole: joining whole files ran
+# no faster and peaked 2 MB higher on perfbench `export`, whose negatives
+# file is 1.2 MB of text
+_CHUNK_ROWS = 512
 
 
 @contextmanager
@@ -54,7 +74,33 @@ def write_csv(path: str | None, header, rows) -> None:
 
 def write_rows(path: str | None, header: str, rows) -> None:
     """Write a header and preformatted rows, each ending in CRLF as
-    csv.writer's rows do, through `open_output`."""
+    csv.writer's rows do, through `open_output`, one join per chunk."""
+    rows = iter(rows)
     with open_output(path) as fh:
         fh.write(header + "\r\n")
-        fh.writelines(rows)
+        while chunk := list(islice(rows, _CHUNK_ROWS)):
+            fh.write("".join(chunk))
+
+
+def write_table(path: str | None, header, rows) -> None:
+    """Write a header and rows of ints and strs, two or more fields each,
+    as csv.writer writes them, through `open_output`."""
+    rows = iter(rows)
+    with open_output(path) as fh:
+        w = csv.writer(fh)
+        w.writerow(header)
+        while chunk := list(islice(rows, _CHUNK_ROWS)):
+            n, width = len(chunk), len(chunk[0])
+            # csv.writer quotes a field only if it holds a delimiter, a
+            # quote or a line break (or is an empty row's only field);
+            # ints and hex strings never do, and one `%` is several times
+            # faster
+            if width > 1 and set(map(len, chunk)) == {width}:
+                text = (("%s," * (width - 1) + "%s\r\n") * n) % tuple(
+                    chain.from_iterable(chunk))
+                if (text.count(",") == (width - 1) * n
+                        and text.count("\n") == n and text.count("\r") == n
+                        and '"' not in text):
+                    fh.write(text)
+                    continue
+            w.writerows(chunk)

@@ -810,6 +810,32 @@ def test_csm_query_label_no_vertex_has_exits_2(data_dir, tmp_path, capsys,
     assert row["query"] == "lab" and row["timed_out"] == "0"
 
 
+@pytest.mark.parametrize("text, message", [
+    ("v 0 *; v 1 *; x 0 1", "unparseable statement 'x 0 1'"),
+    ("v 0 *; v 1 2; e 0 1", "query 'q' has vertex label 2 outside [0, 2)"),
+])
+def test_csm_rejected_query_loads_no_graph(data_dir, tmp_path, capsys,
+                                           monkeypatch, text, message):
+    """Every query is read and checked before the graph is loaded."""
+    def load_graph(path):
+        raise AssertionError(f"{path} loaded for a rejected query")
+
+    monkeypatch.setattr("nftgraph.cli._load_graph", load_graph)
+    qfile = tmp_path / "q.txt"
+    qfile.write_text(text + "\n")
+    out = tmp_path / "csm.csv"
+    capsys.readouterr()
+    rc = main(["csm", "--input", str(data_dir / "planted.csv"),
+               "--initial-until", str(ledger_of(data_dir)["csm_initial_until"]),
+               "--queries", str(qfile), "--label-pool", "2",
+               "--output", str(out)])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err.startswith("nftgraph: ") and err.count("\n") == 1
+    assert message in err
+    assert not out.exists()
+
+
 def test_csm_budget_spent_on_automorphisms_exits_3(data_dir, tmp_path,
                                                     capsys):
     # 8! automorphisms outlast a 20 ms budget; the stream is empty, so no

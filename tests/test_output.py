@@ -2,7 +2,9 @@
 
 import ast
 import builtins
+import csv
 import errno
+import io
 import os
 import random
 import stat
@@ -10,6 +12,8 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import graph_of, random_events
 
@@ -18,7 +22,7 @@ from nftgraph.fixture import generate, write_raw_csv
 from nftgraph.graph import TemporalGraph
 from nftgraph.ingest import normalize_stream
 from nftgraph.mlbench import build_snapshots, export_features
-from nftgraph.output import open_output, write_csv
+from nftgraph.output import open_output, write_csv, write_rows, write_table
 
 SRC = Path(output.__file__).parent
 
@@ -28,16 +32,14 @@ def _tree(root: Path) -> dict[str, bytes]:
             for p in sorted(root.rglob("*")) if p.is_file()}
 
 
-class _FullDisk:
-    """A file whose writes fail with ENOSPC once a shared budget is spent."""
+class _WatchedFile:
+    """A file that calls `on_write(data)` before each write."""
 
-    def __init__(self, fh, budget: list[int]):
-        self._fh, self._budget = fh, budget
+    def __init__(self, fh, on_write):
+        self._fh, self._on_write = fh, on_write
 
     def write(self, data):
-        self._budget[0] -= len(data)
-        if self._budget[0] < 0:
-            raise OSError(errno.ENOSPC, "No space left on device")
+        self._on_write(data)
         return self._fh.write(data)
 
     def writelines(self, lines):
@@ -54,16 +56,34 @@ class _FullDisk:
         self._fh.close()
 
 
+def _watch_writes(monkeypatch, on_write) -> None:
+    monkeypatch.setattr(
+        output, "open",
+        lambda *a, **kw: _WatchedFile(builtins.open(*a, **kw), on_write),
+        raising=False)
+
+
 @pytest.fixture
 def disk_full(monkeypatch):
     """Make every output file fail after `nbytes` bytes written in total."""
     def arm(nbytes: int) -> None:
         budget = [nbytes]
-        monkeypatch.setattr(
-            output, "open",
-            lambda *a, **kw: _FullDisk(builtins.open(*a, **kw), budget),
-            raising=False)
+
+        def spend(data):
+            budget[0] -= len(data)
+            if budget[0] < 0:
+                raise OSError(errno.ENOSPC, "No space left on device")
+
+        _watch_writes(monkeypatch, spend)
     return arm
+
+
+@pytest.fixture
+def write_sizes(monkeypatch):
+    """The length of every write to an output file, in order."""
+    sizes: list[int] = []
+    _watch_writes(monkeypatch, lambda data: sizes.append(len(data)))
+    return sizes
 
 
 def _rows_then(exc):
@@ -189,6 +209,102 @@ def test_failed_export_leaves_each_file_whole(tmp_path, disk_full):
     assert any(data != node[rel] for rel, data in after.items())
 
 
+# -- the chunked writers ----------------------------------------------
+
+HEADER = ["id", "hash", "n"]
+
+
+def _table(n: int) -> list[tuple]:
+    return [(i, f"0x{i:040x}", -i) for i in range(n)]
+
+
+def _csv_text(header, rows) -> str:
+    buf = io.StringIO(newline="")
+    w = csv.writer(buf)
+    w.writerow(header)
+    w.writerows(rows)
+    return buf.getvalue()
+
+
+def _write(kind: str, path, rows):
+    """Write `_table` rows with `write_rows` or `write_table`."""
+    if kind == "rows":
+        write_rows(path, ",".join(HEADER),
+                   ("%d,%s,%d\r\n" % row for row in rows))
+    else:
+        write_table(path, HEADER, rows)
+
+
+@pytest.mark.parametrize("kind", ["rows", "table"])
+@pytest.mark.parametrize("source", ["list", "generator"])
+@pytest.mark.parametrize("n", [0, 512, 513, 1025])
+def test_chunked_writers_write_csv_writer_bytes_a_chunk_at_a_time(
+        tmp_path, write_sizes, kind, source, n):
+    rows = _table(n)
+    _write(kind, str(tmp_path / "out.csv"),
+           rows if source == "list" else (row for row in rows))
+    text = _csv_text(HEADER, rows)
+    assert (tmp_path / "out.csv").read_bytes() == text.encode()
+    # the header, then one write per chunk of at most 512 rows
+    head, *lines = text.splitlines(keepends=True)
+    assert write_sizes == [len(head), *(sum(map(len, lines[i:i + 512]))
+                                        for i in range(0, n, 512))]
+
+
+@pytest.mark.parametrize("kind", ["rows", "table"])
+@pytest.mark.parametrize("n", [0, 512, 513, 1025])
+def test_chunked_writers_write_to_stdout(capsys, kind, n):
+    capsys.readouterr()
+    _write(kind, None, _table(n))
+    assert capsys.readouterr().out == _csv_text(HEADER, _table(n))
+    assert not sys.stdout.closed
+
+
+@pytest.mark.parametrize("kind", ["rows", "table"])
+def test_chunked_writer_failing_after_a_chunk_leaves_target(
+        tmp_path, write_sizes, kind):
+    target = tmp_path / "out.csv"
+    old = b"old,content\r\n"
+    target.write_bytes(old)
+
+    def rows():
+        yield from _table(600)
+        raise OSError("source gone")
+
+    with pytest.raises(OSError, match="source gone"):
+        _write(kind, str(target), rows())
+    assert len(write_sizes) == 2        # the header and the first chunk
+    assert _tree(tmp_path) == {"out.csv": old}
+
+
+_CLEAN_TEXT = st.text(alphabet="0xab", max_size=6)
+_ANY_TEXT = st.text(alphabet=st.sampled_from([",", '"', "\r", "\n", "0", "x"]),
+                    max_size=6)
+
+
+@st.composite
+def _tables(draw):
+    """Rows of one width with ints and plain text, mixed with rows of
+    2-8 fields that may hold a delimiter, a quote or a line break."""
+    width = draw(st.integers(2, 8))
+    clean = st.lists(st.one_of(st.integers(), _CLEAN_TEXT),
+                     min_size=width, max_size=width)
+    dirty = st.lists(st.one_of(st.integers(), _ANY_TEXT),
+                     min_size=2, max_size=8)
+    return draw(st.lists(st.one_of(clean, clean, dirty), max_size=24))
+
+
+@settings(max_examples=300, deadline=None)
+@given(rows=_tables(), chunk_rows=st.integers(1, 5))
+def test_write_table_bytes_equal_csv_writer(tmp_path_factory, rows,
+                                            chunk_rows):
+    path = tmp_path_factory.mktemp("table") / "out.csv"
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(output, "_CHUNK_ROWS", chunk_rows)
+        write_table(str(path), HEADER, rows)
+    assert path.read_bytes() == _csv_text(HEADER, rows).encode()
+
+
 def _open_calls(path: Path):
     """Yield every open() call and its mode argument (None if absent)."""
     for node in ast.walk(ast.parse(path.read_text(), str(path))):
@@ -233,6 +349,34 @@ def test_write_guard_sees_write_modes(tmp_path):
         "open(p)\nopen(p, 'rb')\nopen(p, 'w')\nopen(p, mode='a')\n"
         "io.open(p, 'x')\nopen(p, m)\nopen(p, 'r+b')\n")
     assert list(_write_opens(sample)) == [3, 4, 5, 6, 7]
+
+
+def _csv_writer_uses(path: Path):
+    """Yield the line of every `csv.writer` or `csv.DictWriter` named,
+    called or imported."""
+    names = {"writer", "DictWriter"}
+    for node in ast.walk(ast.parse(path.read_text(), str(path))):
+        if (isinstance(node, ast.Attribute) and node.attr in names
+                and getattr(node.value, "id", None) == "csv"):
+            yield node.lineno
+        elif (isinstance(node, ast.ImportFrom) and node.module == "csv"
+              and any(alias.name in names for alias in node.names)):
+            yield node.lineno
+
+
+def test_only_the_output_module_builds_csv_writers():
+    offenders = [f"{p.name}:{line}" for p in sorted(SRC.glob("*.py"))
+                 if p.name != "output.py" for line in _csv_writer_uses(p)]
+    assert offenders == []
+
+
+def test_csv_writer_guard_sees_writers(tmp_path):
+    sample = tmp_path / "sample.py"
+    sample.write_text(
+        "import csv\ncsv.writer(fh)\ncsv.reader(fh)\nw = csv.writer\n"
+        "from csv import reader\nfrom csv import Error, writer\n"
+        "fh.writer(x)\ncsv.DictWriter(fh, f)\nfrom csv import DictWriter\n")
+    assert sorted(_csv_writer_uses(sample)) == [2, 4, 6, 8, 9]
 
 
 def test_every_text_input_is_read_as_utf8_sig():
