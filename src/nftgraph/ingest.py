@@ -64,16 +64,6 @@ _CANONICAL_CSV = re.compile(
     r"(0x[0-9a-f]{64}(?:\|0x[0-9a-f]{64}){0,3}),(0x(?:[0-9a-f]{2})*)\Z")
 
 
-class RawLog(NamedTuple):
-    block_number: int
-    block_timestamp: int
-    tx_hash: str
-    log_index: int
-    contract: str
-    topics: tuple[str, ...]
-    data: str
-
-
 class TransferEvent(NamedTuple):
     """One ERC-721 transfer, which is also one normalized CSV row: the
     fields are in NORMALIZED_HEADER order."""
@@ -147,20 +137,14 @@ def _canonical_fields(m: re.Match, upper: int) -> tuple:
     return block, ts, tx_hash, log_index, contract, topics, data
 
 
-def _canonical_raw(m: re.Match, now: int | None) -> RawLog:
-    """The RawLog of a `_CANONICAL_CSV` match."""
-    *head, topics, data = _canonical_fields(
-        m, now if now is not None else int(time.time()))
-    return RawLog(*head, tuple(topics.split("|")), data)
-
-
 def _as_canonical_csv(obj: dict, topics: list) -> str:
     """`obj`'s fields as a raw CSV line to match against `_CANONICAL_CSV`,
     or "" if a topic is not a str or holds a `|`.
 
     Only the match is trusted: no text of a JSON value but a str or an
-    int matches a field of the pattern.  `parse_log_line` passes a JSON
-    object as read, then any line's normalized fields.
+    int matches a field of the pattern.  `_block_matches` and
+    `parse_log_line` pass a JSON object as read; `parse_log_line` then
+    passes the normalized fields of a line that did not match.
     """
     try:
         joined = "|".join(topics)
@@ -185,17 +169,20 @@ def _json_topics(obj: dict) -> list:
     return topics
 
 
-def parse_log_line(line: str, *, now: int | None = None) -> RawLog:
-    """Parse one raw JSONL or CSV line into a RawLog.
+def parse_log_line(line: str, *, now: int | None = None) -> tuple:
+    """The seven fields of one raw JSONL or CSV line, as
+    `_canonical_fields` gives them: block number, timestamp, tx hash,
+    log index, contract, pipe-joined topics and data.
 
     Raises MalformedRecord for bad JSON or CSV, a missing key, a field
-    that does not normalize to `_CANONICAL_CSV` or an out-of-range
-    timestamp.
+    that does not normalize to `_CANONICAL_CSV` or a timestamp outside
+    [EARLIEST_TIMESTAMP, `now`] (the wall clock if None).
     """
+    upper = now if now is not None else int(time.time())
     stripped = line.strip()
     m = _CANONICAL_CSV.match(stripped)
     if m is not None:
-        return _canonical_raw(m, now)
+        return _canonical_fields(m, upper)
     if not stripped:
         raise MalformedRecord("empty line")
     if stripped.startswith("{"):
@@ -206,7 +193,7 @@ def parse_log_line(line: str, *, now: int | None = None) -> RawLog:
         topics = _json_topics(obj)
         m = _CANONICAL_CSV.match(_as_canonical_csv(obj, topics))
         if m is not None:
-            return _canonical_raw(m, now)
+            return _canonical_fields(m, upper)
     else:
         try:
             row = next(csv.reader([stripped]))
@@ -227,12 +214,13 @@ def parse_log_line(line: str, *, now: int | None = None) -> RawLog:
         norm, [_hex_string(t, "topic") for t in topics]))
     if m is None:
         raise MalformedRecord("field width or digits")
-    return _canonical_raw(m, now)
+    return _canonical_fields(m, upper)
 
 
 def _transfer_fields(topics: Sequence[str]) -> tuple | SkipReason:
     """(from_addr, to_addr, token_id) of a log's topics, or the reason to
-    skip it; MalformedRecord for a transfer from and to Null."""
+    skip it; MalformedRecord for a transfer from and to Null.  A 3-topic
+    Transfer (the ERC-20 shape) marks the contract as non-conforming."""
     if topics[0] != TRANSFER_TOPIC:
         return SkipReason.WRONG_TOPIC
     if len(topics) != 4:
@@ -244,24 +232,11 @@ def _transfer_fields(topics: Sequence[str]) -> tuple | SkipReason:
     return from_addr, to_addr, int(topics[3], 16)
 
 
-def decode_transfer(raw: RawLog) -> TransferEvent | SkipReason:
-    """Decode a RawLog into a TransferEvent, or the reason to skip it.
-
-    A conforming ERC-721 Transfer carries 4 topics: the event hash plus
-    indexed from/to/tokenId.  The 3-topic variant is the ERC-20 shape
-    (value lives in `data`) and marks the contract as non-conforming.
-    """
-    fields = _transfer_fields(raw.topics)
-    if isinstance(fields, SkipReason):
-        return fields
-    return TransferEvent(raw.block_timestamp, raw.block_number, raw.tx_hash,
-                         raw.log_index, raw.contract, *fields)
-
-
 def _block_matches(lines: list[str]) -> list[re.Match | None]:
-    """The `_CANONICAL_CSV` match of each raw line, as `parse_log_line`
-    makes it for a canonical CSV line or a JSON object whose fields are
-    canonical, or None for a line that must go through `parse_log_line`.
+    """The `_CANONICAL_CSV` match of each raw line, whose
+    `_canonical_fields` are what `parse_log_line` returns for a canonical
+    CSV line or a JSON object whose fields are canonical, or None for a
+    line that must go through `parse_log_line`.
 
     The JSON lines of the block are parsed by one `json.loads` of their
     join into an array, and only if that is what parsing each line
@@ -328,25 +303,15 @@ def normalize_stream(
                         continue        # a blank line or a CSV header
                     stats.records_read += 1
                     try:
-                        if m is None:
-                            raw = parse_log_line(line, now=wall)
                         (block, ts, tx_hash, log_index, contract, topics,
-                         _) = raw if m is None else _canonical_fields(m, wall)
+                         _) = (parse_log_line(line, now=wall) if m is None
+                               else _canonical_fields(m, wall))
                         key = tx_hash, log_index
                         if key in seen:
                             stats.skipped_duplicate += 1
                             continue
                         seen.add(key)
-                        if m is None:
-                            outcome = decode_transfer(raw)
-                        else:
-                            outcome = _transfer_fields(topics.split("|"))
-                            if not isinstance(outcome, SkipReason):
-                                src, dst, token = outcome
-                                outcome = (ts, block, tx_hash, log_index,
-                                           intern(contract, contract),
-                                           intern(src, src), intern(dst, dst),
-                                           token)
+                        outcome = _transfer_fields(topics.split("|"))
                     except MalformedRecord:
                         stats.skipped_malformed += 1
                         continue
@@ -358,7 +323,11 @@ def normalize_stream(
                         stats.skipped_non_conforming += 1
                         bad_contracts.add(contract)
                     else:
-                        rows.append(outcome)
+                        src, dst, token = outcome
+                        rows.append((ts, block, tx_hash, log_index,
+                                     intern(contract, contract),
+                                     intern(src, src), intern(dst, dst),
+                                     token))
 
     survivors = [r for r in rows if r[4] not in bad_contracts]
     stats.skipped_non_conforming += len(rows) - len(survivors)

@@ -486,13 +486,16 @@ def read_transfers(fh):
             f"bad csv at line {reader.line_num}: {e}") from None
 
 
+_TRANSFER_TOPIC = "0x" + keccak256(b"Transfer(address,address,uint256)")
+_NULL = "0x" + "0" * 40
+
+
 def normalize_stream(inputs, now):
     """(stats, contract rows, normalized CSV text) of raw log files read
-    one line at a time: each line through ingest.parse_log_line and
-    ingest.decode_transfer, the survivors written by csv.writer."""
+    one line at a time: each line through ingest.parse_log_line, its
+    topics decoded here, the survivors written by csv.writer."""
     from nftgraph.errors import MalformedRecord
-    from nftgraph.ingest import (NORMALIZED_HEADER, IngestStats, SkipReason,
-                                 decode_transfer, parse_log_line)
+    from nftgraph.ingest import NORMALIZED_HEADER, IngestStats, parse_log_line
     stats = IngestStats()
     seen = set()
     events = []
@@ -506,29 +509,34 @@ def normalize_stream(inputs, now):
                     continue
                 stats.records_read += 1
                 try:
-                    raw = parse_log_line(line, now=now)
-                    key = (raw.tx_hash, raw.log_index)
-                    if key in seen:
-                        stats.skipped_duplicate += 1
-                        continue
-                    seen.add(key)
-                    outcome = decode_transfer(raw)
+                    block, ts, tx_hash, log_index, contract, topics, _ = (
+                        parse_log_line(line, now=now))
                 except MalformedRecord:
                     stats.skipped_malformed += 1
                     continue
-                if outcome is SkipReason.WRONG_TOPIC:
+                if (tx_hash, log_index) in seen:
+                    stats.skipped_duplicate += 1
+                    continue
+                seen.add((tx_hash, log_index))
+                topics = topics.split("|")
+                if topics[0] != _TRANSFER_TOPIC:
                     stats.skipped_wrong_topic += 1
                     continue
-                log_counts[raw.contract] += 1
-                if outcome is SkipReason.ARITY:
+                if len(topics) != 4:
+                    log_counts[contract] += 1
                     stats.skipped_non_conforming += 1
-                    bad_contracts.add(raw.contract)
-                else:
-                    events.append(outcome)
-    survivors = [ev for ev in events if ev.contract not in bad_contracts]
+                    bad_contracts.add(contract)
+                    continue
+                src, dst = "0x" + topics[1][-40:], "0x" + topics[2][-40:]
+                if src == dst == _NULL:
+                    stats.skipped_malformed += 1
+                    continue
+                log_counts[contract] += 1
+                events.append((ts, block, tx_hash, log_index, contract,
+                               src, dst, int(topics[3], 16)))
+    survivors = [ev for ev in events if ev[4] not in bad_contracts]
     stats.skipped_non_conforming += len(events) - len(survivors)
-    survivors.sort(key=lambda ev: (ev.timestamp, ev.block_number,
-                                   ev.log_index))
+    survivors.sort(key=lambda ev: (ev[0], ev[1], ev[3]))
     stats.transfers_emitted = len(survivors)
     contracts = [{"contract": c, "erc721": c not in bad_contracts,
                   "log_count": log_counts[c]} for c in sorted(log_counts)]
@@ -578,8 +586,9 @@ def _int_field(value):
 
 
 def parse_log_line(line, now, earliest):
-    """The seven RawLog fields of a raw JSONL or CSV line, or None where
-    ingest.parse_log_line must raise MalformedRecord."""
+    """The seven fields ingest.parse_log_line returns for a raw JSONL or
+    CSV line (topics pipe-joined), or None where it must raise
+    MalformedRecord."""
     text = line.strip()
     if not text:
         return None
@@ -612,7 +621,7 @@ def parse_log_line(line, now, earliest):
                 _hex_field(obj["transaction_hash"], 32),
                 _int_field(obj["log_index"]),
                 _hex_field(obj["address"], 20),
-                tuple(_hex_field(t, 32) for t in topics),
+                "|".join(_hex_field(t, 32) for t in topics),
                 _hex_field(obj["data"]))
     except Malformed:
         return None

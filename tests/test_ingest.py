@@ -15,10 +15,9 @@ import nftgraph
 from nftgraph.errors import MalformedRecord
 import nftgraph.ingest as ingest
 from nftgraph.ingest import (EARLIEST_TIMESTAMP, NORMALIZED_HEADER,
-                             NULL_ADDRESS, RAW_CSV_COLUMNS, TRANSFER_TOPIC, RawLog, SkipReason,
-                             TransferEvent, decode_transfer,
-                             normalize_stream, parse_log_line, read_transfers,
-                             write_transfers)
+                             NULL_ADDRESS, RAW_CSV_COLUMNS, TRANSFER_TOPIC,
+                             SkipReason, TransferEvent, normalize_stream,
+                             parse_log_line, read_transfers, write_transfers)
 import oracles
 from conftest import transfer_rows
 from oracles import keccak256
@@ -57,19 +56,20 @@ def test_parse_json_line():
         "topics": transfer_topics("0x" + "01" * 20, "0x" + "02" * 20, 7),
         "data": "0x",
     }
-    raw = parse_log_line(json.dumps(obj), now=NOW)
-    assert raw.block_number == 100
-    assert raw.log_index == 3
-    assert len(raw.topics) == 4
+    block, ts, _, log_index, _, topics, data = parse_log_line(
+        json.dumps(obj), now=NOW)
+    assert (block, ts, log_index, data) == (100, 1600000000, 3, "0x")
+    assert topics == "|".join(obj["topics"])
 
 
 def test_parse_csv_line_matches_json():
     topics = transfer_topics("0x" + "01" * 20, "0x" + "02" * 20, 7)
     line = raw_csv_line(100, 1600000000, "0x" + "12" * 32, 3,
                         GOOD_CONTRACT, topics)
-    raw = parse_log_line(line, now=NOW)
-    assert raw.contract == GOOD_CONTRACT
-    assert raw.topics == tuple(topics)
+    fields = parse_log_line(line, now=NOW)
+    assert fields[4] == GOOD_CONTRACT
+    assert fields[5] == "|".join(topics)
+    assert fields == parse_log_line(_as_json(line), now=NOW)
 
 
 @pytest.mark.parametrize("mutate", [
@@ -111,41 +111,39 @@ def test_parse_rejects_empty_and_bad_csv():
         parse_log_line("1,2," + "a" * 200000 + ",3,4,5,6", now=NOW)
 
 
-def _raw(topics, contract=GOOD_CONTRACT):
-    return parse_log_line(raw_csv_line(
-        1, 1600000000, "0x" + "12" * 32, 0, contract, topics), now=NOW)
+def _decode(topics):
+    """`_transfer_fields` of the topics of a raw line holding `topics`."""
+    fields = parse_log_line(raw_csv_line(
+        1, 1600000000, "0x" + "12" * 32, 0, GOOD_CONTRACT, topics), now=NOW)
+    return ingest._transfer_fields(fields[5].split("|"))
 
 
 def test_decode_conforming_transfer():
     src, dst = "0x" + "01" * 20, "0x" + "02" * 20
-    ev = decode_transfer(_raw(transfer_topics(src, dst, 99)))
-    assert ev.from_addr == src and ev.to_addr == dst
-    assert ev.token_id == 99
+    assert _decode(transfer_topics(src, dst, 99)) == (src, dst, 99)
 
 
 def test_decode_mint_and_burn_flags():
     dst = "0x" + "02" * 20
-    mint = decode_transfer(_raw(transfer_topics(NULL_ADDRESS, dst, 1)))
-    assert (mint.from_addr, mint.to_addr) == (NULL_ADDRESS, dst)
-    burn = decode_transfer(_raw(transfer_topics(dst, NULL_ADDRESS, 1)))
-    assert (burn.from_addr, burn.to_addr) == (dst, NULL_ADDRESS)
+    assert _decode(transfer_topics(NULL_ADDRESS, dst, 1)) == (
+        NULL_ADDRESS, dst, 1)
+    assert _decode(transfer_topics(dst, NULL_ADDRESS, 1)) == (
+        dst, NULL_ADDRESS, 1)
 
 
 def test_decode_three_topic_is_arity_skip():
-    out = decode_transfer(_raw([TRANSFER_TOPIC,
-                                pad_addr("0x" + "01" * 20),
-                                pad_addr("0x" + "02" * 20)]))
+    out = _decode([TRANSFER_TOPIC, pad_addr("0x" + "01" * 20),
+                   pad_addr("0x" + "02" * 20)])
     assert out is SkipReason.ARITY
 
 
 def test_decode_wrong_topic_skip():
-    out = decode_transfer(_raw([OTHER_TOPIC] * 4))
-    assert out is SkipReason.WRONG_TOPIC
+    assert _decode([OTHER_TOPIC] * 4) is SkipReason.WRONG_TOPIC
 
 
 def test_decode_null_to_null_is_malformed():
     with pytest.raises(MalformedRecord):
-        decode_transfer(_raw(transfer_topics(NULL_ADDRESS, NULL_ADDRESS, 1)))
+        _decode(transfer_topics(NULL_ADDRESS, NULL_ADDRESS, 1))
 
 
 def golden_raw_lines():
@@ -281,7 +279,7 @@ def test_canonical_and_general_csv_parse_agree():
                         block_timestamp=" 1600000000", log_index="+3")),
     ]
     expected = parse_log_line(canon, now=NOW)
-    assert expected.topics == tuple(topics) and expected.data == "0x00ff"
+    assert expected[5:] == ("|".join(topics), "0x00ff")
     for line in variants:
         assert parse_log_line(line, now=NOW) == expected
     with pytest.raises(MalformedRecord, match="timestamp out of range"):
@@ -294,34 +292,46 @@ def test_canonical_and_general_csv_parse_agree():
 SRC = Path(nftgraph.__file__).parent
 
 
+_MATCH_READERS = {"group", "groups", "groupdict"}
+
+
 def _validator_uses(path: Path):
-    """Yield "RawLog" for each call of `RawLog` and "EARLIEST_TIMESTAMP"
-    for each read of that name."""
-    for node in ast.walk(ast.parse(path.read_text(), str(path))):
-        if (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
-                and node.func.id == "RawLog"):
-            yield "RawLog"
-        elif (isinstance(node, (ast.Name, ast.Attribute))
-                and isinstance(node.ctx, ast.Load)
-                and "EARLIEST_TIMESTAMP" in (getattr(node, "id", None),
-                                             getattr(node, "attr", None))):
-            yield "EARLIEST_TIMESTAMP"
+    """Yield (definition, "EARLIEST_TIMESTAMP") for each read of that
+    name and (definition, "groups") for each read of a regex match's
+    `group`, `groups` or `groupdict`, where definition is the name of
+    the top-level function or class that holds it, or "<module>"."""
+    for top in ast.parse(path.read_text(), str(path)).body:
+        where = getattr(top, "name", "<module>")
+        for node in ast.walk(top):
+            if not (isinstance(node, (ast.Name, ast.Attribute))
+                    and isinstance(node.ctx, ast.Load)):
+                continue
+            name = getattr(node, "id", None) or node.attr
+            if name == "EARLIEST_TIMESTAMP":
+                yield where, name
+            elif isinstance(node, ast.Attribute) and name in _MATCH_READERS:
+                yield where, "groups"
 
 
 def test_one_raw_record_validator():
-    # `_canonical_raw` alone builds a RawLog and checks the timestamp
-    # range, so every raw line passes the one `_CANONICAL_CSV` check
+    # `_canonical_fields` alone turns a `_CANONICAL_CSV` match into
+    # fields and checks the timestamp range, so every raw line passes
+    # the one `_CANONICAL_CSV` check
     uses = [u for p in sorted(SRC.glob("*.py")) for u in _validator_uses(p)]
-    assert sorted(uses) == ["EARLIEST_TIMESTAMP", "RawLog"]
+    assert sorted(uses) == [("_canonical_fields", "EARLIEST_TIMESTAMP"),
+                            ("_canonical_fields", "groups")]
 
 
 def test_validator_guard_sees_calls_and_reads(tmp_path):
     sample = tmp_path / "sample.py"
     sample.write_text(
-        "EARLIEST_TIMESTAMP = 1\nRawLog(1)\nx < EARLIEST_TIMESTAMP\n"
-        "m.EARLIEST_TIMESTAMP\nclass RawLog: pass\nRawLogs(1)\n")
+        "EARLIEST_TIMESTAMP = 1\nx < EARLIEST_TIMESTAMP\n"
+        "def f(m):\n    return m.groups(), m.group(1), m.EARLIEST_TIMESTAMP\n"
+        "class C:\n    groups = 1\n    def g(self, m):\n"
+        "        m.groups = groups\n        return m.groupdict\n")
     assert sorted(_validator_uses(sample)) == [
-        "EARLIEST_TIMESTAMP", "EARLIEST_TIMESTAMP", "RawLog"]
+        ("<module>", "EARLIEST_TIMESTAMP"), ("C", "groups"),
+        ("f", "EARLIEST_TIMESTAMP"), ("f", "groups"), ("f", "groups")]
 
 
 def _as_json(line):
@@ -402,19 +412,21 @@ def test_read_transfers_rejects_bad_header(tmp_path):
 # -- fuzzing -----------------------------------------------------------
 
 def _check_line(line):
-    """parse_log_line gives a RawLog or raises MalformedRecord; decoding
-    that gives a TransferEvent or a SkipReason or raises MalformedRecord.
-    Anything else escaping would abort a whole ingest."""
+    """parse_log_line gives seven fields or raises MalformedRecord;
+    `_transfer_fields` of their topics gives (from, to, token id) or a
+    SkipReason or raises MalformedRecord.  Anything else escaping would
+    abort a whole ingest."""
     try:
-        raw = parse_log_line(line, now=NOW)
+        fields = parse_log_line(line, now=NOW)
     except MalformedRecord:
         return
-    assert isinstance(raw, RawLog)
+    assert list(map(type, fields)) == [int, int, str, int, str, str, str]
     try:
-        out = decode_transfer(raw)
+        out = ingest._transfer_fields(fields[5].split("|"))
     except MalformedRecord:
         return
-    assert isinstance(out, (TransferEvent, SkipReason))
+    assert isinstance(out, SkipReason) or list(map(type, out)) == [
+        str, str, int]
 
 
 _CANON_TOPICS = transfer_topics("0x" + "01" * 20, "0x" + "0a" * 20, 7)
@@ -551,7 +563,7 @@ def test_json_fast_path_guards():
     assert parse_log_line(json.dumps(dict(_CANON_OBJ, log_index=3.0)),
                           now=NOW) == canon
     assert parse_log_line(json.dumps(dict(_CANON_OBJ, data=None)),
-                          now=NOW).data == "0x"
+                          now=NOW)[6] == "0x"
 
 
 def _read_or_error(read, text, newline):
