@@ -26,7 +26,7 @@ from . import mlbench
 from .errors import DataError, TimeLimitExceeded
 from .graph import TemporalGraph, simple_view, summary_digest
 from .ingest import normalize_stream
-from .output import open_output, write_csv, write_rows
+from .output import open_output, write_rows, write_table
 from .periods import GRANULARITIES
 
 EXIT_OK = 0
@@ -139,13 +139,13 @@ _GROWTH_CSVS = (
 
 def _growth_csvs(series, out_dir: str) -> None:
     for name, fields in _GROWTH_CSVS:
-        write_csv(os.path.join(out_dir, name), ["period", *fields],
-                  _round_floats([(label, *(row[f] for f in fields))
-                                 for label, row in series]))
+        write_table(os.path.join(out_dir, name), ["period", *fields],
+                    _round_floats([(label, *(row[f] for f in fields))
+                                   for label, row in series]))
     tidy = [(label, f, row[f]) for label, row in series
             for _name, fields in _GROWTH_CSVS for f in fields]
-    write_csv(os.path.join(out_dir, "series.csv"),
-              ["period", "metric", "value"], _round_floats(tidy))
+    write_table(os.path.join(out_dir, "series.csv"),
+                ["period", "metric", "value"], _round_floats(tidy))
 
 
 def cmd_metrics(args) -> int:
@@ -167,20 +167,20 @@ def cmd_metrics(args) -> int:
     os.makedirs(args.out_dir, exist_ok=True)
     _growth_csvs(growth, args.out_dir)
     hist, cumulative = metrics_mod.mutual_edge_intervals(g)
-    write_csv(os.path.join(args.out_dir, "fig2c_mutual_days.csv"),
-              ["bucket_days", "count", "cumulative_fraction"],
-              _round_floats([(b, hist[b], cumulative[b])
-                             for b in sorted(hist)]))
+    write_table(os.path.join(args.out_dir, "fig2c_mutual_days.csv"),
+                ["bucket_days", "count", "cumulative_fraction"],
+                _round_floats([(b, hist[b], cumulative[b])
+                               for b in sorted(hist)]))
     spans, avg_tx = metrics_mod.active_periods(g)
-    write_csv(os.path.join(args.out_dir, "fig2a_active_days.csv"),
-              ["span_days", "nodes", "avg_tx"],
-              _round_floats([(s, spans[s], avg_tx[s]) for s in sorted(spans)]))
+    write_table(os.path.join(args.out_dir, "fig2a_active_days.csv"),
+                ["span_days", "nodes", "avg_tx"],
+                _round_floats([(s, spans[s], avg_tx[s])
+                               for s in sorted(spans)]))
     if args.split_time is not None:
         tea, tet = metrics_mod.tea_tet(g, args.granularity, args.split_time)
-        write_csv(os.path.join(args.out_dir, "tea.csv"),
-                  ["period", "new", "recurring"],
-                  [(label, d["new"], d["recurring"])
-                   for label, d in tea])
+        write_table(os.path.join(args.out_dir, "tea.csv"),
+                    ["period", "new", "recurring"],
+                    [(label, d["new"], d["recurring"]) for label, d in tea])
         counts = {"train_only": 0, "test_only": 0, "both": 0}
         for cls in tet.values():
             counts[cls] += 1
@@ -267,9 +267,9 @@ def cmd_csm(args) -> int:
         seed=args.seed)
 
     columns = ["query", "matches", "matches_dedup", "elapsed_ms"]
-    write_csv(args.output, columns + ["timed_out"],
-              _round_floats([[r[c] for c in columns] + [int(r["timed_out"])]
-                             for r in results]))
+    write_table(args.output, columns + ["timed_out"],
+                _round_floats([[r[c] for c in columns] + [int(r["timed_out"])]
+                               for r in results]))
     meta = _make_report(args, [args.input], {
         "initial_edges": len(initial),
         "stream_edges": len(stream),

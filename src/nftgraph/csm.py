@@ -303,12 +303,11 @@ class MatchContext:
         # one plan per orbit of query edges, seeded at the orbit's least
         # edge (x, y).  Its seed filter: whether the seed is a self-loop,
         # the seeds' labels and their out- and in-degrees.  The rest: the
-        # query's size, the other edges among the seeds, which must
-        # already be present, the steps placing the rest, and
-        # |Stab(x, y)|.  A match using the new pair as another edge of the
-        # orbit is an automorphic image of one using it as (x, y), distinct
-        # orbits give disjoint classes, and the plan finds each class once
-        # per automorphism fixing x and y.
+        # other edges among the seeds, which must already be present, the
+        # steps placing the rest, and |Stab(x, y)|.  A match using the new
+        # pair as another edge of the orbit is an automorphic image of one
+        # using it as (x, y), distinct orbits give disjoint classes, and
+        # the plan finds each class once per automorphism fixing x and y.
         d_out, d_in = _degrees(q)
         self._plans = []
         for x, y in q.edges:
@@ -320,8 +319,7 @@ class MatchContext:
                 self._plans.append(
                     ((x == y, q.labels[x], q.labels[y],
                       d_out[x], d_in[x], d_out[y], d_in[y]),
-                     (x, y, q.num_vertices, checks, _compile(q, seeds),
-                      stab)))
+                     (x, y, checks, _compile(q, seeds), stab)))
         self.elapsed_ms = (time.perf_counter() - t0) * 1000.0
         self.timed_out = self.elapsed_ms > time_limit_ms
 
@@ -361,9 +359,10 @@ class MatchContext:
         deadline = t0 + (self.time_limit_ms - self.elapsed_ms) / 1000.0
         classes = 0
         found: list[tuple[int, ...]] = []
+        n = self.q.num_vertices
         try:
             # seed x -> u, y -> v
-            for x, y, n, checks, steps, stab in plans:
+            for x, y, checks, steps, stab in plans:
                 assign = [None] * n
                 assign[x], assign[y] = u, v
                 if checks and not all(assign[b] in out.get(assign[a], _EMPTY)

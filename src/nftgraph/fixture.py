@@ -18,10 +18,10 @@ from dataclasses import dataclass, field
 
 from .ingest import (NULL_ADDRESS, RAW_CSV_COLUMNS, TRANSFER_TOPIC,
                      TransferEvent, write_transfers)
-from .output import open_output, write_csv
+from .output import open_output, write_table
+from .periods import DAY
 
 TS0 = 1577836800        # 2020-01-01 UTC
-DAY = 86400
 
 PROFILES = ("uniform", "preferential", "planted")
 
@@ -37,15 +37,14 @@ def _contract(n: int) -> str:
 @dataclass
 class _Builder:
     rows: list[TransferEvent] = field(default_factory=list)
-    _hash_counter: int = 0
 
     def add(self, ts: int, contract: str, src: str, dst: str, token: int):
-        self._hash_counter += 1
+        n = len(self.rows) + 1
         self.rows.append(TransferEvent(
             timestamp=ts,
             block_number=(ts - TS0) // 13 + 10_000_000,
-            tx_hash=f"0x{self._hash_counter:064x}",
-            log_index=self._hash_counter % 1000,
+            tx_hash=f"0x{n:064x}",
+            log_index=n % 1000,
             contract=contract, from_addr=src, to_addr=dst, token_id=token))
 
     def sorted_rows(self) -> list[TransferEvent]:
@@ -294,7 +293,7 @@ def raw_row(e: TransferEvent) -> dict:
 
 
 def write_raw_csv(path: str, rows) -> None:
-    write_csv(path, RAW_CSV_COLUMNS,
-              ([r["block_number"], r["block_timestamp"], r["transaction_hash"],
-                r["log_index"], r["address"], "|".join(r["topics"]), r["data"]]
-               for r in map(raw_row, rows)))
+    write_table(path, RAW_CSV_COLUMNS, (
+        [r["block_number"], r["block_timestamp"], r["transaction_hash"],
+         r["log_index"], r["address"], "|".join(r["topics"]), r["data"]]
+        for r in map(raw_row, rows)))

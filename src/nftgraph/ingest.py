@@ -142,9 +142,8 @@ def _as_canonical_csv(obj: dict, topics: list) -> str:
     or "" if a topic is not a str or holds a `|`.
 
     Only the match is trusted: no text of a JSON value but a str or an
-    int matches a field of the pattern.  `_block_matches` and
-    `parse_log_line` pass a JSON object as read; `parse_log_line` then
-    passes the normalized fields of a line that did not match.
+    int matches a field of the pattern.  `_block_matches` passes a JSON
+    object as read, `parse_log_line` a line's normalized fields.
     """
     try:
         joined = "|".join(topics)
@@ -172,7 +171,10 @@ def _json_topics(obj: dict) -> list:
 def parse_log_line(line: str, *, now: int | None = None) -> tuple:
     """The seven fields of one raw JSONL or CSV line, as
     `_canonical_fields` gives them: block number, timestamp, tx hash,
-    log index, contract, pipe-joined topics and data.
+    log index, contract, pipe-joined topics and data.  Each field is
+    normalized, which leaves a canonical one unchanged, and the result
+    is matched once; `_block_matches` is the fast path for lines that
+    are canonical as read.
 
     Raises MalformedRecord for bad JSON or CSV, a missing key, a field
     that does not normalize to `_CANONICAL_CSV` or a timestamp outside
@@ -180,9 +182,6 @@ def parse_log_line(line: str, *, now: int | None = None) -> tuple:
     """
     upper = now if now is not None else int(time.time())
     stripped = line.strip()
-    m = _CANONICAL_CSV.match(stripped)
-    if m is not None:
-        return _canonical_fields(m, upper)
     if not stripped:
         raise MalformedRecord("empty line")
     if stripped.startswith("{"):
@@ -191,9 +190,6 @@ def parse_log_line(line: str, *, now: int | None = None) -> tuple:
         except (ValueError, RecursionError):    # JSONDecodeError included
             raise MalformedRecord("bad json") from None
         topics = _json_topics(obj)
-        m = _CANONICAL_CSV.match(_as_canonical_csv(obj, topics))
-        if m is not None:
-            return _canonical_fields(m, upper)
     else:
         try:
             row = next(csv.reader([stripped]))

@@ -16,9 +16,7 @@ import random
 from collections import Counter
 
 from .graph import SimpleDigraph, TemporalGraph
-from .periods import tag_periods
-
-DAY = 86400
+from .periods import DAY, tag_periods
 
 
 # ---------------------------------------------------------------------

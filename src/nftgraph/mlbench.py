@@ -19,9 +19,7 @@ from typing import Iterator
 from .errors import DataError
 from .graph import TemporalGraph
 from .output import open_output, write_rows, write_table
-from .periods import tag_periods
-
-DAY = 86400
+from .periods import DAY, tag_periods
 
 TRADER_CLASSES = ("daily", "weekly", "monthly", "yearly", "remaining")
 

@@ -10,13 +10,11 @@ ever held whole:
 
 - `write_rows` takes rows the caller has already formatted, each ending
   in CRLF as csv.writer's rows do.
-- `write_table` takes rows of ints and strs with two or more fields and
-  writes what csv.writer writes.  A chunk whose rows all have the first
-  row's width is formatted with one `%`, and goes through csv.writer
+- `write_table` takes rows of ints, floats, bools and strs and writes
+  what csv.writer writes.  A chunk whose rows all have the first row's
+  width of two or more fields is formatted with one `%` (`%s` of a float
+  is its repr, as csv.writer writes it), and goes through csv.writer
   instead when a field would need quoting or a row has another width.
-
-`write_csv` is csv.writer itself, for the small files whose rows may
-hold floats or None.
 """
 
 from __future__ import annotations
@@ -64,14 +62,6 @@ def open_output(path: str | None, binary: bool = False):
         raise
 
 
-def write_csv(path: str | None, header, rows) -> None:
-    """Write a header and rows as CSV through `open_output`."""
-    with open_output(path) as fh:
-        w = csv.writer(fh)
-        w.writerow(header)
-        w.writerows(rows)
-
-
 def write_rows(path: str | None, header: str, rows) -> None:
     """Write a header and preformatted rows, each ending in CRLF as
     csv.writer's rows do, through `open_output`, one join per chunk."""
@@ -83,8 +73,8 @@ def write_rows(path: str | None, header: str, rows) -> None:
 
 
 def write_table(path: str | None, header, rows) -> None:
-    """Write a header and rows of ints and strs, two or more fields each,
-    as csv.writer writes them, through `open_output`."""
+    """Write a header and rows of ints, floats, bools and strs as
+    csv.writer writes them, through `open_output`."""
     rows = iter(rows)
     with open_output(path) as fh:
         w = csv.writer(fh)

@@ -15,6 +15,7 @@ from .errors import DataError
 _MONTHLY = {"month": (1, "{}-{:02d}"), "quarter": (3, "{}-Q{}"),
             "half": (6, "{}-H{}"), "year": (12, "{}")}
 GRANULARITIES = ("day", "week", *_MONTHLY)
+DAY = 86400     # seconds
 
 _UTC = timezone.utc
 

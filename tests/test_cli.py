@@ -780,6 +780,31 @@ def test_csm_query_files_with_one_stem_exit_1(data_dir, tmp_path, capsys):
     assert not out.exists() and not (tmp_path / "csm.csv.meta.json").exists()
 
 
+def test_csm_query_stem_is_quoted_like_csv_writer(data_dir, tmp_path):
+    # the query cell is the one CSV field whose text comes from outside
+    # the program
+    stem = 'a,"b'
+    qfile = tmp_path / f"{stem}.q"
+    qfile.write_text("v 0 *; v 1 *; e 0 1; e 1 0\n")
+    out = tmp_path / "csm.csv"
+    assert main(["csm", "--input", str(data_dir / "planted.csv"),
+                 "--initial-until",
+                 str(ledger_of(data_dir)["csm_initial_until"]),
+                 "--queries", str(qfile), "--output", str(out)]) == 0
+    results = json.loads((tmp_path / "csm.csv.meta.json").read_text())[
+        "results"]
+    assert [r["query"] for r in results] == [stem]
+    columns = ["query", "matches", "matches_dedup", "elapsed_ms"]
+    want = io.StringIO(newline="")
+    w = csv.writer(want)
+    w.writerow(columns + ["timed_out"])
+    w.writerows([r[c] for c in columns] + [int(r["timed_out"])]
+                for r in results)
+    text = out.read_bytes().decode()
+    assert text == want.getvalue()
+    assert text.splitlines()[1].startswith('"a,""b",')
+
+
 @pytest.mark.parametrize("pool, text, label", [
     (None, "v 0 1; v 1 0; e 0 1; e 1 0", "1"),
     ("2", "v 0 *; v 1 2; e 0 1; e 1 0", "2"),

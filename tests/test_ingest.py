@@ -334,6 +334,37 @@ def test_validator_guard_sees_calls_and_reads(tmp_path):
         ("f", "EARLIEST_TIMESTAMP"), ("f", "groups"), ("f", "groups")]
 
 
+def _pattern_reads(path: Path):
+    """Yield the top-level definition (function, class or "<module>")
+    holding each read of `_CANONICAL_CSV`, as a name or an attribute."""
+    for top in ast.parse(path.read_text(), str(path)).body:
+        where = getattr(top, "name", "<module>")
+        for node in ast.walk(top):
+            if (isinstance(node, (ast.Name, ast.Attribute))
+                    and isinstance(node.ctx, ast.Load)
+                    and (getattr(node, "id", None) or node.attr)
+                    == "_CANONICAL_CSV"):
+                yield where
+
+
+def test_one_canonical_fast_path():
+    # `_block_matches` matches raw lines and JSON objects as read;
+    # `parse_log_line` matches only the fields it has normalized
+    reads = [w for p in sorted(SRC.glob("*.py")) for w in _pattern_reads(p)]
+    assert sorted(reads) == ["_block_matches", "_block_matches",
+                             "parse_log_line"]
+
+
+def test_fast_path_guard_sees_names_and_attributes(tmp_path):
+    sample = tmp_path / "sample.py"
+    sample.write_text(
+        "_CANONICAL_CSV = 1\nx = _CANONICAL_CSV\n"
+        "def f(s):\n    return _CANONICAL_CSV.match(s), m._CANONICAL_CSV\n"
+        "class C:\n    def g(self):\n        _CANONICAL_CSV = 2\n"
+        "        self._CANONICAL_CSV = 3\n        return _CANONICAL_CSV\n")
+    assert sorted(_pattern_reads(sample)) == ["<module>", "C", "f", "f"]
+
+
 def _as_json(line):
     obj = dict(zip(RAW_CSV_COLUMNS, line.split(",")))
     return json.dumps(dict(obj, topics=obj["topics"].split("|")))

@@ -22,7 +22,7 @@ from nftgraph.fixture import generate, write_raw_csv
 from nftgraph.graph import TemporalGraph
 from nftgraph.ingest import normalize_stream
 from nftgraph.mlbench import build_snapshots, export_features
-from nftgraph.output import open_output, write_csv, write_rows, write_table
+from nftgraph.output import open_output, write_rows, write_table
 
 SRC = Path(output.__file__).parent
 
@@ -99,21 +99,21 @@ def test_failed_write_leaves_target_as_it_was(tmp_path, exc, old):
     if old is not None:
         target.write_bytes(old)
     with pytest.raises(type(exc)):
-        write_csv(str(target), ["id", "name"], _rows_then(exc))
+        write_table(str(target), ["id", "name"], _rows_then(exc))
     assert _tree(tmp_path) == ({} if old is None else {"out.csv": old})
 
 
 def test_write_replaces_existing_target(tmp_path):
     target = tmp_path / "out.csv"
     target.write_text("a much longer old content that must not linger\n")
-    write_csv(str(target), ["id"], [[1], [2]])
+    write_table(str(target), ["id"], [[1], [2]])
     assert _tree(tmp_path) == {"out.csv": b"id\r\n1\r\n2\r\n"}
 
 
 def test_new_file_permissions_follow_umask(tmp_path):
     old_mask = os.umask(0o027)
     try:
-        write_csv(str(tmp_path / "out.csv"), ["id"], [[1]])
+        write_table(str(tmp_path / "out.csv"), ["id"], [[1]])
     finally:
         os.umask(old_mask)
     assert stat.S_IMODE(os.stat(tmp_path / "out.csv").st_mode) == 0o640
@@ -125,7 +125,7 @@ def test_symlink_is_kept_and_its_file_updated(tmp_path):
     real.write_text("old\n")
     link = tmp_path / "link.csv"
     link.symlink_to(real)
-    write_csv(str(link), ["id"], [[7]])
+    write_table(str(link), ["id"], [[7]])
     assert link.is_symlink() and os.readlink(link) == str(real)
     assert real.read_bytes() == b"id\r\n7\r\n"
     assert sorted(os.listdir(tmp_path / "data")) == ["real.csv"]
@@ -137,7 +137,7 @@ def test_fifo_is_written_in_place(tmp_path):
     os.mkfifo(fifo)
     reader = os.open(fifo, os.O_RDONLY | os.O_NONBLOCK)
     try:
-        write_csv(str(fifo), ["id"], [[1], [2]])
+        write_table(str(fifo), ["id"], [[1], [2]])
         assert os.read(reader, 4096) == b"id\r\n1\r\n2\r\n"
     finally:
         os.close(reader)
@@ -284,10 +284,12 @@ _ANY_TEXT = st.text(alphabet=st.sampled_from([",", '"', "\r", "\n", "0", "x"]),
 
 @st.composite
 def _tables(draw):
-    """Rows of one width with ints and plain text, mixed with rows of
-    2-8 fields that may hold a delimiter, a quote or a line break."""
+    """Rows of one width with ints, floats (nan, infinities, -0.0 and
+    subnormals included), bools and plain text, mixed with rows of 2-8
+    fields that may hold a delimiter, a quote or a line break."""
     width = draw(st.integers(2, 8))
-    clean = st.lists(st.one_of(st.integers(), _CLEAN_TEXT),
+    clean = st.lists(st.one_of(st.integers(), st.floats(), st.booleans(),
+                               _CLEAN_TEXT),
                      min_size=width, max_size=width)
     dirty = st.lists(st.one_of(st.integers(), _ANY_TEXT),
                      min_size=2, max_size=8)
