@@ -23,7 +23,7 @@ from . import csm as csm_mod
 from . import fixture as fixture_mod
 from . import metrics as metrics_mod
 from . import mlbench
-from .errors import DataError, TimeLimitExceeded
+from .errors import DataError
 from .graph import TemporalGraph, simple_view, summary_digest
 from .ingest import normalize_stream
 from .output import open_output, write_rows, write_table
@@ -118,7 +118,7 @@ def cmd_build(args) -> int:
 
 def cmd_stats(args) -> int:
     g = _load_graph(args.input)
-    _stats, top = metrics_mod.holder_stats(g, top_k=args.top_holders)
+    top = metrics_mod.holder_stats(g, top_k=args.top_holders)
     body = {
         "summary": g.summary(),
         "top_holders": [{"address": a, "tokens": tc, "collections": cc}
@@ -296,6 +296,15 @@ def cmd_export_ml(args) -> int:
             print(f"nftgraph: --negatives-snapshot {idx} is outside "
                   f"[0, {len(snaps)})", file=sys.stderr)
             return EXIT_USAGE
+    # another export's snapshots or negatives would be left beside ours
+    ours = {f"snapshot_{i:04d}" for i in range(len(snaps))} | {
+        f"negatives_{i:04d}.csv" for i in args.negatives_snapshot or []}
+    if os.path.isdir(args.out_dir):
+        for n in sorted(os.listdir(args.out_dir)):
+            if n.startswith(("snapshot_", "negatives_")) and n not in ours:
+                print(f"nftgraph: --out-dir holds {n}, which this export "
+                      f"would not overwrite", file=sys.stderr)
+                return EXIT_USAGE
     # every snapshot's negatives are drawn before the first file is
     # written, so a snapshot with too few nodes leaves no partial export
     negatives = {idx: mlbench.sample_negatives(snaps, idx, k=args.negatives_k,
@@ -316,7 +325,7 @@ def cmd_export_ml(args) -> int:
     body = {
         "snapshots": len(snaps),
         "roles": roles,
-        "labels": [s.label for s in snaps],
+        "labels": [s.period.label for s in snaps],
     }
     _emit_json(_make_report(args, [args.input], body),
                args.report or os.path.join(args.out_dir, "report.json"))
@@ -486,9 +495,6 @@ def main(argv=None) -> int:
         return EXIT_USAGE
     try:
         return args.func(args)
-    except TimeLimitExceeded as e:
-        print(f"nftgraph: time limit exceeded: {e}", file=sys.stderr)
-        return EXIT_TIMEOUT
     except (DataError, OSError, UnicodeDecodeError) as e:
         print(f"nftgraph: {e}", file=sys.stderr)
         return EXIT_DATA

@@ -10,4 +10,5 @@ class MalformedRecord(DataError):
 
 
 class TimeLimitExceeded(Exception):
-    """Per-query time budget exhausted (CLI exit code 3)."""
+    """Per-query time budget exhausted.  csm raises and catches it; the
+    CLI exits 3 when a csm row timed out."""

@@ -290,20 +290,18 @@ def holder_stats(g: TemporalGraph, top_k: int = 10):
     """Replay the token ledger.
 
     An account holds a token iff it received the token's latest transfer.
-    Returns (address -> (token_count, collection_count), top-k table
-    sorted by token count).  The Null address is included: what it
-    "holds" are destroyed tokens.
+    Returns the top-k (address, token_count, collection_count) rows by
+    token count, then collection count, both descending, then address.
+    The Null address is included: what it "holds" are destroyed tokens.
     """
     owner = {(cid, tok): dst
              for cid, tok, dst in zip(g.e_contract, g.e_token, g.e_dst)}
     held: dict[int, list[int]] = {}     # holder -> contract of each token
     for (cid, _tok), who in owner.items():
         held.setdefault(who, []).append(cid)
-    stats = {g.addresses[i]: (len(cids), len(set(cids)))
-             for i, cids in held.items()}
-    top = sorted(stats.items(), key=lambda kv: (-kv[1][0], -kv[1][1], kv[0]))
-    table = [(addr, tc, cc) for addr, (tc, cc) in top[:top_k]]
-    return stats, table
+    rows = [(g.addresses[i], len(cids), len(set(cids)))
+            for i, cids in held.items()]
+    return sorted(rows, key=lambda r: (-r[1], -r[2], r[0]))[:top_k]
 
 
 def tea_tet(g: TemporalGraph, granularity: str, split_time: int, *,

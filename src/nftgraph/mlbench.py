@@ -19,7 +19,7 @@ from typing import Iterator
 from .errors import DataError
 from .graph import TemporalGraph
 from .output import open_output, write_rows, write_table
-from .periods import DAY, tag_periods
+from .periods import DAY, Period, tag_periods
 
 TRADER_CLASSES = ("daily", "weekly", "monthly", "yearly", "remaining")
 
@@ -30,10 +30,7 @@ _THRESHOLDS = (("daily", DAY), ("weekly", 7 * DAY),
 
 @dataclass
 class Snapshot:
-    index: int
-    label: str
-    start_ts: int
-    end_ts: int                      # exclusive
+    period: Period
     # distinct pairs observed in the period: (u, v) -> (tx_count, last_ts)
     pair_stats: dict[tuple[int, int], tuple[int, int]]
     new_nodes: list[int]             # nodes first active in this period
@@ -47,9 +44,7 @@ def build_snapshots(g: TemporalGraph, granularity: str, *,
     transaction is removed before bucketing.
     """
     periods = g.periods(granularity)
-    snaps = [Snapshot(index=i, label=p.label, start_ts=p.start_ts,
-                      end_ts=p.end_ts, pair_stats={}, new_nodes=[])
-             for i, p in enumerate(periods)]
+    snaps = [Snapshot(p, {}, []) for p in periods]
     seen_nodes: set[int] = set()
     for p, (u, v, ts) in tag_periods(
             periods, g.edges(include_null=not exclude_null)):
@@ -106,8 +101,8 @@ def sample_negatives(snapshots: list[Snapshot], index: int, k: int = 100,
     for u, v in sorted(snap.pair_stats):
         banned = positives_by_src[u]
         if n - len(banned & eligible_set) < k:
-            raise DataError(
-                f"snapshot {snap.label}: need {k} negatives for ({u},{v})")
+            raise DataError(f"snapshot {snap.period.label}: need {k} "
+                            f"negatives for ({u},{v})")
         chosen: list[int] = []
         used: set[int] = set()
         while len(chosen) < k:      # k > 0 here implies n > 0
@@ -187,7 +182,7 @@ def export_features(g: TemporalGraph, snapshots: list[Snapshot], out_dir: str,
     degree = [0] * g.num_nodes       # pair-degree up to this snapshot
     rows = [""] * g.num_nodes        # each active node's nodes.csv row
     order: list[int] = []            # the active nodes, in id order
-    for snap in snapshots:
+    for index, snap in enumerate(snapshots):
         stats = snap.pair_stats
         order += snap.new_nodes
         order.sort()                 # timsort merges the two sorted runs
@@ -202,13 +197,13 @@ def export_features(g: TemporalGraph, snapshots: list[Snapshot], out_dir: str,
         else:
             for w in snap.new_nodes:
                 rows[w] = "%d,1\r\n" % w
-        sd = os.path.join(out_dir, f"snapshot_{snap.index:04d}")
+        sd = os.path.join(out_dir, f"snapshot_{index:04d}")
         os.makedirs(sd, exist_ok=True)
         pairs = sorted(stats)        # distinct keys: the items' order
         header = "src,dst,tx_count,last_ts"
         if split_mode == "live_update":
             header += ",earlystop"
-            rng = random.Random(f"{seed}:es:{snap.index}")
+            rng = random.Random(f"{seed}:es:{index}")
             edges = ["%d,%d,%d,%d,%d\r\n" % (*uv, *stats[uv],
                                              rng.random() < earlystop_fraction)
                      for uv in pairs]
@@ -221,10 +216,10 @@ def export_features(g: TemporalGraph, snapshots: list[Snapshot], out_dir: str,
                    map(rows.__getitem__, order))
         manifest = {
             "granularity": granularity,
-            "label": snap.label,
-            "start_ts": snap.start_ts,
-            "end_ts": snap.end_ts,
-            "role": roles[snap.index],
+            "label": snap.period.label,
+            "start_ts": snap.period.start_ts,
+            "end_ts": snap.period.end_ts,
+            "role": roles[index],
             "split_mode": split_mode,
             "seed": seed,
             "exclude_null": exclude_null,

@@ -685,7 +685,7 @@ def dedup_by_automorphism(q_n, q_edges, mappings, q_labels=None):
 
 
 # ---------------------------------------------------------------------
-# ML export (snapshots: objects with index, pair_stats and new_nodes)
+# ML export (snapshots: objects with pair_stats and new_nodes)
 # ---------------------------------------------------------------------
 
 def export_csv_texts(snapshots, label_of, task, split_mode, seed,
@@ -706,7 +706,7 @@ def export_csv_texts(snapshots, label_of, task, split_mode, seed,
                  in sorted(snap.pair_stats.items())]
         if split_mode == "live_update":
             header.append("earlystop")
-            rng = random.Random(f"{seed}:es:{snap.index}")
+            rng = random.Random(f"{seed}:es:{i}")
             for row in edges:
                 row.append(int(rng.random() < earlystop_fraction))
         if task == "node":

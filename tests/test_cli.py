@@ -1,3 +1,4 @@
+import ast
 import contextlib
 import csv
 import io
@@ -9,6 +10,7 @@ import subprocess
 import sys
 import tempfile
 import zlib
+from pathlib import Path
 
 import pytest
 from hypothesis import assume, given, settings
@@ -20,7 +22,9 @@ import nftgraph
 from nftgraph import cache
 from nftgraph.cli import main
 from nftgraph.fixture import write_fixture
+from nftgraph.graph import TemporalGraph
 from nftgraph.ingest import write_transfers
+from nftgraph.mlbench import build_snapshots
 
 
 @pytest.fixture(scope="module")
@@ -942,6 +946,53 @@ def test_export_ml_without_enough_negatives_writes_nothing(data_dir, tmp_path,
     assert not out.exists()
 
 
+def _tree(d):
+    """{relative path: bytes} of every file under d."""
+    return {str(p.relative_to(d)): p.read_bytes()
+            for p in d.rglob("*") if p.is_file()}
+
+
+def _export(data_dir, out, *args):
+    return main(["export-ml", "--input", str(data_dir / "planted.csv"),
+                 "--out-dir", str(out), *args])
+
+
+def test_export_ml_refuses_out_dir_of_another_export(data_dir, tmp_path,
+                                                     capsys):
+    out = tmp_path / "ml"
+    assert _export(data_dir, out, "--granularity", "day") == 0
+    weeks = len(build_snapshots(TemporalGraph.build(
+        str(data_dir / "planted.csv")), "week"))
+    before = _tree(out)
+    capsys.readouterr()
+    assert _export(data_dir, out, "--granularity", "week") == 1
+    assert f"snapshot_{weeks:04d}" in _one_error_line(capsys)
+    assert _tree(out) == before
+
+
+def test_export_ml_refuses_stale_negatives(data_dir, tmp_path, capsys):
+    out = tmp_path / "ml"
+    args = ["--granularity", "week", "--negatives-k", "2",
+            "--negatives-snapshot", "0"]
+    assert _export(data_dir, out, *args, "--negatives-snapshot", "3") == 0
+    before = _tree(out)
+    capsys.readouterr()
+    assert _export(data_dir, out, *args) == 1
+    assert "negatives_0003.csv" in _one_error_line(capsys)
+    assert _tree(out) == before
+
+
+def test_export_ml_rerun_into_its_own_out_dir_is_identical(data_dir,
+                                                           tmp_path):
+    out = tmp_path / "ml"
+    args = ["--granularity", "week", "--negatives-k", "2",
+            "--negatives-snapshot", "3", "--split-mode", "live_update"]
+    assert _export(data_dir, out, *args) == 0
+    first = _tree(out)
+    assert _export(data_dir, out, *args) == 0
+    assert _tree(out) == first
+
+
 @pytest.mark.parametrize("stamp,granularity", [
     (10**12, "day"), (-10**14, "week"), (10**20, "month"),
     (253402128000, "year")])          # in 9999; its year ends past it
@@ -960,3 +1011,35 @@ def test_timestamp_outside_calendar_exits_2(tmp_path, capsys, stamp,
                          "--granularity", granularity]) == 2
             assert str(stamp) in _one_error_line(capsys)
             assert not out.exists()
+
+
+def _exit_timeout_reads(path):
+    """Yield the top-level definition (function, class or "<module>")
+    holding each read of `EXIT_TIMEOUT`, as a name or an attribute."""
+    for top in ast.parse(path.read_text(), str(path)).body:
+        where = getattr(top, "name", "<module>")
+        for node in ast.walk(top):
+            if (isinstance(node, (ast.Name, ast.Attribute))
+                    and isinstance(node.ctx, ast.Load)
+                    and (getattr(node, "id", None) or node.attr)
+                    == "EXIT_TIMEOUT"):
+                yield where
+
+
+def test_exit_3_comes_from_csm_rows_alone():
+    # csm catches every TimeLimitExceeded it raises; `cmd_csm` returns 3
+    # when one of its rows timed out
+    src = Path(nftgraph.__file__).parent
+    reads = [w for p in sorted(src.glob("*.py"))
+             for w in _exit_timeout_reads(p)]
+    assert reads == ["cmd_csm"]
+
+
+def test_exit_timeout_guard_sees_names_and_attributes(tmp_path):
+    sample = tmp_path / "sample.py"
+    sample.write_text(
+        "EXIT_TIMEOUT = 3\nx = EXIT_TIMEOUT\n"
+        "def f():\n    return EXIT_TIMEOUT, cli.EXIT_TIMEOUT\n"
+        "class C:\n    def g(self):\n        EXIT_TIMEOUT = 2\n"
+        "        self.EXIT_TIMEOUT = 1\n        return EXIT_TIMEOUT\n")
+    assert sorted(_exit_timeout_reads(sample)) == ["<module>", "C", "f", "f"]

@@ -9,7 +9,7 @@ import oracles
 from conftest import addr, addr_id, graph_of, make_events, random_events
 from nftgraph import metrics
 from nftgraph.graph import SimpleDigraph, TemporalGraph, simple_view
-from nftgraph.ingest import NULL_ADDRESS
+from nftgraph.ingest import NULL_ADDRESS, TransferEvent
 from nftgraph.metrics import (active_periods, assortativity, avg_clustering,
                               degree_histogram, density, effective_diameter,
                               growth_series, holder_stats, local_clustering, metrics_report,
@@ -321,10 +321,41 @@ def test_active_periods_spans():
 
 def test_holder_stats_replay():
     g = graph_of([(100, NULL_ADDRESS, 0), (200, 0, 1)], token=7)
-    stats, table = holder_stats(g)
-    assert stats[addr(1)] == (1, 1)
-    assert addr(0) not in stats
-    assert table[0][0] == addr(1)
+    assert holder_stats(g) == [(addr(1), 1, 1)]
+
+
+def _holder_table(events):
+    """Every holder's (address, tokens, collections), each token's holder
+    from `oracles.token_owner_at`; most tokens first, then most
+    collections, ties in address order."""
+    held = {}
+    for c, t in {(e.contract, e.token_id) for e in events}:
+        held.setdefault(oracles.token_owner_at(events, c, t), []).append(c)
+    rows = sorted((a, len(cs), len(set(cs))) for a, cs in held.items())
+    return sorted(rows, key=lambda r: (r[1], r[2]), reverse=True)  # stable
+
+
+def test_holder_stats_equals_ledger_replay():
+    # 3 collections of 4 token ids each, re-traded among a few addresses
+    # and Null: equal token and collection counts are common
+    rng = random.Random(28)
+    contracts = ["0x" + f"{c:02x}" * 20 for c in (0xc1, 0xc2, 0xc3)]
+    ties = 0
+    for _ in range(60):
+        people = [addr(i) for i in range(rng.randint(1, 8))] + [NULL_ADDRESS]
+        stamps = sorted(rng.sample(range(10**9, 10**9 + 10**6),
+                                   rng.randint(1, 40)))
+        events = [TransferEvent(ts, ts // 13, f"0x{i + 1:064x}", i,
+                                rng.choice(contracts), rng.choice(people),
+                                rng.choice(people), rng.randrange(4))
+                  for i, ts in enumerate(stamps)]
+        want = _holder_table(events)
+        counts = [r[1:] for r in want]
+        ties += len(counts) > len(set(counts))
+        g = TemporalGraph.build(events)
+        for k in (0, 1, 3, len(want)):
+            assert holder_stats(g, top_k=k) == want[:k]
+    assert ties >= 10
 
 
 def _hub_correlation(triples, p):

@@ -36,7 +36,7 @@ def test_ten_days_ten_snapshots():
 def test_61_days_three_month_snapshots():
     g = graph_of([(ts(2021, 1, 15), 0, 1), (ts(2021, 3, 16), 0, 2)])
     series = build_snapshots(g, "month")
-    assert [s.label for s in series] == \
+    assert [s.period.label for s in series] == \
         ["2021-01", "2021-02", "2021-03"]
 
 
@@ -67,16 +67,15 @@ def test_snapshots_match_oracle(exclude_null):
         for granularity in ("day", "week"):
             snaps = build_snapshots(g, granularity, exclude_null=exclude_null)
             periods = g.periods(granularity)
-            assert [(s.index, s.label, s.start_ts, s.end_ts) for s in snaps] \
-                == [(i, *p) for i, p in enumerate(periods)]
+            assert [s.period for s in snaps] == periods
             want = oracles.snapshot_buckets(
                 [(e.timestamp, e.from_addr, e.to_addr) for e in events],
                 lambda t: periods[oracles.period_index(periods, t)].label,
                 NULL_ADDRESS if exclude_null else None)
             name = g.addresses
-            got = {s.label: ({(name[u], name[v]): st
-                              for (u, v), st in s.pair_stats.items()},
-                             [name[w] for w in s.new_nodes])
+            got = {s.period.label: ({(name[u], name[v]): st
+                                     for (u, v), st in s.pair_stats.items()},
+                                    [name[w] for w in s.new_nodes])
                    for s in snaps if s.pair_stats}
             assert got == want
             assert all(s.new_nodes == [] for s in snaps if not s.pair_stats)
@@ -320,9 +319,9 @@ def test_export_files_match_csv_writer_oracle(task, split_mode, events,
                         exclude_null=exclude_null, task=task,
                         split_mode=split_mode, seed=seed,
                         earlystop_fraction=0.3)
-        got = [tuple(Path(d, f"snapshot_{s.index:04d}", name).read_bytes()
+        got = [tuple(Path(d, f"snapshot_{i:04d}", name).read_bytes()
                      .decode() for name in ("edges.csv", "nodes.csv"))
-               for s in snaps]
+               for i in range(len(snaps))]
     assert got == want
 
 
