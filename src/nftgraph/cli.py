@@ -252,6 +252,9 @@ def cmd_csm(args) -> int:
                               f"--label-pool {args.label_pool}")
                 raise DataError(f"query {q.name!r} has vertex label {label} "
                                 f"{where}")
+    # a query past MAX_AUTOMORPHISMS raises DataError here
+    automorphisms = [csm_mod.timed_automorphisms(q, args.time_limit_ms)
+                     for q in queries]
 
     g = _load_graph(args.input)
     edges = list(g.edges(include_null=args.include_null))
@@ -264,7 +267,7 @@ def cmd_csm(args) -> int:
     results = csm_mod.run_stream(
         initial, stream, queries, window=args.window,
         time_limit_ms=args.time_limit_ms, label_pool=args.label_pool,
-        seed=args.seed)
+        seed=args.seed, automorphisms=automorphisms)
 
     columns = ["query", "matches", "matches_dedup", "elapsed_ms"]
     write_table(args.output, columns + ["timed_out"],
@@ -296,12 +299,18 @@ def cmd_export_ml(args) -> int:
             print(f"nftgraph: --negatives-snapshot {idx} is outside "
                   f"[0, {len(snaps)})", file=sys.stderr)
             return EXIT_USAGE
-    # another export's snapshots or negatives would be left beside ours
+    # another export's snapshots, negatives or report would be left
+    # beside ours
     ours = {f"snapshot_{i:04d}" for i in range(len(snaps))} | {
         f"negatives_{i:04d}.csv" for i in args.negatives_snapshot or []}
+    report = args.report or os.path.join(args.out_dir, "report.json")
+    if report != "-" and os.path.realpath(report) == os.path.realpath(
+            os.path.join(args.out_dir, "report.json")):
+        ours.add("report.json")
     if os.path.isdir(args.out_dir):
         for n in sorted(os.listdir(args.out_dir)):
-            if n.startswith(("snapshot_", "negatives_")) and n not in ours:
+            if (n.startswith(("snapshot_", "negatives_"))
+                    or n == "report.json") and n not in ours:
                 print(f"nftgraph: --out-dir holds {n}, which this export "
                       f"would not overwrite", file=sys.stderr)
                 return EXIT_USAGE
@@ -327,8 +336,7 @@ def cmd_export_ml(args) -> int:
         "roles": roles,
         "labels": [s.period.label for s in snaps],
     }
-    _emit_json(_make_report(args, [args.input], body),
-               args.report or os.path.join(args.out_dir, "report.json"))
+    _emit_json(_make_report(args, [args.input], body), report)
     return EXIT_OK
 
 

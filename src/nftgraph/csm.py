@@ -30,7 +30,7 @@ import random
 import time
 from collections import deque
 from dataclasses import dataclass
-from itertools import chain
+from itertools import chain, repeat
 from typing import Iterable, Iterator, Sequence
 
 from .errors import DataError, TimeLimitExceeded
@@ -274,13 +274,27 @@ def query_automorphisms(q: QueryGraph,
     return sorted(found)
 
 
+def timed_automorphisms(q: QueryGraph, time_limit_ms: float
+                        ) -> tuple[list[tuple[int, ...]], float]:
+    """`query_automorphisms(q)` and the ms the enumeration took, with no
+    automorphisms if it ran past `time_limit_ms`.  Raises DataError if
+    there are more than MAX_AUTOMORPHISMS."""
+    t0 = time.perf_counter()
+    try:
+        autos = query_automorphisms(q, t0 + time_limit_ms / 1000.0)
+    except TimeLimitExceeded:
+        autos = []
+    return autos, (time.perf_counter() - t0) * 1000.0
+
+
 class MatchContext:
     """Incremental matching state for one query over a shared data graph.
 
     The caller owns `graph` and `labels` (vertex -> label), and adds each
     new pair to the graph before calling `insert_edge`; the context only
     reads them.  `elapsed_ms` counts the query's automorphism enumeration
-    here and the match enumeration of every insert, all against
+    (`automorphisms`, the `timed_automorphisms` result, enumerated here
+    if None) and the match enumeration of every insert, all against
     `time_limit_ms`; `timed_out` says the budget is spent, from
     construction on.  If the automorphisms are not all found within the
     budget, the context gets no search plans.  A query with more than
@@ -289,17 +303,16 @@ class MatchContext:
 
     def __init__(self, q: QueryGraph, graph: SimpleDigraph,
                  labels: dict[int, object] | None = None, *,
-                 time_limit_ms: float = 3.6e6):
+                 time_limit_ms: float = 3.6e6,
+                 automorphisms: tuple[list, float] | None = None):
+        self.autos, autos_ms = (automorphisms if automorphisms is not None
+                                else timed_automorphisms(q, time_limit_ms))
         t0 = time.perf_counter()
         self.q = q
         self.graph = graph
         self.labels = {} if labels is None else labels
         self.time_limit_ms = time_limit_ms
         self.match_count = self.dedup_count = 0
-        try:
-            self.autos = query_automorphisms(q, t0 + time_limit_ms / 1000.0)
-        except TimeLimitExceeded:
-            self.autos = []
         # one plan per orbit of query edges, seeded at the orbit's least
         # edge (x, y).  Its seed filter: whether the seed is a self-loop,
         # the seeds' labels and their out- and in-degrees.  The rest: the
@@ -320,7 +333,7 @@ class MatchContext:
                     ((x == y, q.labels[x], q.labels[y],
                       d_out[x], d_in[x], d_out[y], d_in[y]),
                      (x, y, checks, _compile(q, seeds), stab)))
-        self.elapsed_ms = (time.perf_counter() - t0) * 1000.0
+        self.elapsed_ms = autos_ms + (time.perf_counter() - t0) * 1000.0
         self.timed_out = self.elapsed_ms > time_limit_ms
 
     def insert_edge(self, u: int, v: int) -> list[tuple[int, ...]]:
@@ -432,7 +445,9 @@ def run_stream(initial: Sequence[tuple[int, int, int]],
                stream: Sequence[tuple[int, int, int]],
                queries: Sequence[QueryGraph], *,
                window: int | None = None, time_limit_ms: float = 3.6e6,
-               label_pool: int | None = None, seed: int = 0) -> list[dict]:
+               label_pool: int | None = None, seed: int = 0,
+               automorphisms: Sequence[tuple[list, float]] | None = None
+               ) -> list[dict]:
     """Replay the insertion stream against every query.
 
     One `StreamGraph` is loaded with the initial pairs and then updated
@@ -441,9 +456,11 @@ def run_stream(initial: Sequence[tuple[int, int, int]],
     edges must come in time order (DataError otherwise).  Returns one
     `{"query", "matches", "matches_dedup", "elapsed_ms", "timed_out"}` row
     per query.  Elapsed time covers each query's automorphism enumeration
-    and match enumeration; graph-update bookkeeping and each insert's
-    degree pre-check are excluded.  A query hitting its time limit is
-    flagged and searched no further, and the remaining queries still run.
+    (`automorphisms` holds each query's `timed_automorphisms` result, or
+    they are enumerated here) and match enumeration; graph-update
+    bookkeeping and each insert's degree pre-check are excluded.  A
+    query hitting its time limit is flagged and searched no further, and
+    the remaining queries still run.
     """
     labels: dict[int, object] = {}
     if label_pool is not None:
@@ -454,7 +471,8 @@ def run_stream(initial: Sequence[tuple[int, int, int]],
     for _pair in data.new_pairs(initial):
         pass
     contexts = [MatchContext(q, data.graph, labels,
-                             time_limit_ms=time_limit_ms) for q in queries]
+                             time_limit_ms=time_limit_ms, automorphisms=a)
+                for q, a in zip(queries, automorphisms or repeat(None))]
     live = [ctx for ctx in contexts if not ctx.timed_out]
     for u, v in data.new_pairs(stream):
         if not live:

@@ -147,7 +147,7 @@ class TemporalGraph:
         return list(iter_periods(granularity, self.e_ts[0], self.e_ts[-1]))
 
     def summary(self) -> dict:
-        tokens = len({(c, t) for c, t in zip(self.e_contract, self.e_token)})
+        tokens = len(set(zip(self.e_contract, self.e_token)))
         return {
             "nodes": self.num_nodes,
             "edges": self.num_edges,

@@ -16,6 +16,7 @@ import json
 import os
 import re
 import time
+from array import array
 from collections import Counter
 from dataclasses import dataclass
 from enum import Enum
@@ -47,6 +48,7 @@ NORMALIZED_HEADER = [
 # 60k rows
 _BLOCK_CHARS = 1 << 14
 _BLOCK_ROWS = 64
+_GATHER_ROWS = 512         # rows per itemgetter call, one write_table chunk
 _HEADER_LINES = (",".join(NORMALIZED_HEADER) + "\n",
                  ",".join(NORMALIZED_HEADER) + "\r\n")
 
@@ -277,64 +279,110 @@ def normalize_stream(
     The output is written whole or not at all (see `output.open_output`).
     Returns the stats and one {"contract", "erc721", "log_count"} row per
     contract seen with a Transfer log, sorted by address.
+
+    Memory per transfer is its fields in typed columns plus its dedup
+    entry while the files are read; the dedup store is dropped before
+    the sort, which orders an index permutation of the columns.
     """
     stats = IngestStats()
     wall = now if now is not None else int(time.time())
-    seen: set[tuple[str, int]] = set()
-    rows: list[tuple] = []      # normalized rows, TransferEvent fields
-    log_counts: Counter = Counter()     # Transfer logs per contract
-    bad_contracts: set[str] = set()
+    # first-occurrence dedup on (tx_hash, log_index): the log index of
+    # each tx hash's first record, and the pairs of its later records,
+    # which keeps no pair for the many hashes with one log
+    first_log: dict[str, int] = {}
+    later_logs: set[tuple[str, int]] = set()
+    # the survivors' fields in NORMALIZED_HEADER order, one store per
+    # column, extended once per block: array('q') for the three sort
+    # keys (a list from the first value past 64 bits), lists for the rest
+    columns = [array("q"), array("q"), [], array("q"), [], [], [], []]
+    arity_logs: Counter = Counter()     # 3-topic Transfer logs per contract
     # one copy of each contract and address string, however many rows
     # hold it
     intern = {}.setdefault
+    # an Enum member read through its class costs ten times a local
+    wrong_topic, arity = SkipReason.WRONG_TOPIC, SkipReason.ARITY
 
     for path in inputs:
         # utf-8-sig drops a leading byte-order mark
         with open(path, "r", encoding="utf-8-sig") as fh:
             while lines := fh.readlines(_BLOCK_CHARS):
+                stats.records_read += len(lines)
+                rows = []
                 for line, m in zip(lines, _block_matches(lines)):
                     if m is None and (
                             not line.strip()
                             or line.split(",", 1)[0].strip() == "block_number"):
+                        stats.records_read -= 1     # no record
                         continue        # a blank line or a CSV header
-                    stats.records_read += 1
                     try:
                         (block, ts, tx_hash, log_index, contract, topics,
                          _) = (parse_log_line(line, now=wall) if m is None
                                else _canonical_fields(m, wall))
-                        key = tx_hash, log_index
-                        if key in seen:
-                            stats.skipped_duplicate += 1
-                            continue
-                        seen.add(key)
+                        first = first_log.get(tx_hash)
+                        if first is None:
+                            first_log[tx_hash] = log_index
+                        else:
+                            key = tx_hash, log_index
+                            if first == log_index or key in later_logs:
+                                stats.skipped_duplicate += 1
+                                continue
+                            later_logs.add(key)
                         outcome = _transfer_fields(topics.split("|"))
                     except MalformedRecord:
                         stats.skipped_malformed += 1
                         continue
-                    if outcome is SkipReason.WRONG_TOPIC:
+                    if outcome is wrong_topic:
                         stats.skipped_wrong_topic += 1
-                        continue
-                    log_counts[contract] += 1
-                    if outcome is SkipReason.ARITY:
-                        stats.skipped_non_conforming += 1
-                        bad_contracts.add(contract)
+                    elif outcome is arity:
+                        arity_logs[contract] += 1
                     else:
                         src, dst, token = outcome
                         rows.append((ts, block, tx_hash, log_index,
                                      intern(contract, contract),
                                      intern(src, src), intern(dst, dst),
                                      token))
+                if rows:
+                    columns = list(map(_extended, columns, zip(*rows)))
+    # none is read again, and the dedup store is the largest
+    del first_log, later_logs, intern
 
-    survivors = [r for r in rows if r[4] not in bad_contracts]
-    stats.skipped_non_conforming += len(rows) - len(survivors)
-    survivors.sort(key=itemgetter(0, 1, 3))
-    stats.transfers_emitted = len(survivors)
+    ts, block, _, log_index, contract, *_ = columns
+    # a stable sort on each key in turn, the last key first, orders the
+    # survivors by (timestamp, block_number, log_index), ties in input
+    # order
+    order = [i for i, c in enumerate(contract) if c not in arity_logs]
+    for key in (log_index, block, ts):
+        order.sort(key=key.__getitem__)
+    stats.skipped_non_conforming = (arity_logs.total() + len(contract)
+                                    - len(order))
+    stats.transfers_emitted = len(order)
 
-    contracts = [{"contract": c, "erc721": c not in bad_contracts,
+    log_counts = Counter(contract)      # Transfer logs per contract
+    log_counts.update(arity_logs)
+    contracts = [{"contract": c, "erc721": c not in arity_logs,
                   "log_count": log_counts[c]}
                  for c in sorted(log_counts)]
-    write_transfers(output, survivors)
+    write_transfers(output, _gathered(columns, order))
     return stats, contracts
+
+
+def _extended(column: array | list, values: tuple) -> array | list:
+    """`column` extended by `values`; an array('q') becomes a list first
+    if one of them does not fit in 64 bits (none is negative)."""
+    if type(column) is array and max(values) >= 1 << 63:
+        column = column.tolist()
+    column.extend(values)
+    return column
+
+
+def _gathered(columns: list, order: list[int]) -> Iterator[tuple]:
+    """The rows of `columns` at the indices in `order`, each chunk of
+    `_GATHER_ROWS` read by one itemgetter call per column."""
+    for i in range(0, len(order), _GATHER_ROWS):
+        # one index more, cut off below, keeps the result of a one-row
+        # chunk a tuple
+        get = itemgetter(*order[i:i + _GATHER_ROWS], 0)
+        yield from zip(*[get(col)[:-1] for col in columns])
 
 
 def write_transfers(path: str, events: Iterable[TransferEvent]) -> None:

@@ -12,8 +12,10 @@ function of immutable inputs.
 
 from __future__ import annotations
 
+import heapq
 import random
 from collections import Counter
+from operator import itemgetter
 
 from .graph import SimpleDigraph, TemporalGraph
 from .periods import DAY, tag_periods
@@ -294,14 +296,13 @@ def holder_stats(g: TemporalGraph, top_k: int = 10):
     token count, then collection count, both descending, then address.
     The Null address is included: what it "holds" are destroyed tokens.
     """
-    owner = {(cid, tok): dst
-             for cid, tok, dst in zip(g.e_contract, g.e_token, g.e_dst)}
-    held: dict[int, list[int]] = {}     # holder -> contract of each token
-    for (cid, _tok), who in owner.items():
-        held.setdefault(who, []).append(cid)
-    rows = [(g.addresses[i], len(cids), len(set(cids)))
-            for i, cids in held.items()]
-    return sorted(rows, key=lambda r: (-r[1], -r[2], r[0]))[:top_k]
+    owner = dict(zip(zip(g.e_contract, g.e_token), g.e_dst))
+    tokens = Counter(owner.values())
+    # one (contract, holder) pair per collection a holder has a token of
+    collections = Counter(map(itemgetter(1), set(zip(
+        map(itemgetter(0), owner), owner.values()))))
+    rows = [(g.addresses[i], n, collections[i]) for i, n in tokens.items()]
+    return heapq.nsmallest(top_k, rows, key=lambda r: (-r[1], -r[2], r[0]))
 
 
 def tea_tet(g: TemporalGraph, granularity: str, split_time: int, *,

@@ -749,7 +749,13 @@ def test_csm_cli_custom_query_and_window(data_dir, tmp_path, capsys):
 
 
 def test_csm_query_over_automorphism_cap_exits_2(data_dir, tmp_path,
-                                                 capsys):
+                                                 capsys, monkeypatch):
+    """The cap is checked with the other query checks, before the graph
+    is loaded."""
+    def load_graph(path):
+        raise AssertionError(f"{path} loaded for a rejected query")
+
+    monkeypatch.setattr("nftgraph.cli._load_graph", load_graph)
     qfile = tmp_path / "star9.txt"               # 9! automorphisms
     qfile.write_text("".join(f"v {i} *\n" for i in range(10))
                      + "".join(f"e 0 {i}\n" for i in range(1, 10)))
@@ -980,6 +986,24 @@ def test_export_ml_refuses_stale_negatives(data_dir, tmp_path, capsys):
     assert _export(data_dir, out, *args) == 1
     assert "negatives_0003.csv" in _one_error_line(capsys)
     assert _tree(out) == before
+
+
+def test_export_ml_refuses_stale_report(data_dir, tmp_path, capsys):
+    """A report in --out-dir from an earlier export would be left there
+    by one whose --report goes elsewhere."""
+    out = tmp_path / "ml"
+    assert _export(data_dir, out, "--granularity", "month") == 0
+    before = _tree(out)
+    capsys.readouterr()
+    assert _export(data_dir, out, "--granularity", "month", "--task", "node",
+                   "--report", str(tmp_path / "r2.json")) == 1
+    assert "report.json" in _one_error_line(capsys)
+    assert _tree(out) == before and not (tmp_path / "r2.json").exists()
+    # the same file named another way is this export's own report
+    assert _export(data_dir, out, "--granularity", "month", "--task", "node",
+                   "--report", str(out / "." / "report.json")) == 0
+    report = json.loads((out / "report.json").read_text())
+    assert report["config"]["task"] == "node"
 
 
 def test_export_ml_rerun_into_its_own_out_dir_is_identical(data_dir,
