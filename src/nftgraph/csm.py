@@ -30,7 +30,7 @@ import random
 import time
 from collections import deque
 from dataclasses import dataclass
-from itertools import chain, repeat
+from itertools import chain
 from typing import Iterable, Iterator, Sequence
 
 from .errors import DataError, TimeLimitExceeded
@@ -460,8 +460,14 @@ def run_stream(initial: Sequence[tuple[int, int, int]],
     they are enumerated here) and match enumeration; graph-update
     bookkeeping and each insert's degree pre-check are excluded.  A
     query hitting its time limit is flagged and searched no further, and
-    the remaining queries still run.
+    the remaining queries still run.  An `automorphisms` list not of one
+    result per query is a DataError, raised before any work.
     """
+    if automorphisms is None:
+        automorphisms = [None] * len(queries)
+    elif len(automorphisms) != len(queries):
+        raise DataError(f"{len(automorphisms)} automorphism results for "
+                        f"{len(queries)} queries")
     labels: dict[int, object] = {}
     if label_pool is not None:
         vertices = dict.fromkeys(w for u, v, _ts in chain(initial, stream)
@@ -472,7 +478,7 @@ def run_stream(initial: Sequence[tuple[int, int, int]],
         pass
     contexts = [MatchContext(q, data.graph, labels,
                              time_limit_ms=time_limit_ms, automorphisms=a)
-                for q, a in zip(queries, automorphisms or repeat(None))]
+                for q, a in zip(queries, automorphisms)]
     live = [ctx for ctx in contexts if not ctx.timed_out]
     for u, v in data.new_pairs(stream):
         if not live:

@@ -25,7 +25,7 @@ from operator import itemgetter
 from typing import Iterable, Iterator, NamedTuple, Sequence
 
 from .errors import MalformedRecord
-from .output import write_table
+from .output import _CHUNK_ROWS, write_table
 
 NULL_ADDRESS = "0x" + "00" * 20
 
@@ -48,7 +48,6 @@ NORMALIZED_HEADER = [
 # 60k rows
 _BLOCK_CHARS = 1 << 14
 _BLOCK_ROWS = 64
-_GATHER_ROWS = 512         # rows per itemgetter call, one write_table chunk
 _HEADER_LINES = (",".join(NORMALIZED_HEADER) + "\n",
                  ",".join(NORMALIZED_HEADER) + "\r\n")
 
@@ -281,16 +280,12 @@ def normalize_stream(
     contract seen with a Transfer log, sorted by address.
 
     Memory per transfer is its fields in typed columns plus its dedup
-    entry while the files are read; the dedup store is dropped before
+    entry while the files are read; the dedup set is dropped before
     the sort, which orders an index permutation of the columns.
     """
     stats = IngestStats()
     wall = now if now is not None else int(time.time())
-    # first-occurrence dedup on (tx_hash, log_index): the log index of
-    # each tx hash's first record, and the pairs of its later records,
-    # which keeps no pair for the many hashes with one log
-    first_log: dict[str, int] = {}
-    later_logs: set[tuple[str, int]] = set()
+    seen: set[tuple[str, int]] = set()      # first-occurrence dedup
     # the survivors' fields in NORMALIZED_HEADER order, one store per
     # column, extended once per block: array('q') for the three sort
     # keys (a list from the first value past 64 bits), lists for the rest
@@ -318,15 +313,11 @@ def normalize_stream(
                         (block, ts, tx_hash, log_index, contract, topics,
                          _) = (parse_log_line(line, now=wall) if m is None
                                else _canonical_fields(m, wall))
-                        first = first_log.get(tx_hash)
-                        if first is None:
-                            first_log[tx_hash] = log_index
-                        else:
-                            key = tx_hash, log_index
-                            if first == log_index or key in later_logs:
-                                stats.skipped_duplicate += 1
-                                continue
-                            later_logs.add(key)
+                        key = tx_hash, log_index
+                        if key in seen:
+                            stats.skipped_duplicate += 1
+                            continue
+                        seen.add(key)
                         outcome = _transfer_fields(topics.split("|"))
                     except MalformedRecord:
                         stats.skipped_malformed += 1
@@ -343,8 +334,8 @@ def normalize_stream(
                                      token))
                 if rows:
                     columns = list(map(_extended, columns, zip(*rows)))
-    # none is read again, and the dedup store is the largest
-    del first_log, later_logs, intern
+    # none is read again, and the dedup set is the largest
+    del seen, intern
 
     ts, block, _, log_index, contract, *_ = columns
     # a stable sort on each key in turn, the last key first, orders the
@@ -377,11 +368,11 @@ def _extended(column: array | list, values: tuple) -> array | list:
 
 def _gathered(columns: list, order: list[int]) -> Iterator[tuple]:
     """The rows of `columns` at the indices in `order`, each chunk of
-    `_GATHER_ROWS` read by one itemgetter call per column."""
-    for i in range(0, len(order), _GATHER_ROWS):
+    `write_table`'s `_CHUNK_ROWS` read by one itemgetter call per column."""
+    for i in range(0, len(order), _CHUNK_ROWS):
         # one index more, cut off below, keeps the result of a one-row
         # chunk a tuple
-        get = itemgetter(*order[i:i + _GATHER_ROWS], 0)
+        get = itemgetter(*order[i:i + _CHUNK_ROWS], 0)
         yield from zip(*[get(col)[:-1] for col in columns])
 
 

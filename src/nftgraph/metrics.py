@@ -12,7 +12,6 @@ function of immutable inputs.
 
 from __future__ import annotations
 
-import heapq
 import random
 from collections import Counter
 from operator import itemgetter
@@ -302,7 +301,7 @@ def holder_stats(g: TemporalGraph, top_k: int = 10):
     collections = Counter(map(itemgetter(1), set(zip(
         map(itemgetter(0), owner), owner.values()))))
     rows = [(g.addresses[i], n, collections[i]) for i, n in tokens.items()]
-    return heapq.nsmallest(top_k, rows, key=lambda r: (-r[1], -r[2], r[0]))
+    return sorted(rows, key=lambda r: (-r[1], -r[2], r[0]))[:top_k]
 
 
 def tea_tet(g: TemporalGraph, granularity: str, split_time: int, *,

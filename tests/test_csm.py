@@ -3,6 +3,7 @@ import math
 import random
 import time
 from collections import Counter
+from operator import itemgetter
 
 import pytest
 
@@ -338,6 +339,20 @@ def test_run_stream_isolated_queries():
     assert by_name["p1"]["matches_dedup"] == 1
     assert by_name["p2"]["matches"] == 2
     assert not any(r["timed_out"] for r in results)
+
+
+def test_run_stream_takes_one_automorphism_result_per_query():
+    initial = [(0, 1, 1), (1, 2, 2)]
+    stream = [(2, 0, 3), (1, 0, 4)]
+    queries = builtin_patterns()
+    autos = [csm.timed_automorphisms(q, 3.6e6) for q in queries]
+    key = itemgetter("query", "matches", "matches_dedup", "timed_out")
+    assert [key(r) for r in run_stream(initial, stream, queries,
+                                       automorphisms=autos)] == \
+        [key(r) for r in run_stream(initial, stream, queries)]
+    for wrong in (autos[:-1], autos + autos[:1], []):
+        with pytest.raises(DataError, match="automorphism results for"):
+            run_stream(initial, stream, queries, automorphisms=wrong)
 
 
 def test_run_stream_empty_stream():
