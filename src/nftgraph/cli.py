@@ -292,16 +292,15 @@ def cmd_csm(args) -> int:
 def cmd_export_ml(args) -> int:
     g = _load_graph(args.input)
     exclude_null = not args.include_null
-    snaps = mlbench.build_snapshots(g, args.granularity,
-                                    exclude_null=exclude_null)
+    periods = g.periods(args.granularity)
     for idx in args.negatives_snapshot or []:
-        if not 0 <= idx < len(snaps):
+        if not 0 <= idx < len(periods):
             print(f"nftgraph: --negatives-snapshot {idx} is outside "
-                  f"[0, {len(snaps)})", file=sys.stderr)
+                  f"[0, {len(periods)})", file=sys.stderr)
             return EXIT_USAGE
     # another export's snapshots, negatives or report would be left
     # beside ours
-    ours = {f"snapshot_{i:04d}" for i in range(len(snaps))} | {
+    ours = {f"snapshot_{i:04d}" for i in range(len(periods))} | {
         f"negatives_{i:04d}.csv" for i in args.negatives_snapshot or []}
     report = args.report or os.path.join(args.out_dir, "report.json")
     if report != "-" and os.path.realpath(report) == os.path.realpath(
@@ -316,8 +315,10 @@ def cmd_export_ml(args) -> int:
                 return EXIT_USAGE
     # every snapshot's negatives are drawn before the first file is
     # written, so a snapshot with too few nodes leaves no partial export
-    negatives = {idx: mlbench.sample_negatives(snaps, idx, k=args.negatives_k,
-                                               seed=args.seed)
+    negatives = {idx: mlbench.sample_negatives(
+                     g, idx, granularity=args.granularity,
+                     exclude_null=exclude_null, k=args.negatives_k,
+                     seed=args.seed)
                  for idx in args.negatives_snapshot or []}
     os.makedirs(args.out_dir, exist_ok=True)
     k = args.negatives_k
@@ -328,13 +329,13 @@ def cmd_export_ml(args) -> int:
                    header, (row % (u, v, *negs) for (u, v), negs
                             in sorted(negatives.pop(idx).items())))
     roles = mlbench.export_features(
-        g, snaps, args.out_dir, granularity=args.granularity,
+        g, args.out_dir, granularity=args.granularity,
         exclude_null=exclude_null, task=args.task, split_mode=args.split_mode,
         seed=args.seed, earlystop_fraction=args.earlystop_fraction)
     body = {
-        "snapshots": len(snaps),
+        "snapshots": len(periods),
         "roles": roles,
-        "labels": [s.period.label for s in snaps],
+        "labels": [p.label for p in periods],
     }
     _emit_json(_make_report(args, [args.input], body), report)
     return EXIT_OK

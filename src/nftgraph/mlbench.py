@@ -14,6 +14,7 @@ import os
 import random
 from collections import Counter
 from dataclasses import dataclass
+from itertools import compress
 from typing import Iterator
 
 from .errors import DataError
@@ -37,25 +38,35 @@ class Snapshot:
 
 
 def build_snapshots(g: TemporalGraph, granularity: str, *,
-                    exclude_null: bool = True) -> list[Snapshot]:
-    """Bucket the transfer stream into calendar snapshots, one per period.
+                    exclude_null: bool = True) -> Iterator[Snapshot]:
+    """Bucket the transfer stream into calendar snapshots, one per period,
+    each yielded once its period is complete.
 
     With exclude_null (the default for ML exports) every Null-incident
     transaction is removed before bucketing.
     """
     periods = g.periods(granularity)
-    snaps = [Snapshot(p, {}, []) for p in periods]
-    seen_nodes: set[int] = set()
+    seen = bytearray(g.num_nodes)
+    index, stats, new = 0, {}, []
+    get = stats.get
     for p, (u, v, ts) in tag_periods(
             periods, g.edges(include_null=not exclude_null)):
-        snap = snaps[p]
-        cnt, _last = snap.pair_stats.get((u, v), (0, 0))
-        snap.pair_stats[(u, v)] = (cnt + 1, ts)
-        for w in (u, v):
-            if w not in seen_nodes:
-                seen_nodes.add(w)
-                snap.new_nodes.append(w)
-    return snaps
+        while index < p:
+            yield Snapshot(periods[index], stats, new)
+            index, stats, new = index + 1, {}, []
+            get = stats.get
+        uv = u, v
+        prev = get(uv)
+        stats[uv] = (1, ts) if prev is None else (prev[0] + 1, ts)
+        if not seen[u]:
+            seen[u] = 1
+            new.append(u)
+        if not seen[v]:
+            seen[v] = 1
+            new.append(v)
+    for period in periods[index:]:
+        yield Snapshot(period, stats, new)
+        stats, new = {}, []
 
 
 def split_roles(mode: str, num_snapshots: int) -> list[str]:
@@ -76,21 +87,29 @@ def split_roles(mode: str, num_snapshots: int) -> list[str]:
     raise ValueError(f"unknown split mode {mode!r}")
 
 
-def sample_negatives(snapshots: list[Snapshot], index: int, k: int = 100,
+def sample_negatives(g: TemporalGraph, index: int, *, granularity: str,
+                     exclude_null: bool = True, k: int = 100,
                      seed: int = 0) -> dict[tuple[int, int], list[int]]:
-    """For each positive (u, v) of a snapshot, k distinct corrupted targets.
+    """For each positive (u, v) of snapshot `index` of
+    `build_snapshots(g, granularity, exclude_null=...)`, k distinct
+    corrupted targets.
 
     Targets are drawn uniformly from nodes existing by the end of the
     snapshot, excluding v itself and any v' that forms a same-period
     positive (u, v').  Deterministic under (seed, index).
     """
-    snap = snapshots[index]
-    eligible_set = {w for s in snapshots[:index + 1]
-                    for w in s.new_nodes}
-    eligible = sorted(eligible_set)
+    period = g.periods(granularity)[index]
+    start = period.start_ts
+    active = bytearray(g.num_nodes)
+    positives: set[tuple[int, int]] = set()
+    for u, v, ts in g.edges(period.end_ts - 1, include_null=not exclude_null):
+        active[u] = active[v] = 1
+        if ts >= start:
+            positives.add((u, v))
+    eligible = list(compress(range(g.num_nodes), active))
     rng = random.Random(f"{seed}:{index}")
     positives_by_src: dict[int, set[int]] = {}
-    for u, v in snap.pair_stats:
+    for u, v in positives:
         positives_by_src.setdefault(u, set()).add(v)
     out: dict[tuple[int, int], list[int]] = {}
     n = len(eligible)
@@ -98,23 +117,19 @@ def sample_negatives(snapshots: list[Snapshot], index: int, k: int = 100,
     # random bits until they fall below n, so the draws are the same
     bits = n.bit_length()
     getrandbits = rng.getrandbits
-    for u, v in sorted(snap.pair_stats):
-        banned = positives_by_src[u]
-        if n - len(banned & eligible_set) < k:
-            raise DataError(f"snapshot {snap.period.label}: need {k} "
+    for u, v in sorted(positives):
+        banned = positives_by_src[u]      # all active, so all eligible
+        if n - len(banned) < k:
+            raise DataError(f"snapshot {period.label}: need {k} "
                             f"negatives for ({u},{v})")
-        chosen: list[int] = []
-        used: set[int] = set()
-        while len(chosen) < k:      # k > 0 here implies n > 0
+        # an ordered set: the banned targets, then each new draw
+        chosen = dict.fromkeys(banned)
+        need = len(banned) + k
+        while len(chosen) < need:   # k > 0 here implies n > 0
             r = getrandbits(bits)
-            while r >= n:
-                r = getrandbits(bits)
-            cand = eligible[r]
-            if cand in banned or cand in used:
-                continue
-            used.add(cand)
-            chosen.append(cand)
-        out[(u, v)] = chosen
+            if r < n:
+                chosen.setdefault(eligible[r])
+        out[(u, v)] = list(chosen)[len(banned):]
     return out
 
 
@@ -153,21 +168,22 @@ def trader_labels(g: TemporalGraph) -> dict[str, str]:
     return labels
 
 
-def export_features(g: TemporalGraph, snapshots: list[Snapshot], out_dir: str,
-                    *, granularity: str, exclude_null: bool,
-                    task: str = "link", split_mode: str = "fixed",
-                    seed: int = 0, earlystop_fraction: float = 0.1) -> list[str]:
-    """Write one directory per snapshot: edges.csv, nodes.csv, manifest.json.
+def export_features(g: TemporalGraph, out_dir: str, *, granularity: str,
+                    exclude_null: bool, task: str = "link",
+                    split_mode: str = "fixed", seed: int = 0,
+                    earlystop_fraction: float = 0.1) -> list[str]:
+    """Write one directory per snapshot of `build_snapshots(g, granularity,
+    exclude_null=...)`: edges.csv, nodes.csv, manifest.json.
 
-    `granularity` and `exclude_null` are the ones the snapshots were built
-    with; the manifests record them.
+    The snapshots are built and written one at a time; the manifests
+    record `granularity` and `exclude_null`.
 
     Edge features are (tx count between the pair, latest interaction
     timestamp).  Node features: cumulative total degree for the node task,
     the constant 1 for the link task.  live_update additionally marks a
     seeded random `earlystop` fraction of each snapshot's edges.
     """
-    roles = split_roles(split_mode, len(snapshots))
+    roles = split_roles(split_mode, len(g.periods(granularity)))
     os.makedirs(out_dir, exist_ok=True)
     write_table(os.path.join(out_dir, "addresses.csv"),
                 ["address_id", "address"], enumerate(g.addresses))
@@ -182,7 +198,8 @@ def export_features(g: TemporalGraph, snapshots: list[Snapshot], out_dir: str,
     degree = [0] * g.num_nodes       # pair-degree up to this snapshot
     rows = [""] * g.num_nodes        # each active node's nodes.csv row
     order: list[int] = []            # the active nodes, in id order
-    for index, snap in enumerate(snapshots):
+    for index, snap in enumerate(build_snapshots(
+            g, granularity, exclude_null=exclude_null)):
         stats = snap.pair_stats
         order += snap.new_nodes
         order.sort()                 # timsort merges the two sorted runs

@@ -24,7 +24,6 @@ from nftgraph.cli import main
 from nftgraph.fixture import write_fixture
 from nftgraph.graph import TemporalGraph
 from nftgraph.ingest import write_transfers
-from nftgraph.mlbench import build_snapshots
 
 
 @pytest.fixture(scope="module")
@@ -967,8 +966,8 @@ def test_export_ml_refuses_out_dir_of_another_export(data_dir, tmp_path,
                                                      capsys):
     out = tmp_path / "ml"
     assert _export(data_dir, out, "--granularity", "day") == 0
-    weeks = len(build_snapshots(TemporalGraph.build(
-        str(data_dir / "planted.csv")), "week"))
+    weeks = len(TemporalGraph.build(
+        str(data_dir / "planted.csv")).periods("week"))
     before = _tree(out)
     capsys.readouterr()
     assert _export(data_dir, out, "--granularity", "week") == 1

@@ -2,6 +2,7 @@ import csv
 import math
 import random
 import tempfile
+import tracemalloc
 from collections import Counter
 from datetime import datetime, timezone
 from pathlib import Path
@@ -30,12 +31,12 @@ def ts(y, m, d, h=0):
 
 def test_ten_days_ten_snapshots():
     g = graph_of([(ts(2021, 1, 1 + i), 0, 1 + i) for i in range(10)])
-    assert len(build_snapshots(g, "day")) == 10
+    assert len(list(build_snapshots(g, "day"))) == 10
 
 
 def test_61_days_three_month_snapshots():
     g = graph_of([(ts(2021, 1, 15), 0, 1), (ts(2021, 3, 16), 0, 2)])
-    series = build_snapshots(g, "month")
+    series = list(build_snapshots(g, "month"))
     assert [s.period.label for s in series] == \
         ["2021-01", "2021-02", "2021-03"]
 
@@ -43,17 +44,16 @@ def test_61_days_three_month_snapshots():
 def test_exclude_null_removes_transactions():
     g = graph_of([(ts(2021, 1, 1), NULL_ADDRESS, 0),
                   (ts(2021, 1, 1, 6), 0, 1)])
-    series = build_snapshots(g, "day")
-    (snap,) = series
+    (snap,) = build_snapshots(g, "day")
     assert len(snap.pair_stats) == 1
-    with_null = build_snapshots(g, "day", exclude_null=False)
-    assert len(with_null[0].pair_stats) == 2
+    (with_null,) = build_snapshots(g, "day", exclude_null=False)
+    assert len(with_null.pair_stats) == 2
 
 
 def test_pair_stats_count_and_last_ts():
     t0 = ts(2021, 1, 1)
     g = graph_of([(t0, 0, 1), (t0 + 60, 0, 1), (t0 + 999, 0, 1)])
-    snap = build_snapshots(g, "day")[0]
+    (snap,) = build_snapshots(g, "day")
     (stats,) = snap.pair_stats.values()
     assert stats == (3, t0 + 999)
 
@@ -65,7 +65,8 @@ def test_snapshots_match_oracle(exclude_null):
         events = random_events(rng, 10, 150, with_null=True)
         g = TemporalGraph.build(events)
         for granularity in ("day", "week"):
-            snaps = build_snapshots(g, granularity, exclude_null=exclude_null)
+            snaps = list(build_snapshots(g, granularity,
+                                         exclude_null=exclude_null))
             periods = g.periods(granularity)
             assert [s.period for s in snaps] == periods
             want = oracles.snapshot_buckets(
@@ -125,39 +126,39 @@ def test_unknown_mode():
 
 # -- negative sampling -------------------------------------------------
 
-def _series_for_sampling():
+def _graph_for_sampling():
     t0 = ts(2021, 1, 1)
-    triples = [(t0 + i * 60, i, 8 + i) for i in range(8)]
-    g = graph_of(triples)
-    return build_snapshots(g, "day")
+    return graph_of([(t0 + i * 60, i, 8 + i) for i in range(8)])
 
 
 def test_negatives_valid_and_deterministic():
-    series = _series_for_sampling()
-    out1 = sample_negatives(series, 0, k=3, seed=5)
-    out2 = sample_negatives(series, 0, k=3, seed=5)
+    g = _graph_for_sampling()
+    out1 = sample_negatives(g, 0, granularity="day", k=3, seed=5)
+    out2 = sample_negatives(g, 0, granularity="day", k=3, seed=5)
     assert out1 == out2
-    positives = set(series[0].pair_stats)
+    (snap,) = build_snapshots(g, "day")
+    positives = set(snap.pair_stats)
+    assert set(out1) == positives
     for (u, v), negs in out1.items():
         assert len(negs) == len(set(negs)) == 3
         for w in negs:
             assert (u, w) not in positives
-    assert sample_negatives(series, 0, k=3, seed=6) != out1
+    assert sample_negatives(g, 0, granularity="day", k=3, seed=6) != out1
 
 
 def test_negatives_insufficient_nodes():
     g = graph_of([(ts(2021, 1, 1), 0, 1)])
-    series = build_snapshots(g, "day")
     with pytest.raises(DataError, match="need 100 negatives for"):
-        sample_negatives(series, 0, k=100)
+        sample_negatives(g, 0, granularity="day", k=100)
 
 
 def test_negatives_uniform_frequency():
-    series = _series_for_sampling()
+    g = _graph_for_sampling()
     counts: Counter = Counter()
     draws = 400
     for seed in range(draws):
-        for negs in sample_negatives(series, 0, k=1, seed=seed).values():
+        for negs in sample_negatives(g, 0, granularity="day", k=1,
+                                     seed=seed).values():
             counts[negs[0]] += 1
     # first positive (0, 1): eligible = 9 nodes minus 8 banned targets of
     # src 0 = ... just check overall frequencies are plausibly uniform
@@ -170,25 +171,31 @@ def test_negatives_uniform_frequency():
 
 
 @settings(deadline=None, max_examples=80)
-@given(events=_EVENTS, exclude_null=st.booleans(), data=st.data())
-def test_negatives_match_randrange_oracle(events, exclude_null, data):
-    """The same draws as a randrange loop, also when k is at or near the
-    number of eligible targets and most draws are rejected."""
-    snaps = build_snapshots(TemporalGraph.build(events), "day",
-                            exclude_null=exclude_null)
-    index = data.draw(st.integers(0, len(snaps) - 1))
-    snap = snaps[index]
-    eligible = {w for s in snaps[:index + 1] for w in s.new_nodes}
-    room = min((len(eligible - {b for a, b in snap.pair_stats if a == u})
-                for u, _ in snap.pair_stats), default=3)
-    k = data.draw(st.integers(max(1, room - 2), room + 1))
-    seed = data.draw(st.integers(0, 3))
-    want = oracles.sample_negatives(snaps, index, k, seed)
-    if want is None:
-        with pytest.raises(DataError, match=f"need {k} negatives for"):
-            sample_negatives(snaps, index, k=k, seed=seed)
-    else:
-        assert sample_negatives(snaps, index, k=k, seed=seed) == want
+@given(events=_EVENTS, exclude_null=st.booleans(),
+       granularity=st.sampled_from(["day", "week"]), data=st.data())
+def test_negatives_match_randrange_oracle(events, exclude_null, granularity,
+                                         data):
+    """At every snapshot index, the same draws as a randrange loop over
+    the built snapshots, also when k is at or near the number of eligible
+    targets and most draws are rejected or too few nodes are left."""
+    g = TemporalGraph.build(events)
+    snaps = list(build_snapshots(g, granularity, exclude_null=exclude_null))
+    eligible: set[int] = set()
+    for index, snap in enumerate(snaps):
+        eligible.update(snap.new_nodes)
+        room = min((len(eligible - {b for a, b in snap.pair_stats if a == u})
+                    for u, _ in snap.pair_stats), default=3)
+        k = data.draw(st.integers(max(1, room - 2), room + 1))
+        seed = data.draw(st.integers(0, 3))
+        want = oracles.sample_negatives(snaps, index, k, seed)
+        kw = dict(granularity=granularity, exclude_null=exclude_null, k=k,
+                  seed=seed)
+        if want is None:
+            with pytest.raises(DataError, match=f"snapshot {snap.period.label}"
+                               f": need {k} negatives for"):
+                sample_negatives(g, index, **kw)
+        else:
+            assert sample_negatives(g, index, **kw) == want
 
 
 # -- trader labels -----------------------------------------------------
@@ -248,8 +255,7 @@ def test_trader_classes_need_no_csv_quoting():
 def test_export_link_task(tmp_path):
     t0 = ts(2021, 1, 1)
     g = graph_of([(t0, 0, 1), (t0 + 60, 0, 1), (ts(2021, 1, 2), 1, 2)])
-    series = build_snapshots(g, "day")
-    roles = export_features(g, series, str(tmp_path), granularity="day",
+    roles = export_features(g, str(tmp_path), granularity="day",
                             exclude_null=True, task="link")
     assert roles == ["train", "test"]
     with open(tmp_path / "snapshot_0000" / "edges.csv") as fh:
@@ -265,8 +271,7 @@ def test_export_link_task(tmp_path):
 def test_export_node_task_cumulative_degree(tmp_path):
     t0 = ts(2021, 1, 1)
     g = graph_of([(t0, 0, 1), (ts(2021, 1, 2), 0, 2)])
-    series = build_snapshots(g, "day")
-    export_features(g, series, str(tmp_path), granularity="day",
+    export_features(g, str(tmp_path), granularity="day",
                     exclude_null=True, task="node")
     with open(tmp_path / "snapshot_0001" / "nodes.csv") as fh:
         rows = {r["address_id"]: r for r in csv.DictReader(fh)}
@@ -280,8 +285,7 @@ def test_export_live_update_earlystop_mask(tmp_path):
     t0 = ts(2021, 1, 1)
     triples = [(t0 + i * 60, i, i + 1) for i in range(50)]
     g = graph_of(triples)
-    series = build_snapshots(g, "day")
-    export_features(g, series, str(tmp_path), granularity="day",
+    export_features(g, str(tmp_path), granularity="day",
                     exclude_null=True, split_mode="live_update",
                     seed=3, earlystop_fraction=0.3)
     with open(tmp_path / "snapshot_0000" / "edges.csv") as fh:
@@ -294,8 +298,7 @@ def test_export_live_update_earlystop_mask(tmp_path):
 def test_export_manifest_roles(tmp_path):
     import json
     g = graph_of([(ts(2021, 1, 1 + i), 0, i + 1) for i in range(5)])
-    series = build_snapshots(g, "day")
-    export_features(g, series, str(tmp_path), granularity="day",
+    export_features(g, str(tmp_path), granularity="day",
                     exclude_null=True, split_mode="fixed")
     man = json.loads((tmp_path / "snapshot_0004" / "manifest.json").read_text())
     assert man["role"] == "test"
@@ -309,13 +312,13 @@ def test_export_manifest_roles(tmp_path):
 def test_export_files_match_csv_writer_oracle(task, split_mode, events,
                                               exclude_null, seed):
     g = TemporalGraph.build(events)
-    snaps = build_snapshots(g, "day", exclude_null=exclude_null)
+    snaps = list(build_snapshots(g, "day", exclude_null=exclude_null))
     label_of = {addr_id(g, a): c for a, c in
                 oracles.trader_labels(_triples(events), NULL_ADDRESS).items()}
     want = oracles.export_csv_texts(snaps, label_of, task, split_mode, seed,
                                     0.3)
     with tempfile.TemporaryDirectory() as d:
-        export_features(g, snaps, d, granularity="day",
+        export_features(g, d, granularity="day",
                         exclude_null=exclude_null, task=task,
                         split_mode=split_mode, seed=seed,
                         earlystop_fraction=0.3)
@@ -323,6 +326,29 @@ def test_export_files_match_csv_writer_oracle(task, split_mode, events,
                      .decode() for name in ("edges.csv", "nodes.csv"))
                for i in range(len(snaps))]
     assert got == want
+
+
+def test_export_ml_memory_per_edge(tmp_path):
+    """export-ml's peak of traced allocations on 60k uniform transfers by
+    day, node task, stays below 260 B per edge: the loaded graph, the
+    per-node export state and one snapshot's pairs, about 220 B (387 B
+    when every snapshot is built before the first is written)."""
+    from nftgraph import cli
+    from nftgraph.fixture import write_fixture
+    src = str(tmp_path / "transfers.csv")
+    write_fixture("uniform", 1, 60_000, src)
+    tracemalloc.start()
+    try:
+        rc = cli.main(["export-ml", "--input", src,
+                       "--out-dir", str(tmp_path / "ml"),
+                       "--granularity", "day", "--task", "node",
+                       "--negatives-snapshot", "0"])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert rc == 0
+    assert (tmp_path / "ml" / "snapshot_0020").is_dir()
+    assert peak / 60_000 < 260
 
 
 # -- evaluation --------------------------------------------------------

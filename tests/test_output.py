@@ -21,7 +21,7 @@ from nftgraph import cache, output
 from nftgraph.fixture import generate, write_raw_csv
 from nftgraph.graph import TemporalGraph
 from nftgraph.ingest import normalize_stream
-from nftgraph.mlbench import build_snapshots, export_features
+from nftgraph.mlbench import export_features
 from nftgraph.output import open_output, write_rows, write_table
 
 SRC = Path(output.__file__).parent
@@ -187,10 +187,9 @@ def test_failed_cache_save_leaves_cache_as_it_was(tmp_path, disk_full, old):
 def test_failed_export_leaves_each_file_whole(tmp_path, disk_full):
     g = TemporalGraph.build(random_events(random.Random(5), max_nodes=40,
                                           max_edges=400))
-    series = build_snapshots(g, "month")
 
     def export(out, task):
-        export_features(g, series, str(out), granularity="month",
+        export_features(g, str(out), granularity="month",
                         exclude_null=True, task=task)
         return _tree(out)
 
@@ -200,7 +199,7 @@ def test_failed_export_leaves_each_file_whole(tmp_path, disk_full):
     export(out, "link")
     disk_full(sum(map(len, node.values())) // 2)
     with pytest.raises(OSError):
-        export_features(g, series, str(out), granularity="month",
+        export_features(g, str(out), granularity="month",
                         exclude_null=True, task="node")
     after = _tree(out)
     assert after.keys() == link.keys()
