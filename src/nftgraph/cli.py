@@ -150,17 +150,14 @@ def _growth_csvs(series, out_dir: str) -> None:
 
 def cmd_metrics(args) -> int:
     g = _load_graph(args.input)
-    cutoff = args.at
-    views = {}
-    for name, include_null in (("exclude_null", False), ("include_null", True)):
-        view = simple_view(g, cutoff, include_null=include_null,
-                           include_self_loops=not args.exclude_self_loops)
-        views[name] = metrics_mod.metrics_report(
-            view, diameter_exact_threshold=args.diameter_exact_threshold,
-            diameter_sources=args.diameter_sources, seed=args.seed)
-        views[name]["nodes"] = view.num_nodes
-        views[name]["pairs"] = view.num_edges
-
+    # each view is built, reported and dropped before the next
+    views = {name: metrics_mod.metrics_report(
+                 simple_view(g, args.at, include_null=include_null,
+                             include_self_loops=not args.exclude_self_loops),
+                 diameter_exact_threshold=args.diameter_exact_threshold,
+                 diameter_sources=args.diameter_sources, seed=args.seed)
+             for name, include_null in (("exclude_null", False),
+                                        ("include_null", True))}
     body: dict = {"views": views}
     growth = metrics_mod.growth_series(
         g, args.granularity, include_self_loops=not args.exclude_self_loops)
@@ -177,14 +174,11 @@ def cmd_metrics(args) -> int:
                 _round_floats([(s, spans[s], avg_tx[s])
                                for s in sorted(spans)]))
     if args.split_time is not None:
-        tea, tet = metrics_mod.tea_tet(g, args.granularity, args.split_time)
+        tea, body["tet_classes"] = metrics_mod.tea_tet(
+            g, args.granularity, args.split_time)
         write_table(os.path.join(args.out_dir, "tea.csv"),
                     ["period", "new", "recurring"],
                     [(label, d["new"], d["recurring"]) for label, d in tea])
-        counts = {"train_only": 0, "test_only": 0, "both": 0}
-        for cls in tet.values():
-            counts[cls] += 1
-        body["tet_classes"] = counts
     _emit_json(_make_report(args, [args.input], body),
                args.report or os.path.join(args.out_dir, "metrics.json"))
     return EXIT_OK

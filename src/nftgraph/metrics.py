@@ -176,9 +176,11 @@ def effective_diameter(view: SimpleDigraph, *, exact_threshold: int = 10000,
 
 def metrics_report(view: SimpleDigraph, *, diameter_exact_threshold: int = 10000,
                    diameter_sources: int = 1000, seed: int = 0) -> dict:
-    """Every view-level metric by report key; histogram keys are sorted
-    decimal strings."""
+    """Every view-level metric by report key, with the view's node and
+    pair counts; histogram keys are sorted decimal strings."""
     return {
+        "nodes": view.num_nodes,
+        "pairs": view.num_edges,
         "assortativity": assortativity(view),
         "density": density(view),
         "reciprocity": reciprocity(view),
@@ -247,16 +249,19 @@ def mutual_edge_intervals(g: TemporalGraph, *, include_null: bool = False):
     """Histogram of |t_uv - t_vu| between earliest opposing edges.
 
     Returns (histogram bucket->count, cumulative bucket->fraction) with
-    one bucket per whole day.
+    one bucket per whole day, counted when a pair's second direction
+    first appears.
     """
     first_ts: dict[tuple[int, int], int] = {}
+    hist: Counter = Counter()
     for u, v, ts in g.edges(include_null=include_null,
                             include_self_loops=False):
-        first_ts.setdefault((u, v), ts)
-    hist: Counter = Counter()
-    for (u, v), t in first_ts.items():
-        if u < v and (v, u) in first_ts:
-            hist[abs(t - first_ts[(v, u)]) // DAY] += 1
+        if (u, v) in first_ts:
+            continue
+        first_ts[u, v] = ts
+        back = first_ts.get((v, u))
+        if back is not None:
+            hist[(ts - back) // DAY] += 1
     total = sum(hist.values())
     cumulative: dict[int, float] = {}
     if total:
@@ -306,8 +311,8 @@ def holder_stats(g: TemporalGraph, top_k: int = 10):
 
 def tea_tet(g: TemporalGraph, granularity: str, split_time: int, *,
             include_null: bool = False):
-    """TEA per-period (label, {"new", "recurring"} pair counts) and
-    per-pair TET classes.
+    """TEA per-period (label, {"new", "recurring"} pair counts) and the
+    number of distinct pairs in each TET class.
 
     A pair is recurring in a period when it was observed in any earlier
     period.  TET classes each distinct pair as train_only / test_only /
@@ -315,24 +320,20 @@ def tea_tet(g: TemporalGraph, granularity: str, split_time: int, *,
     """
     periods = g.periods(granularity)
     counts = [{"new": 0, "recurring": 0} for _ in periods]
-    seen: dict[tuple[int, int], list[int]] = {}  # [first ts, last ts]
+    tet = {"train_only": 0, "test_only": 0, "both": 0}
+    last: dict[tuple[int, int], int] = {}   # each pair's last ts so far
     for p, (u, v, ts) in tag_periods(periods,
                                      g.edges(include_null=include_null)):
-        rec = seen.get((u, v))
-        if rec is None:
-            seen[u, v] = [ts, ts]
+        prev = last.get((u, v))
+        last[u, v] = ts
+        if prev is None:
             counts[p]["new"] += 1
+            tet["train_only" if ts <= split_time else "test_only"] += 1
             continue
-        if rec[1] < periods[p].start_ts:    # last seen in an earlier period
+        if prev < periods[p].start_ts:      # last seen in an earlier period
             counts[p]["recurring"] += 1
-        rec[1] = ts
+        if prev <= split_time < ts:         # a train pair's first test edge
+            tet["train_only"] -= 1
+            tet["both"] += 1
     tea = [(period.label, row) for period, row in zip(periods, counts)]
-    tet: dict[tuple[int, int], str] = {}
-    for pair, (first, last) in seen.items():
-        if first <= split_time < last:
-            tet[pair] = "both"
-        elif last <= split_time:
-            tet[pair] = "train_only"
-        else:
-            tet[pair] = "test_only"
     return tea, tet

@@ -1,4 +1,6 @@
 import random
+import tracemalloc
+from collections import Counter
 from datetime import datetime, timezone
 
 import pytest
@@ -6,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
-from conftest import addr, addr_id, graph_of, make_events, random_events
+from conftest import addr, graph_of, make_events, random_events
 from nftgraph import metrics
 from nftgraph.graph import SimpleDigraph, TemporalGraph, simple_view
 from nftgraph.ingest import NULL_ADDRESS, TransferEvent
@@ -79,6 +81,7 @@ def test_degree_histogram_mass():
 
 def test_metrics_report_handles_empty():
     rep = metrics_report(view_of([], extra_nodes=[0, 1]))
+    assert rep["nodes"] == 2 and rep["pairs"] == 0
     assert rep["assortativity"] is None
     assert rep["effective_diameter"] is None
     assert rep["reciprocity"] == 0.0
@@ -297,14 +300,19 @@ def test_mutual_intervals_example_and_oracle():
     hist, cumulative = mutual_edge_intervals(g)
     assert hist == {3: 1}
     assert cumulative == {3: 1.0}
+    # Null edges and self-loops, and the same edges moved to midnight so
+    # that opposing first edges share a timestamp
     rng = random.Random(12)
     for _ in range(25):
-        events = random_events(rng, 15, 120)
-        g = TemporalGraph.build(events)
-        hist, _ = mutual_edge_intervals(g, include_null=True)
-        want = oracles.mutual_intervals(
-            [(e.timestamp, e.from_addr, e.to_addr) for e in events])
-        assert hist == want
+        events = random_events(rng, 15, 120, with_null=True)
+        at_midnight = [e._replace(timestamp=e.timestamp - e.timestamp % 86400)
+                       for e in events]
+        for events in (events, at_midnight):
+            g = TemporalGraph.build(events)
+            for include_null in (True, False):
+                hist, _ = mutual_edge_intervals(g, include_null=include_null)
+                want = oracles.mutual_intervals(_triples(events, include_null))
+                assert hist == want
 
 
 def test_active_periods_spans():
@@ -404,10 +412,8 @@ def test_tea_tet_example():
     tea, tet = tea_tet(g, "day", split_time=d1 + 3600)
     assert tea[0][1] == {"new": 1, "recurring": 0}
     assert tea[1][1] == {"new": 1, "recurring": 1}
-    ab = (addr_id(g, addr(0)), addr_id(g, addr(1)))
-    ac = (addr_id(g, addr(0)), addr_id(g, addr(2)))
-    assert tet[ab] == "both"
-    assert tet[ac] == "test_only"
+    # a0 -> a1 spans the split, a0 -> a2 comes after it
+    assert tet == {"train_only": 0, "test_only": 1, "both": 1}
 
 
 def test_tea_matches_oracle():
@@ -458,12 +464,43 @@ def test_tet_classes_match_oracle(include_null):
         first, last = g.e_ts[0], g.e_ts[-1]
         for split in (first - 1, first, rng.randint(first, last), last - 1,
                       last):
-            _, tet = tea_tet(g, "day", split, include_null=include_null)
-            got = {(g.addresses[u], g.addresses[v]): c
-                   for (u, v), c in tet.items()}
-            want = oracles.tet_classes(
+            _, got = tea_tet(g, "day", split, include_null=include_null)
+            want = Counter(dict.fromkeys(("train_only", "test_only", "both"),
+                                         0))
+            want.update(oracles.tet_classes(
                 [(e.timestamp, e.from_addr, e.to_addr) for e in events],
-                split, None if include_null else NULL_ADDRESS)
+                split, None if include_null else NULL_ADDRESS).values())
             assert got == want
-            classes.update(want.values())
+            classes.update(c for c, n in want.items() if n)
     assert classes == {"train_only", "test_only", "both"} and loops
+
+
+# -- memory -------------------------------------------------------------
+
+def test_metrics_memory_per_edge(tmp_path):
+    """metrics' peak of traced allocations on 20k uniform transfers by
+    day, split at the middle, stays below 550 B per edge: the loaded
+    graph, one simple view and one stream measurement's pair table,
+    about 460 B (660 B when the first view is still held while the
+    second is built and tea_tet keeps a [first, last] list per pair)."""
+    from nftgraph import cli
+    from nftgraph.fixture import write_fixture
+    src = str(tmp_path / "transfers.csv")
+    write_fixture("uniform", 1, 20_000, src)
+    with open(src) as fh:
+        fh.readline()
+        stamps = [int(line.split(",", 1)[0]) for line in fh]
+    mid = (stamps[0] + stamps[-1]) // 2
+    tracemalloc.start()
+    try:
+        rc = cli.main(["metrics", "--input", src,
+                       "--out-dir", str(tmp_path / "m"),
+                       "--granularity", "day", "--split-time", str(mid),
+                       "--diameter-exact-threshold", "300",
+                       "--diameter-sources", "40"])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert rc == 0
+    assert (tmp_path / "m" / "tea.csv").is_file()
+    assert peak / 20_000 < 550
