@@ -58,8 +58,7 @@ def suspicious_pairs(g: TemporalGraph, candidates, min_tx: int = 5,
     flagged = []
     for (ia, ib), gap, between in candidates:
         ta, tb = g.n_txc[ia], g.n_txc[ib]
-        ra = between / ta if ta else 0.0
-        rb = between / tb if tb else 0.0
+        ra, rb = between / ta, between / tb
         hits = []
         if ta < min_tx or tb < min_tx:
             hits.append(LOW_ACTIVITY)
@@ -76,20 +75,23 @@ def suspicious_pairs(g: TemporalGraph, candidates, min_tx: int = 5,
     return flagged
 
 
-def _scan_runs(seq: list[tuple[int, int]], min_run: int,
-               max_median_interval: float):
-    """Maximal token-id +1 runs in a time-sorted (ts, token_id) sequence."""
-    runs = []
+def _longest_run(seq: list[tuple[int, int]], min_run: int,
+                 max_median_interval: float):
+    """(start, end, median gap) of the first longest maximal token-id +1
+    run of at least `min_run` items in a time-sorted (ts, token_id)
+    sequence whose median gap is at most `max_median_interval`, or None.
+    """
+    best, longest = None, min_run - 1
     start = 0
     for i in range(1, len(seq) + 1):
         if i == len(seq) or seq[i][1] != seq[i - 1][1] + 1:
-            if i - start >= min_run:
-                gaps = [seq[j][0] - seq[j - 1][0] for j in range(start + 1, i)]
-                med = statistics.median(gaps)
+            if i - start > longest:
+                med = statistics.median(seq[j][0] - seq[j - 1][0]
+                                        for j in range(start + 1, i))
                 if med <= max_median_interval:
-                    runs.append((start, i, med))
+                    best, longest = (start, i, med), i - start
             start = i
-    return runs
+    return best
 
 
 def bot_scan(g: TemporalGraph, min_run: int = 100,
@@ -112,10 +114,10 @@ def bot_scan(g: TemporalGraph, min_run: int = 100,
     for (node, cid, direction), seq in by_key.items():
         if len(seq) < min_run:
             continue
-        runs = _scan_runs(seq, min_run, max_median_interval)
-        if not runs:
+        best = _longest_run(seq, min_run, max_median_interval)
+        if best is None:
             continue
-        start, end, med = max(runs, key=lambda r: r[1] - r[0])
+        start, end, med = best
         reports.append({
             "type": "bot_report",
             "address": g.addresses[node], "contract": g.contracts[cid],

@@ -13,6 +13,7 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
+import math
 import os
 import sys
 from collections import Counter
@@ -487,9 +488,9 @@ def main(argv=None) -> int:
         return e.code if isinstance(e.code, int) else EXIT_USAGE
     for name, low in _MINIMUMS.items():
         value = getattr(args, name, None)
-        if value is not None and not value >= low:
-            print(f"nftgraph: --{name.replace('_', '-')} must be at least "
-                  f"{low}, got {value}", file=sys.stderr)
+        if value is not None and not low <= value < math.inf:
+            print(f"nftgraph: --{name.replace('_', '-')} must be finite and "
+                  f"at least {low}, got {value}", file=sys.stderr)
             return EXIT_USAGE
     fraction = getattr(args, "earlystop_fraction", None)
     if fraction is not None and not 0 <= fraction <= 1:

@@ -239,7 +239,7 @@ def _search(g: SimpleDigraph, labels: dict[int, object], steps: list[Step],
 
 
 class _Automorphisms(list):
-    """`_search`'s collector for `query_automorphisms`.
+    """`_search`'s collector for `timed_automorphisms`.
 
     The search lets a wildcard vertex take any label, but a true
     automorphism must carry each label onto an identical label, so only
@@ -260,31 +260,22 @@ class _Automorphisms(list):
             super().append(m)
 
 
-def query_automorphisms(q: QueryGraph,
-                        deadline: float = math.inf) -> list[tuple[int, ...]]:
-    """All label/direction preserving self-embeddings of the query.
-
-    Raises TimeLimitExceeded at the first search node past `deadline`, and
-    DataError if there are more than MAX_AUTOMORPHISMS.
-    """
-    n = q.num_vertices
-    found = _Automorphisms(q)
-    _search(SimpleDigraph(range(n), q.edges), dict(enumerate(q.labels)),
-            _compile(q, []), [None] * n, set(), found, deadline)
-    return sorted(found)
-
-
 def timed_automorphisms(q: QueryGraph, time_limit_ms: float
                         ) -> tuple[list[tuple[int, ...]], float]:
-    """`query_automorphisms(q)` and the ms the enumeration took, with no
-    automorphisms if it ran past `time_limit_ms`.  Raises DataError if
-    there are more than MAX_AUTOMORPHISMS."""
+    """All label/direction preserving self-embeddings of the query, in no
+    particular order, and the ms the enumeration took; no automorphisms
+    if it ran past `time_limit_ms`.  Raises DataError if there are more
+    than MAX_AUTOMORPHISMS."""
+    n = q.num_vertices
+    found = _Automorphisms(q)
     t0 = time.perf_counter()
     try:
-        autos = query_automorphisms(q, t0 + time_limit_ms / 1000.0)
+        _search(SimpleDigraph(range(n), q.edges), dict(enumerate(q.labels)),
+                _compile(q, []), [None] * n, set(), found,
+                t0 + time_limit_ms / 1000.0)
     except TimeLimitExceeded:
-        autos = []
-    return autos, (time.perf_counter() - t0) * 1000.0
+        found = []
+    return found, (time.perf_counter() - t0) * 1000.0
 
 
 class MatchContext:

@@ -165,13 +165,13 @@ def effective_diameter(view: SimpleDigraph, *, exact_threshold: int = 10000,
     total = sum(counts)
     cum = 0
     g_prev = 0.0
+    # every source reaches a neighbour, so g is 1.0 at the last distance
     for d in range(1, len(counts)):
         cum += counts[d]
         g = cum / total
         if g >= 0.9:
             return (d - 1) + (0.9 - g_prev) / (g - g_prev)
         g_prev = g
-    return float(len(counts) - 1)
 
 
 def metrics_report(view: SimpleDigraph, *, diameter_exact_threshold: int = 10000,

@@ -261,25 +261,20 @@ def read_score_file(path: str, k: int | None = None) -> list[ScoreRecord]:
     """Score rows `positive_id,pos_score,neg_score...`; a NaN score, a
     non-numeric one or a row the csv module rejects is a DataError."""
     records = []
-    with open(path, encoding="utf-8-sig", newline="") as fh:
-        for row in _csv_rows(fh):
-            if not row:
-                continue
-            if row[0] == "positive_id":
-                continue
-            if len(row) < 3:
-                raise DataError(f"row for {row[0]!r} has no negatives")
-            try:
-                rec = ScoreRecord(positive_id=row[0], pos_score=float(row[1]),
-                                  neg_scores=tuple(float(x) for x in row[2:]))
-            except ValueError:
-                raise DataError(f"non-numeric score for {row[0]!r}") from None
-            if any(map(math.isnan, (rec.pos_score, *rec.neg_scores))):
-                raise DataError(f"NaN score for {row[0]!r}")
-            if k is not None and len(rec.neg_scores) != k:
-                raise DataError(
-                    f"{row[0]!r}: expected {k} negatives, got {len(rec.neg_scores)}")
-            records.append(rec)
+    for row in _csv_rows(path, ("positive_id",)):
+        if len(row) < 3:
+            raise DataError(f"row for {row[0]!r} has no negatives")
+        try:
+            rec = ScoreRecord(positive_id=row[0], pos_score=float(row[1]),
+                              neg_scores=tuple(float(x) for x in row[2:]))
+        except ValueError:
+            raise DataError(f"non-numeric score for {row[0]!r}") from None
+        if any(map(math.isnan, (rec.pos_score, *rec.neg_scores))):
+            raise DataError(f"NaN score for {row[0]!r}")
+        if k is not None and len(rec.neg_scores) != k:
+            raise DataError(
+                f"{row[0]!r}: expected {k} negatives, got {len(rec.neg_scores)}")
+        records.append(rec)
     return records
 
 
@@ -324,20 +319,22 @@ def eval_classification(pairs: list[tuple[str, str]]) -> dict:
 
 def read_prediction_file(path: str) -> list[tuple[str, str]]:
     pairs = []
-    with open(path, encoding="utf-8-sig", newline="") as fh:
-        for row in _csv_rows(fh):
-            if not row or row[0] in ("id", "node_id"):
-                continue
-            if len(row) < 3:
-                raise DataError("prediction rows need id,true,predicted")
-            pairs.append((row[1], row[2]))
+    for row in _csv_rows(path, ("id", "node_id")):
+        if len(row) < 3:
+            raise DataError("prediction rows need id,true,predicted")
+        pairs.append((row[1], row[2]))
     return pairs
 
 
-def _csv_rows(fh) -> Iterator[list[str]]:
-    """`csv.reader(fh)` with its errors raised as DataError."""
-    reader = csv.reader(fh)
-    try:
-        yield from reader
-    except csv.Error as e:
-        raise DataError(f"bad csv at line {reader.line_num}: {e}") from None
+def _csv_rows(path: str, headers: tuple[str, ...]) -> Iterator[list[str]]:
+    """The rows of the UTF-8 CSV file `path` (a byte-order mark dropped),
+    less blank rows and rows whose first field is one of `headers`; a row
+    the csv module rejects is a DataError."""
+    with open(path, encoding="utf-8-sig", newline="") as fh:
+        reader = csv.reader(fh)
+        try:
+            for row in reader:
+                if row and row[0] not in headers:
+                    yield row
+        except csv.Error as e:
+            raise DataError(f"bad csv at line {reader.line_num}: {e}") from None

@@ -261,6 +261,48 @@ def token_owner_at(events, contract, token_id, t=None):
     return owner
 
 
+def bot_reports(events, min_run, max_median_interval):
+    """`bot_report` rows by trying every window of each (address,
+    contract, direction) group's transfers in event order: a window is a
+    run if each token id is one more than the one before it and neither
+    neighbour extends it; the longest run of at least `min_run` whose
+    median gap is within the bound wins, the earliest among equals."""
+    groups = {}
+    for e in events:
+        item = (e.timestamp, e.token_id)
+        groups.setdefault((e.from_addr, e.contract, "out"), []).append(item)
+        groups.setdefault((e.to_addr, e.contract, "in"), []).append(item)
+    reports = []
+    for (address, contract, direction), seq in groups.items():
+        n = len(seq)
+        best = None
+        for s in range(n):
+            for t in range(s + min_run, n + 1):
+                toks = [tok for _ts, tok in seq[s:t]]
+                if (any(b - a != 1 for a, b in zip(toks, toks[1:]))
+                        or (s > 0 and seq[s][1] - seq[s - 1][1] == 1)
+                        or (t < n and seq[t][1] - seq[t - 1][1] == 1)):
+                    continue
+                gaps = sorted(seq[j][0] - seq[j - 1][0]
+                              for j in range(s + 1, t))
+                mid = len(gaps) // 2
+                median = (gaps[mid] if len(gaps) % 2
+                          else (gaps[mid - 1] + gaps[mid]) / 2)
+                if median <= max_median_interval and (
+                        best is None or t - s > best[1] - best[0]):
+                    best = (s, t, median)
+        if best is not None:
+            s, t, median = best
+            reports.append({
+                "type": "bot_report", "address": address,
+                "contract": contract, "direction": direction,
+                "run_length": t - s, "median_interval_seconds": median,
+                "first_token_id": seq[s][1], "start_ts": seq[s][0],
+                "end_ts": seq[t - 1][0]})
+    return sorted(reports, key=lambda r: (r["address"], r["contract"],
+                                          r["direction"]))
+
+
 def mutual_intervals(events, bucket=86400):
     firsts = {}
     for ts, u, v in events:

@@ -1,10 +1,14 @@
 import random
 
-from conftest import addr, graph_of, random_events
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+import oracles
+from conftest import CONTRACT, addr, graph_of, random_events
 from nftgraph.anomaly import (HIGH_RATIO, LOW_ACTIVITY, bot_scan,
                               simultaneous_bidirectional, suspicious_pairs)
 from nftgraph.graph import TemporalGraph
-from nftgraph.ingest import NULL_ADDRESS
+from nftgraph.ingest import NULL_ADDRESS, TransferEvent
 
 
 def test_simultaneous_included_and_excluded():
@@ -149,3 +153,59 @@ def test_bot_run_below_minimum_not_flagged():
         g.e_token[k] = 1000 + k
     assert bot_scan(g) == []
     assert len(bot_scan(g, min_run=50)) >= 1
+
+
+def test_bot_scan_keeps_the_first_longest_qualifying_run():
+    # a5: two 5-token runs, the later one faster; a6: a 6-token run too
+    # slow for the bound, then a qualifying 4-token run
+    fives = [(1000, 1000, 20), (5000, 2000, 10)]
+    runs = [(5, t0 + gap * i, tok0 + i)
+            for t0, tok0, gap in fives for i in range(5)]
+    runs += [(6, 10000 + 7200 * i, 3000 + i) for i in range(6)]
+    runs += [(6, 60000 + 60 * i, 4000 + i) for i in range(4)]
+    runs.sort(key=lambda r: r[1])
+    g = graph_of([(ts, u, 100 + k) for k, (u, ts, _tok) in enumerate(runs)])
+    for k, (_u, _ts, tok) in enumerate(runs):
+        g.e_token[k] = tok
+    out = {r["address"]: r for r in bot_scan(g, min_run=3)
+           if r["direction"] == "out"}
+    assert (out[addr(5)]["run_length"], out[addr(5)]["first_token_id"],
+            out[addr(5)]["median_interval_seconds"]) == (5, 1000, 20)
+    assert (out[addr(6)]["run_length"], out[addr(6)]["first_token_id"],
+            out[addr(6)]["median_interval_seconds"]) == (4, 4000, 60)
+
+
+@st.composite
+def _bot_events(draw):
+    """Transfers among a few addresses, Null mints among them, with
+    planted +1 token-id runs: fast, too slow for a 600 s median, often of
+    the same length for one sender, some sharing timestamps."""
+    rng = draw(st.randoms(use_true_random=False))
+    wallets = [addr(i) for i in range(4)] + [NULL_ADDRESS]
+    contracts = [CONTRACT, "0x" + "c1" * 20]
+    rows = []
+    for _ in range(rng.randint(0, 6)):
+        src, dst = rng.choice(wallets), rng.choice(wallets[:4])
+        contract = rng.choice(contracts)
+        length = rng.randint(1, 7)
+        gap = rng.choice([0, 5, 60, 600, 601, 3600])
+        t0, tok0 = rng.randint(0, 20000), rng.randrange(0, 40, 10)
+        for copy in range(rng.choice([1, 1, 2])):   # a second, equal run
+            for i in range(length):
+                rows.append((t0 + copy * 30000 + gap * i + rng.choice(
+                    [0, 0, 0, 1, gap]), contract, src, dst, tok0 + i))
+    for _ in range(rng.randint(0, 15)):
+        rows.append((rng.randint(0, 60000), rng.choice(contracts),
+                     rng.choice(wallets), rng.choice(wallets[:4]),
+                     rng.randrange(45)))
+    rows.sort(key=lambda r: r[0])
+    return [TransferEvent(ts, ts // 13, f"0x{k + 1:064x}", k, c, u, v, tok)
+            for k, (ts, c, u, v, tok) in enumerate(rows)]
+
+
+@settings(deadline=None, max_examples=150)
+@given(events=_bot_events(), min_run=st.integers(2, 5),
+       bound=st.sampled_from([0, 30, 600, 10 ** 9]))
+def test_bot_scan_matches_window_oracle(events, min_run, bound):
+    assert (bot_scan(TemporalGraph.build(events), min_run, bound)
+            == oracles.bot_reports(events, min_run, bound))

@@ -23,7 +23,7 @@ from nftgraph import cache
 from nftgraph.cli import main
 from nftgraph.fixture import write_fixture
 from nftgraph.graph import TemporalGraph
-from nftgraph.ingest import write_transfers
+from nftgraph.ingest import NORMALIZED_HEADER, write_transfers
 
 
 @pytest.fixture(scope="module")
@@ -550,6 +550,53 @@ def test_build_then_cached_analysis(data_dir, tmp_path, capsys):
     assert len(s["top_holders"]) == 10
 
 
+@pytest.mark.parametrize("source", ["csv", "cache"])
+def test_header_only_input_gives_empty_tables(tmp_path, capsys, source):
+    """A normalized CSV with no rows, and the cache built from it: every
+    analysis exits 0 with empty tables, and no snapshot index is valid."""
+    path = tmp_path / "empty.csv"
+    path.write_text(",".join(NORMALIZED_HEADER) + "\n")
+    if source == "cache":
+        assert main(["build", "--input", str(path), "--output",
+                     str(tmp_path / "g.lglb")]) == 0
+        path = tmp_path / "g.lglb"
+
+    def run(*argv):
+        return main([argv[0], "--input", str(path), *argv[1:]])
+
+    assert run("stats", "--report", str(tmp_path / "s.json")) == 0
+    stats = json.loads((tmp_path / "s.json").read_text())
+    assert stats["summary"]["edges"] == 0 and stats["top_holders"] == []
+    m = tmp_path / "m"
+    assert run("metrics", "--out-dir", str(m),
+               "--split-time", "1600000000") == 0
+    for table in m.glob("*.csv"):
+        assert len(table.read_text().splitlines()) == 1, table.name
+    report = json.loads((m / "metrics.json").read_text())
+    assert report["tet_classes"] == {"both": 0, "test_only": 0,
+                                     "train_only": 0}
+    assert all(v["nodes"] == 0 for v in report["views"].values())
+    assert run("anomaly", "--output", str(tmp_path / "a.jsonl")) == 0
+    (summary,) = map(json.loads,
+                     (tmp_path / "a.jsonl").read_text().splitlines())
+    assert summary["flagged_pairs"] == summary["bot_reports"] == 0
+    assert run("csm", "--initial-until", "0",
+               "--output", str(tmp_path / "c.csv")) == 0
+    with open(tmp_path / "c.csv", newline="") as fh:
+        rows = list(csv.DictReader(fh))
+    assert [(r["matches"], r["timed_out"]) for r in rows] == [("0", "0")] * 5
+    x = tmp_path / "x"
+    assert run("export-ml", "--out-dir", str(x)) == 0
+    assert json.loads((x / "report.json").read_text())["snapshots"] == 0
+    assert not list(x.glob("snapshot_*"))
+    capsys.readouterr()
+    assert run("export-ml", "--out-dir", str(tmp_path / "y"),
+               "--negatives-snapshot", "0") == 1
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and "[0, 0)" in err
+    assert not (tmp_path / "y").exists()
+
+
 def test_metrics_cli_outputs(data_dir, tmp_path, capsys):
     out = tmp_path / "m"
     rc = main(["metrics", "--input", str(data_dir / "planted.csv"),
@@ -677,6 +724,10 @@ def test_csm_rejects_label_pool_below_1(data_dir, tmp_path, capsys, pool):
     (["anomaly", "--output", "{out}"], "--min-tx", "-1"),
     (["eval"], "--k", "0"),
     (["eval"], "--k", "-1"),
+    (["csm", "--initial-until", "0", "--output", "{out}"],
+     "--time-limit-ms", "inf"),
+    (["anomaly", "--output", "{out}"], "--ratio", "inf"),
+    (["anomaly", "--output", "{out}"], "--bot-max-median-interval", "inf"),
 ])
 def test_count_option_below_minimum_exits_1(data_dir, tmp_path, capsys,
                                             command, flag, value):
@@ -904,6 +955,11 @@ def test_export_ml_and_eval_cli(data_dir, tmp_path, capsys):
     metrics = json.loads((tmp_path / "eval.json").read_text())["metrics"]
     assert metrics["auc"] == 0.98
     assert abs(metrics["mrr"] - 1 / 3) < 1e-9
+    # a blank row is skipped; a row with no negatives is named
+    scores.write_text("\ne0,0.5\n")
+    capsys.readouterr()
+    assert main(["eval", "--input", str(scores), "--task", "link"]) == 2
+    assert "'e0'" in _one_error_line(capsys)
 
 
 def test_eval_node_cli(tmp_path, capsys):

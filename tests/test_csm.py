@@ -1,5 +1,4 @@
 import itertools
-import math
 import random
 import time
 from collections import Counter
@@ -61,6 +60,7 @@ _BAD_QUERIES = {
     "w 0 *": "unparseable statement 'w 0",
     "v x *": "bad vertex id 'x'",
     "v 0 abc": "bad label 'abc'",
+    "v 0 *; v 1 *; e 0 x": "bad edge endpoints",
     "; ".join(f"v {i} *" for i in range(17)) + "; "
     + "; ".join(f"e {i} {i + 1}" for i in range(16)): "more than 16 vertices",
 }
@@ -563,40 +563,49 @@ def test_run_stream_shares_one_graph_across_queries():
 
 def _spend_budget_in_automorphisms(monkeypatch, name):
     """Make query `name`'s automorphism enumeration use up its whole
-    budget: csm's clock jumps two hours and the enumeration gives up."""
-    real = csm.query_automorphisms
+    budget: it finds none and takes two hours."""
+    real = csm.timed_automorphisms
 
-    class Clock:                # csm's `time`, late once `name` is built
-        late = 0.0
-
-        @classmethod
-        def perf_counter(cls):
-            return time.perf_counter() + cls.late
-
-    def automorphisms(q, deadline=math.inf):
+    def automorphisms(q, time_limit_ms):
         if q.name == name:
-            Clock.late += 3600.0 * 2
-            raise TimeLimitExceeded
-        return real(q, deadline)
+            return [], 7.2e6
+        return real(q, time_limit_ms)
 
-    monkeypatch.setattr(csm, "time", Clock)
-    monkeypatch.setattr(csm, "query_automorphisms", automorphisms)
+    monkeypatch.setattr(csm, "timed_automorphisms", automorphisms)
 
 
 def test_run_stream_time_out_leaves_other_queries(monkeypatch):
-    """A query that times out is flagged and searched no further (a later
-    insert would raise), and every other row is unchanged."""
+    """A query whose budget runs out inside the search of an insert in
+    the middle of the stream is flagged and searched no further, and
+    every other row is unchanged."""
     rng = random.Random(137)
     initial, stream = _random_stream(rng, 10, 120)
     keys = ("query", "matches", "matches_dedup", "timed_out")
     want = [{k: r[k] for k in keys}
             for r in run_stream(initial, stream, builtin_patterns())]
-    assert any(r["matches"] for r in want)
-    _spend_budget_in_automorphisms(monkeypatch, "p3")
+    assert want[2]["matches"] and not want[2]["timed_out"]
+    real = csm.MatchContext.insert_edge
+    calls = []                      # (query, timed out by this insert)
+
+    def insert_edge(ctx, u, v):
+        limit = ctx.time_limit_ms
+        if ctx.q.name == "p3" and ctx.match_count:
+            ctx.time_limit_ms = ctx.elapsed_ms      # no budget left
+        found = real(ctx, u, v)
+        calls.append((ctx.q.name, ctx.timed_out))
+        if not ctx.timed_out:       # a plan-less insert reads no clock
+            ctx.time_limit_ms = limit
+        return found
+
+    monkeypatch.setattr(csm.MatchContext, "insert_edge", insert_edge)
     got = [{k: r[k] for k in keys}
            for r in run_stream(initial, stream, builtin_patterns())]
-    assert got[2] == {"query": "p3", "matches": 0, "matches_dedup": 0,
-                      "timed_out": True}
+    assert got[2]["query"] == "p3" and got[2]["timed_out"]
+    assert 0 < got[2]["matches"] < want[2]["matches"]
+    # p3 timed out at its last insert, and later inserts searched the rest
+    p3 = [i for i, (name, _spent) in enumerate(calls) if name == "p3"]
+    assert [i for i, call in enumerate(calls) if call[1]] == [p3[-1]]
+    assert p3[-1] < len(calls) - 1
     assert got[:2] + got[3:] == want[:2] + want[3:]
 
 
@@ -671,7 +680,7 @@ class _CountingClock:
         return time.perf_counter() + cls.late
 
 
-def test_time_limit_bounds_the_orbit_expansion(monkeypatch):
+def test_deadline_is_read_once_the_search_ends(monkeypatch):
     """The clock jumps two hours once the search is done: the insert
     checks the deadline once when its search ends, so it is abandoned,
     the counters stay and the query is timed out."""

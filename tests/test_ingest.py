@@ -865,6 +865,19 @@ def test_json_block_guard_equals_oracle(odd):
     assert got == want
 
 
+def test_number_topic_in_a_json_block_is_the_one_malformed_line():
+    """A block of JSON lines that parses as one array: the object with a
+    number for a topic is skipped as malformed, every other line is
+    emitted, as each line alone reads."""
+    lines = [json.dumps(dict(_CANON_OBJ, log_index=10 + k)) for k in range(6)]
+    lines[3] = json.dumps(dict(_CANON_OBJ, log_index=13,
+                               topics=[*_CANON_TOPICS[:2], 123,
+                                       *_CANON_TOPICS[3:]]))
+    got, want = _normalize_both(["\n".join(lines)])
+    assert got == want
+    assert (got[0].skipped_malformed, got[0].transfers_emitted) == (1, 5)
+
+
 def test_only_non_canonical_lines_reach_parse_log_line(tmp_path,
                                                        monkeypatch):
     """Canonical CSV lines and `json.dumps` objects, skipped ones
