@@ -300,6 +300,7 @@ class MatchContext:
                                 else timed_automorphisms(q, time_limit_ms))
         t0 = time.perf_counter()
         self.q = q
+        self._n = q.num_vertices
         self.graph = graph
         self.labels = {} if labels is None else labels
         self.time_limit_ms = time_limit_ms
@@ -363,18 +364,20 @@ class MatchContext:
         deadline = t0 + (self.time_limit_ms - self.elapsed_ms) / 1000.0
         classes = 0
         found: list[tuple[int, ...]] = []
-        n = self.q.num_vertices
+        n = self._n
         try:
             # seed x -> u, y -> v
             for x, y, checks, steps, stab in plans:
                 assign = [None] * n
                 assign[x], assign[y] = u, v
-                if checks and not all(assign[b] in out.get(assign[a], _EMPTY)
-                                      for a, b in checks):
-                    continue
-                before = len(found)
-                _search(graph, labels, steps, assign, {u, v}, found, deadline)
-                classes += (len(found) - before) // stab
+                for a, b in checks:
+                    if assign[b] not in out.get(assign[a], _EMPTY):
+                        break
+                else:
+                    before = len(found)
+                    _search(graph, labels, steps, assign, {u, v}, found,
+                            deadline)
+                    classes += (len(found) - before) // stab
         except TimeLimitExceeded:       # then the reading below is late too
             pass
         now = time.perf_counter()
@@ -443,16 +446,20 @@ def run_stream(initial: Sequence[tuple[int, int, int]],
 
     One `StreamGraph` is loaded with the initial pairs and then updated
     once per stream edge; each new pair is searched by every query that
-    has not timed out, and a re-inserted or expired pair is skipped.  The
-    edges must come in time order (DataError otherwise).  Returns one
-    `{"query", "matches", "matches_dedup", "elapsed_ms", "timed_out"}` row
-    per query.  Elapsed time covers each query's automorphism enumeration
-    (`automorphisms` holds each query's `timed_automorphisms` result, or
-    they are enumerated here) and match enumeration; graph-update
-    bookkeeping and each insert's degree pre-check are excluded.  A
-    query hitting its time limit is flagged and searched no further, and
-    the remaining queries still run.  An `automorphisms` list not of one
-    result per query is a DataError, raised before any work.
+    has not timed out, and a re-inserted or expired pair is skipped.  A
+    new pair below the least seed degree bounds of every plan of every
+    such query is skipped for all of them with one check; every other
+    goes to each query through `MatchContext.insert_edge`, its one entry
+    point.  The edges must come in time order (DataError otherwise).
+    Returns one `{"query", "matches", "matches_dedup", "elapsed_ms",
+    "timed_out"}` row per query.  Elapsed time covers each query's
+    automorphism enumeration (`automorphisms` holds each query's
+    `timed_automorphisms` result, or they are enumerated here) and match
+    enumeration; graph-update bookkeeping, the pair check and each
+    insert's degree pre-check are excluded.  A query hitting its time
+    limit is flagged and searched no further, and the remaining queries
+    still run.  An `automorphisms` list not of one result per query is a
+    DataError, raised before any work.
     """
     if automorphisms is None:
         automorphisms = [None] * len(queries)
@@ -471,9 +478,20 @@ def run_stream(initial: Sequence[tuple[int, int, int]],
                              time_limit_ms=time_limit_ms, automorphisms=a)
                 for q, a in zip(queries, automorphisms)]
     live = [ctx for ctx in contexts if not ctx.timed_out]
+    # the least seed bounds (x_out, x_in, y_out, y_in) of every live plan,
+    # component-wise: a new pair below any of them passes no plan's
+    # degree filter.  A time-out leaves them valid for the rest.
+    bounds = [test[3:] for ctx in live for test, _plan in ctx._plans]
+    x_out, x_in, y_out, y_in = ([min(b) for b in zip(*bounds)] if bounds
+                                else [math.inf] * 4)
+    out, in_ = data.graph.out, data.graph.in_
     for u, v in data.new_pairs(stream):
         if not live:
             break
+        # add_pair made out[u] and in_[v]
+        if (len(out.get(v, _EMPTY)) < y_out or len(in_.get(u, _EMPTY)) < x_in
+                or len(out[u]) < x_out or len(in_[v]) < y_in):
+            continue
         for ctx in live:
             ctx.insert_edge(u, v)
             if ctx.timed_out:   # the loop goes on over the old list

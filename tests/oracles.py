@@ -303,6 +303,43 @@ def bot_reports(events, min_run, max_median_interval):
                                           r["direction"]))
 
 
+def suspicious_pairs(events, threshold, min_tx, ratio, include_null):
+    """`suspicious_pair` rows from TransferEvents in time order: every
+    pair of distinct addresses with edges both ways (Null-incident ones
+    only with `include_null`) whose closest opposing edges, over all
+    pairs of them, are at most `threshold` apart; an endpoint's
+    transactions are all its events, a self-loop once.  The endpoint
+    that appears first, a src before its dst, is `a`."""
+    order, txc, times = {}, Counter(), {}
+    for e in events:
+        for a in (e.from_addr, e.to_addr):
+            order.setdefault(a, len(order))
+        txc.update({e.from_addr, e.to_addr})
+        if e.from_addr != e.to_addr and (
+                include_null or _NULL not in (e.from_addr, e.to_addr)):
+            times.setdefault((e.from_addr, e.to_addr), []).append(e.timestamp)
+    rows = []
+    for (a, b), ab in times.items():
+        ba = times.get((b, a))
+        if order[a] > order[b] or ba is None:
+            continue
+        gap = min(abs(s - t) for s in ab for t in ba)
+        between = len(ab) + len(ba)
+        hits = ()
+        if txc[a] < min_tx or txc[b] < min_tx:
+            hits += ("LOW_ACTIVITY",)
+        if between / txc[a] > ratio or between / txc[b] > ratio:
+            hits += ("HIGH_RATIO",)
+        if gap <= threshold and hits:
+            rows.append({
+                "type": "suspicious_pair", "a": a, "b": b,
+                "interval_seconds": gap, "rule_hits": hits,
+                "a_tx_count": txc[a], "b_tx_count": txc[b],
+                "pair_tx_count": between, "a_ratio": between / txc[a],
+                "b_ratio": between / txc[b]})
+    return sorted(rows, key=lambda r: (r["a"], r["b"]))
+
+
 def mutual_intervals(events, bucket=86400):
     firsts = {}
     for ts, u, v in events:

@@ -1,10 +1,10 @@
 import random
 
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import oracles
-from conftest import CONTRACT, addr, graph_of, random_events
+from conftest import CONTRACT, addr, graph_of, make_events, random_events
 from nftgraph.anomaly import (HIGH_RATIO, LOW_ACTIVITY, bot_scan,
                               simultaneous_bidirectional, suspicious_pairs)
 from nftgraph.graph import TemporalGraph
@@ -112,6 +112,46 @@ def test_rule_monotonicity():
 
         assert low_set(3) <= low_set(5) <= low_set(8)
         assert high_set(0.9) <= high_set(0.8) <= high_set(0.5)
+
+
+@st.composite
+def _trades(draw):
+    """Transfers among three wallets and Null: runs of back-and-forth
+    trades of one pair, some at one timestamp, some just inside or
+    outside a threshold apart, plus random transfers and self-loops."""
+    rng = draw(st.randoms(use_true_random=False))
+    wallets = [0, 1, 2, NULL_ADDRESS]
+    triples = []
+    for _ in range(rng.randint(0, 4)):
+        a, b = rng.sample(wallets, 2)
+        ts = rng.randint(0, 5000)
+        for _ in range(rng.randint(1, 5)):
+            triples.append((ts, a, b))
+            ts += rng.choice([0, 4, 5, 6, 600, 601, 4000])
+            if rng.random() < 0.7:
+                a, b = b, a
+    for _ in range(rng.randint(0, 10)):
+        triples.append((rng.randint(0, 10000), rng.choice(wallets),
+                        rng.choice(wallets)))
+    return make_events(triples)
+
+
+@settings(deadline=None, max_examples=150)
+@given(events=_trades(), threshold=st.sampled_from([0, 5, 600, 10 ** 9]),
+       min_tx=st.integers(1, 9),
+       ratio=st.sampled_from([0.0, 0.25, 0.5, 0.8, 1.0]),
+       include_null=st.booleans())
+# a share equal to the bound does not exceed it
+@example(events=make_events([(0, 0, 1), (5, 1, 0)]), threshold=600,
+         min_tx=1, ratio=1.0, include_null=False)
+def test_suspicious_pairs_matches_brute_force(events, threshold, min_tx,
+                                              ratio, include_null):
+    """Every `suspicious_pair` row recomputed from the raw edges."""
+    g = TemporalGraph.build(events)
+    got = suspicious_pairs(g, simultaneous_bidirectional(
+        g, threshold, include_null=include_null), min_tx, ratio)
+    assert got == oracles.suspicious_pairs(events, threshold, min_tx, ratio,
+                                           include_null)
 
 
 def test_bot_run_flagged():

@@ -5,6 +5,8 @@ from collections import Counter
 from operator import itemgetter
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import oracles
 from conftest import csm_context
@@ -561,6 +563,53 @@ def test_run_stream_shares_one_graph_across_queries():
             assert not r["timed_out"]
 
 
+# p1-p5 and queries whose seed bounds differ: a single edge (all at most
+# 1), a looped vertex, an edge into one, a labelled 2-cycle and a
+# 2-cycle with an edge in, whose least bound for u's in-pairs (0) is
+# below the one for v's out-pairs (1)
+_STREAM_QUERIES = builtin_patterns() + [
+    parse_query(text, f"q{i}") for i, text in enumerate([
+        "v 0 *; v 1 *; e 0 1", "v 0 *; e 0 0",
+        "v 0 *; v 1 *; e 0 1; e 1 1", "v 0 1; v 1 *; e 0 1; e 1 0",
+        "v 0 *; v 1 *; v 2 *; e 0 1; e 1 0; e 2 0"])]
+
+
+@settings(deadline=None, max_examples=120)
+@given(edges=st.lists(st.tuples(st.integers(0, 5), st.integers(0, 5)),
+                      max_size=40),
+       cut=st.integers(0, 40), window=st.sampled_from([None, 20, 60]),
+       pool=st.sampled_from([None, 2]), seed=st.integers(0, 3),
+       picks=st.lists(st.sampled_from(range(len(_STREAM_QUERIES))),
+                      min_size=1, unique=True))
+# 2 -> 0 completes the last query through a u without in-pairs
+@example(edges=[(0, 1), (1, 0), (2, 0)], cut=2, window=None, pool=None,
+         seed=0, picks=[len(_STREAM_QUERIES) - 1])
+def test_run_stream_rows_equal_each_query_alone(edges, cut, window, pool,
+                                                seed, picks):
+    """The pair check skips a pair for all queries only where each alone
+    would skip it: one query's seed bounds never hide a pair from
+    another, over streams with self-loops, repeated pairs, windows and
+    label pools.  Each row also equals the oracle's counts."""
+    edges = [(u, v, 10 * t) for t, (u, v) in enumerate(edges)]
+    initial, stream = edges[:cut], edges[cut:]
+    queries = [_STREAM_QUERIES[i] for i in picks]
+
+    def rows(queries):
+        return [{k: r[k] for k in r if k != "elapsed_ms"}
+                for r in run_stream(initial, stream, queries, window=window,
+                                    label_pool=pool, seed=seed)]
+
+    got = rows(queries)
+    assert got == [rows([q])[0] for q in queries]
+    labels = {}
+    if pool is not None:
+        labels = assign_labels(dict.fromkeys(
+            w for u, v, _t in edges for w in (u, v)), pool, seed)
+    for q, r in zip(queries, got):
+        assert (r["matches"], r["matches_dedup"]) == \
+            _check_against_oracle(initial, stream, q, labels, window)
+
+
 def _spend_budget_in_automorphisms(monkeypatch, name):
     """Make query `name`'s automorphism enumeration use up its whole
     budget: it finds none and takes two hours."""
@@ -731,6 +780,42 @@ def test_degree_filter_prunes_before_the_search(monkeypatch):
     monkeypatch.undo()
     for q, (ctx, _insert) in zip(builtin_patterns(), contexts):
         assert (ctx.match_count, ctx.dedup_count) == \
+            _check_against_oracle(initial, stream, q, {}, None) == (0, 0)
+
+
+def test_run_stream_skips_a_pair_no_query_can_seed(monkeypatch):
+    """Every vertex of p1-p5 has an out-edge, so a new pair ending at a
+    vertex without out-pairs seeds no plan of any of them: run_stream
+    skips it for all five with one check, making no `insert_edge` or
+    `_search` call and reading no clock past what the contexts read
+    when they are made, and the counts are the oracle's."""
+    rng = random.Random(151)
+    initial = [(rng.randrange(6), rng.randrange(6), t) for t in range(40)]
+    stream = [(rng.randrange(6), 6 + rng.randrange(4), t)
+              for t in range(40, 70)]
+    queries = builtin_patterns()
+    autos = [csm.timed_automorphisms(q, 3.6e6) for q in queries]
+    clock = type("Clock", (_CountingClock,), {})
+    monkeypatch.setattr(csm, "time", clock)
+    calls = Counter()
+    real = csm.MatchContext.insert_edge
+
+    def insert_edge(ctx, u, v):
+        calls["insert_edge"] += 1
+        return real(ctx, u, v)
+
+    def search(*args, **kwargs):
+        calls["_search"] += 1
+
+    monkeypatch.setattr(csm.MatchContext, "insert_edge", insert_edge)
+    monkeypatch.setattr(csm, "_search", search)
+    run_stream(initial, [], queries, automorphisms=autos)
+    made = clock.reads              # the contexts' own reads
+    rows = run_stream(initial, stream, queries, automorphisms=autos)
+    assert (calls, clock.reads) == (Counter(), 2 * made)
+    monkeypatch.undo()
+    for q, r in zip(queries, rows):
+        assert (r["matches"], r["matches_dedup"]) == \
             _check_against_oracle(initial, stream, q, {}, None) == (0, 0)
 
 
