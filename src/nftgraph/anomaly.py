@@ -106,10 +106,11 @@ def bot_scan(g: TemporalGraph, min_run: int = 100,
     with the run's `direction` ("out" or "in").
     """
     by_key: dict[tuple[int, int, str], list[tuple[int, int]]] = {}
-    for k in range(g.num_edges):
-        item = (g.e_ts[k], g.e_token[k])
-        by_key.setdefault((g.e_src[k], g.e_contract[k], "out"), []).append(item)
-        by_key.setdefault((g.e_dst[k], g.e_contract[k], "in"), []).append(item)
+    for u, v, ts, cid, token in zip(g.e_src, g.e_dst, g.e_ts, g.e_contract,
+                                    g.e_token):
+        item = (ts, token)
+        by_key.setdefault((u, cid, "out"), []).append(item)
+        by_key.setdefault((v, cid, "in"), []).append(item)
     reports = []
     for (node, cid, direction), seq in by_key.items():
         if len(seq) < min_run:

@@ -7,6 +7,10 @@ files are regeneratable from the normalized CSV at any time and carry a
 version number so stale caches are rejected rather than misread.  Loading
 checks the crc32 and column lengths; the TemporalGraph constructor then
 checks the ids and the edge time order and derives the node columns.
+`save` writes an array('q') column as it is and a list column (one
+with a value past int64) as decimal text; `load` keeps each column in
+the array or list it reads, so a loaded graph holds what the built one
+did.
 
 Layout (all integers little-endian):
     magic   4 bytes  b"LGLB"
@@ -71,17 +75,16 @@ def _read_strings(f: _Checksummed) -> list[str]:
     return _split(blob, count)
 
 
-def _write_ints(f: _Checksummed, values) -> None:
-    try:
-        a = array("q", values)
-    except OverflowError:
-        # token ids are 256-bit on chain; fall back to decimal text
-        blob = "\n".join(str(v) for v in values).encode()
-        f.write(struct.pack("<cII", b"S", len(values), len(blob)))
-        f.write(blob)
+def _write_ints(f: _Checksummed, values: array | list) -> None:
+    if type(values) is array:
+        f.write(struct.pack("<cI", b"q", len(values)))
+        values.tofile(f)
         return
-    f.write(struct.pack("<cI", b"q", len(a)))
-    a.tofile(f)
+    # a list column holds a value past int64 (token ids are 256-bit on
+    # chain): decimal text
+    blob = "\n".join(map(str, values)).encode()
+    f.write(struct.pack("<cII", b"S", len(values), len(blob)))
+    f.write(blob)
 
 
 def _read_ints(f: _Checksummed):
@@ -132,7 +135,7 @@ def load(path: str) -> TemporalGraph:
         addresses = _read_strings(f)
         contracts = _read_strings(f)
         e_src, e_dst, e_ts, e_contract, e_token = (
-            list(_read_ints(f)) for _ in range(5))
+            _read_ints(f) for _ in range(5))
         if f.left:
             raise DataError("trailing bytes after cache payload")
         if fh.read(4) != struct.pack("<I", f.crc):

@@ -2,9 +2,13 @@
 
 The TemporalGraph is append-only and built in one pass from a normalized
 transfer file.  Addresses and contracts are interned to integer ids; edges
-live in parallel arrays so that ~10M edges fit comfortably in memory.
+live in parallel array('q') columns, 40 bytes per edge, so that ~10M
+edges fit comfortably in memory.  A column whose values do not all fit
+in int64 (a uint256 token id, a far-off timestamp) is a list of ints
+instead, by the one rule of `ingest.extended`.
 The per-node records are derived from the edges by the one constructor,
-never stored or set elsewhere.
+never stored or set elsewhere: first and last timestamps by that same
+rule, transaction counts and mint flags as lists.
 All views derived from a built graph are immutable and safe to share
 across threads.
 """
@@ -14,13 +18,14 @@ from __future__ import annotations
 import hashlib
 import json
 import os
+from array import array
 from bisect import bisect_right
 from collections import defaultdict
 from itertools import count, islice
 from typing import Iterable, Iterator
 
 from .errors import DataError
-from .ingest import NULL_ADDRESS, column_blocks, read_transfers
+from .ingest import NULL_ADDRESS, column_blocks, extended, read_transfers
 from .periods import Period, iter_periods
 
 
@@ -28,8 +33,8 @@ class TemporalGraph:
     """Time-sorted directed multigraph plus token ownership ledger."""
 
     def __init__(self, addresses: list[str], contracts: list[str],
-                 e_src: list[int], e_dst: list[int], e_ts: list[int],
-                 e_contract: list[int], e_token: list[int]):
+                 e_src: array, e_dst: array, e_ts: array | list,
+                 e_contract: array, e_token: array | list):
         """A graph over interned, time-sorted edge columns.
 
         Derives the node records (a self-loop is one transaction; a mint
@@ -57,8 +62,8 @@ class TemporalGraph:
                                  ("e_contract", e_contract, len(contracts))):
             if ids and not (min(ids) >= 0 and max(ids) < bound):
                 raise DataError(f"{name} holds an id outside [0, {bound})")
-        self.n_first = n_first = [0] * n
-        self.n_last = n_last = [0] * n
+        # the walk stores into lists, faster than into arrays
+        n_first, n_last = [0] * n, [0] * n
         self.n_txc = n_txc = [0] * n
         self.n_mint = n_mint = [False] * n
         null, seen, prev = self.null_id, 0, e_ts[0] if e_ts else 0
@@ -86,15 +91,19 @@ class TemporalGraph:
                 n_txc[v] += 1
         if seen != n:
             raise DataError(f"node {seen} has no edge")
+        # times read from arrays are new ints, 32 bytes each in a list
+        self.n_first = extended(array("q"), n_first)
+        self.n_last = extended(array("q"), n_last)
 
     @classmethod
     def build(cls, source) -> "TemporalGraph":
         """Build from a normalized CSV, given as a path or an open text
         stream, or from TransferEvents (rows in NORMALIZED_HEADER order).
 
-        Works a column block at a time.  Ids are handed out in first
-        appearance order, a row's src before its dst, by a dict whose
-        missing keys take the next number.
+        Works a column block at a time, extending each edge column once
+        per block.  Ids are handed out in first appearance order, a
+        row's src before its dst, by a dict whose missing keys take the
+        next number.
         """
         if isinstance(source, (str, os.PathLike)) or hasattr(source, "read"):
             blocks = read_transfers(source)
@@ -102,16 +111,17 @@ class TemporalGraph:
             blocks = column_blocks(source)
         addr_ids = defaultdict(count().__next__)
         contract_ids = defaultdict(count().__next__)
-        e_src, e_dst, e_ts, e_contract, e_token = [], [], [], [], []
+        e_src, e_dst, e_ts, e_contract, e_token = (array("q")
+                                                   for _ in range(5))
         for ts, _, _, _, contract, src, dst, token in blocks:
             ends = [None] * (2 * len(src))
             ends[0::2], ends[1::2] = src, dst
             ids = list(map(addr_ids.__getitem__, ends))
-            e_src += ids[0::2]
-            e_dst += ids[1::2]
-            e_ts += ts
-            e_contract += map(contract_ids.__getitem__, contract)
-            e_token += token
+            e_src.fromlist(ids[0::2])
+            e_dst.fromlist(ids[1::2])
+            e_ts = extended(e_ts, ts)
+            e_contract.fromlist(list(map(contract_ids.__getitem__, contract)))
+            e_token = extended(e_token, token)
         return cls(list(addr_ids), list(contract_ids),
                    e_src, e_dst, e_ts, e_contract, e_token)
 

@@ -333,7 +333,7 @@ def normalize_stream(
                                      intern(src, src), intern(dst, dst),
                                      token))
                 if rows:
-                    columns = list(map(_extended, columns, zip(*rows)))
+                    columns = list(map(extended, columns, zip(*rows)))
     # none is read again, and the dedup set is the largest
     del seen, intern
 
@@ -357,12 +357,20 @@ def normalize_stream(
     return stats, contracts
 
 
-def _extended(column: array | list, values: tuple) -> array | list:
-    """`column` extended by `values`; an array('q') becomes a list first
-    if one of them does not fit in 64 bits (none is negative)."""
-    if type(column) is array and max(values) >= 1 << 63:
-        column = column.tolist()
-    column.extend(values)
+def extended(column: array | list, values: Sequence) -> array | list:
+    """`column` extended by `values`.  An array('q') stays one until a
+    value does not fit in int64 and then becomes a list, which stays a
+    list: the one rule for the store of an int column, here and in the
+    graph."""
+    if type(column) is array:
+        try:
+            # fromlist takes half the time of extend, and on an
+            # OverflowError leaves the array as it was
+            column.fromlist(values if type(values) is list else list(values))
+            return column
+        except OverflowError:
+            column = column.tolist()
+    column += values
     return column
 
 

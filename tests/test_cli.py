@@ -10,6 +10,7 @@ import subprocess
 import sys
 import tempfile
 import zlib
+from array import array
 from pathlib import Path
 
 import pytest
@@ -278,11 +279,11 @@ def test_cache_with_bad_n_first_exits_2(data_dir, tmp_path, capsys, damage):
         # the same graph, with nodes 5 and 6 trading ids
         swap = {5: 6, 6: 5}
         g.addresses[5], g.addresses[6] = g.addresses[6], g.addresses[5]
-        g.e_src[:] = [swap.get(u, u) for u in g.e_src]
-        g.e_dst[:] = [swap.get(v, v) for v in g.e_dst]
+        g.e_src = array("q", [swap.get(u, u) for u in g.e_src])
+        g.e_dst = array("q", [swap.get(v, v) for v in g.e_dst])
     else:
-        for column in (g.e_src, g.e_dst, g.e_ts, g.e_contract, g.e_token):
-            column.clear()
+        for column in ("e_src", "e_dst", "e_ts", "e_contract", "e_token"):
+            setattr(g, column, array("q"))
     bad = tmp_path / "bad.lglb"
     cache.save(g, str(bad))
     capsys.readouterr()

@@ -3,6 +3,8 @@ import os
 import random
 import re
 import tempfile
+import tracemalloc
+from array import array
 from pathlib import Path
 
 import pytest
@@ -124,6 +126,97 @@ def test_build_from_stream_equals_build_from_path(tmp_path):
         assert vars(TemporalGraph.build(p)) == vars(want)
         assert vars(TemporalGraph.build(events)) == vars(want)
     assert "0xc,0" in want.contracts and '"' in p.read_text()
+
+
+EDGE_COLUMNS = ("e_src", "e_dst", "e_ts", "e_contract", "e_token")
+
+
+def _types(g: TemporalGraph) -> dict:
+    return {name: type(value) for name, value in vars(g).items()}
+
+
+def _fits_int64(column) -> bool:
+    return all(-2 ** 63 <= x < 2 ** 63 for x in column)
+
+
+def test_every_path_gives_the_same_column_types(tmp_path):
+    """A path, a stream, TransferEvents, the oracle reader's rows and a
+    cache load give the same graph in the same column types: the edge
+    columns and the first and last times as array('q')."""
+    events = random_events(random.Random(3), with_null=True)
+    p, lglb = tmp_path / "t.csv", tmp_path / "g.lglb"
+    write_transfers(str(p), events)
+    want = TemporalGraph.build(str(p))
+    graphs = [TemporalGraph.build(events)]
+    with open(p, newline="") as fh:
+        graphs.append(TemporalGraph.build(fh))
+    with open(p, newline="") as fh:
+        graphs.append(TemporalGraph.build(list(oracles.read_transfers(fh))))
+    cache.save(want, str(lglb))
+    graphs.append(cache.load(str(lglb)))
+    for g in graphs:
+        assert _types(g) == _types(want)
+        assert vars(g) == vars(want)
+    assert {name for name, t in _types(want).items() if t is array} == {
+        *EDGE_COLUMNS, "n_first", "n_last"}
+
+
+@pytest.mark.parametrize("field,value,column", [
+    ("timestamp", 10 ** 20, "e_ts"),
+    ("token_id", 2 ** 255 + 12345, "e_token"),
+    ("token_id", -(2 ** 63) - 1, "e_token"),
+], ids=["big_timestamp", "uint256_token", "below_int64_token"])
+def test_a_value_past_int64_makes_only_its_column_a_list(
+        tmp_path, field, value, column):
+    """The last event's field is out of int64 range: its column is a
+    list, the other edge columns stay arrays, and a node record is a
+    list only if it holds such a value; the cache keeps all of it."""
+    events = make_events([(1600000000, 0, 1), (1600000100, 1, 2)])
+    events[-1] = events[-1]._replace(**{field: value})
+    p, lglb = tmp_path / "t.csv", tmp_path / "g.lglb"
+    write_transfers(str(p), events)
+    g = TemporalGraph.build(str(p))
+    assert vars(TemporalGraph.build(events)) == vars(g)
+    assert getattr(g, column)[-1] == value
+    assert {name for name in EDGE_COLUMNS
+            if type(getattr(g, name)) is list} == {column}
+    for name in ("n_first", "n_last"):
+        records = getattr(g, name)
+        assert (type(records) is list) == (not _fits_int64(records))
+    cache.save(g, str(lglb))
+    h = cache.load(str(lglb))
+    assert _types(h) == _types(g)
+    assert vars(h) == vars(g)
+
+
+def _traced(fn):
+    """(result, held bytes, peak bytes) of fn() under tracemalloc."""
+    tracemalloc.start()
+    try:
+        result = fn()
+        held, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    return result, held, peak
+
+
+def test_cache_load_memory_per_edge(tmp_path):
+    """A graph read back from its cache holds below 100 B per edge on
+    60k uniform transfers, about 75 B: five 8-byte edge columns, the
+    address strings and the node records (200 B when each column is
+    read into a list of ints).  The load peaks below the build from CSV,
+    which holds each read block while it fills the columns."""
+    from nftgraph.fixture import write_fixture
+    n = 60_000
+    src, lglb = str(tmp_path / "transfers.csv"), str(tmp_path / "g.lglb")
+    write_fixture("uniform", 1, n, src)
+    g, _held, build_peak = _traced(lambda: TemporalGraph.build(src))
+    cache.save(g, lglb)
+    del g
+    g, held, peak = _traced(lambda: cache.load(lglb))
+    assert g.num_edges == n
+    assert held / n < 100
+    assert peak < build_peak
 
 
 def test_token_owner_replay():
@@ -307,7 +400,7 @@ def test_cache_round_trip(tmp_path):
 def test_cache_big_token_ids(tmp_path):
     events = make_events([(1600000000, 0, 1)])
     g = TemporalGraph.build(events)
-    g.e_token[0] = 2 ** 255 + 12345     # uint256-sized id
+    g.e_token = [2 ** 255 + 12345]      # uint256-sized id
     path = tmp_path / "g.lglb"
     cache.save(g, str(path))
     assert cache.load(str(path)).e_token == [2 ** 255 + 12345]
@@ -316,7 +409,7 @@ def test_cache_big_token_ids(tmp_path):
 def test_cache_rejects_non_integer_big_token_id(tmp_path):
     events = make_events([(1600000000, 0, 1)])
     g = TemporalGraph.build(events)
-    g.e_token[0] = 2 ** 255 + 12345
+    g.e_token = [2 ** 255 + 12345]
     path = tmp_path / "g.lglb"
     cache.save(g, str(path))
     blob = path.read_bytes()

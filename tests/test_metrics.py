@@ -481,7 +481,8 @@ def test_metrics_memory_per_edge(tmp_path):
     """metrics' peak of traced allocations on 20k uniform transfers by
     day, split at the middle, stays below 550 B per edge: the loaded
     graph, one simple view and one stream measurement's pair table,
-    about 460 B (660 B when the first view is still held while the
+    about 445 B (458 B with the edge columns held as lists of ints;
+    660 B when, on top of that, the first view is still held while the
     second is built and tea_tet keeps a [first, last] list per pair)."""
     from nftgraph import cli
     from nftgraph.fixture import write_fixture
